@@ -115,7 +115,7 @@ func BenchmarkWorldInstantiate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sched.Reset()
-		net, err := prog.Instantiate(sched, int64(i+1))
+		net, err := prog.Instantiate(sched, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func BenchmarkREDDropPath(b *testing.B) {
 	b.ReportAllocs()
 	const offered = 200000
 	for i := 0; i < b.N; i++ {
-		rng := sim.NewRand(int64(i + 1))
+		rng := sim.NewRand(benchSeed)
 		q := netsim.NewRED(netsim.REDConfig{
 			Limit: 64, MinTh: 8, MaxTh: 32, MaxP: 0.1,
 			PacketsPerSecond: 12500,
@@ -363,7 +363,7 @@ func BenchmarkWifiGilbertSecond(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sched := sim.NewScheduler()
 		pool := netsim.NewPacketPool()
-		net, err := topo.Build(sched, spec, int64(i+1))
+		net, err := topo.Build(sched, spec, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}

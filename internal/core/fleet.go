@@ -115,6 +115,9 @@ type FleetReport struct {
 	Flows  int
 	Drops  int
 	Events uint64
+	// AmbiguousTies totals the worlds' ScenarioResult.AmbiguousTies. It is
+	// deterministic but diagnostic, so Fingerprint leaves it out.
+	AmbiguousTies uint64
 	// Aggregate is the pooled burstiness report (analysis.Aggregate);
 	// KSExact reports whether its KS statistic covers every interval.
 	Aggregate *analysis.Report
@@ -257,6 +260,7 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 			rep.Flows += v.Flows
 			rep.Drops += v.Drops
 			rep.Events += v.Events
+			rep.AmbiguousTies += v.AmbiguousTies
 			rep.CoVMin = math.Min(rep.CoVMin, v.Report.CoV)
 			rep.CoVMax = math.Max(rep.CoVMax, v.Report.CoV)
 			return nil
@@ -286,8 +290,8 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 func WriteFleet(w io.Writer, r *FleetReport) error {
 	a := r.Aggregate
 	if _, err := fmt.Fprintf(w,
-		"# fleet worlds=%d skipped=%d scenarios=%d flows=%d drops=%d events=%d elapsed=%.2fs events_per_sec=%.3g\n",
-		r.Worlds, r.Skipped, len(r.Scenarios), r.Flows, r.Drops, r.Events,
+		"# fleet worlds=%d skipped=%d scenarios=%d flows=%d drops=%d events=%d ambiguous_ties=%d elapsed=%.2fs events_per_sec=%.3g\n",
+		r.Worlds, r.Skipped, len(r.Scenarios), r.Flows, r.Drops, r.Events, r.AmbiguousTies,
 		r.Elapsed.Seconds(), r.EventsPerSec); err != nil {
 		return err
 	}

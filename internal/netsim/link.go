@@ -304,7 +304,7 @@ func (p *Port) fastHandle(pkt *Packet) {
 	}
 	if eager {
 		start = now
-		pstart = p.Sched.FiringAsOf()
+		pstart, _ = p.Sched.FiringLineage()
 	}
 	done := start.Add(p.Link.TxTime(pkt.Size))
 	due := done.Add(p.Link.Delay)

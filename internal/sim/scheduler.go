@@ -5,10 +5,17 @@ import "fmt"
 // event is the scheduler-owned state behind a Timer handle. Events are
 // recycled through a per-scheduler freelist: the generation counter is
 // bumped every time an event leaves the scheduled state (fire or cancel),
-// which is what makes a stale Timer handle — or a stale heap entry — a
-// detectable no-op instead of a use-after-free. The freelist is per world
-// and needs no synchronization because a Scheduler is confined to one
-// goroutine by contract.
+// which is what makes a stale Timer handle a detectable no-op instead of a
+// use-after-free. The freelist is per world and needs no synchronization
+// because a Scheduler is confined to one goroutine by contract.
+//
+// One entry per event: at any moment at most one queue entry (heap or wheel)
+// points at an event struct, and an event is on the freelist only when none
+// does. The tie-break keys below live here rather than in the entry, so they
+// must not change while an entry can still be compared through them — which
+// is why a heap-resident Cancel/Reschedule retires the struct as a tombstone
+// (dead) instead of recycling or re-keying it, and the struct returns to the
+// freelist only when its entry pops.
 type event struct {
 	t    Time
 	gen  uint64
@@ -25,7 +32,35 @@ type event struct {
 	// slots until the clock reached them.
 	wlevel uint8
 	wslot  uint8
+	dead   bool // tombstone: cancelled or superseded while heap-resident
 	wpos   int32
+
+	// The tie-break among entries due at the same instant. Last, so that
+	// everything recycle and Reset touch sits in the first 64 bytes.
+	lineage
+}
+
+// lineage is an event's arming genealogy. armT is the virtual instant the
+// event was armed at — s.now for the ordinary At/After family, or an instant
+// the caller asserts for the AsOf variants. armT2 and armT3 extend the key two
+// generations up the arming ancestry: the instant the event's parent (the
+// event whose callback armed this one) was armed, and the parent's parent in
+// turn. For truthfully armed events the chain is threaded automatically from
+// the firing event's own keys, and because seq is strictly monotone over
+// arming order, sorting simultaneous events by (armT, armT2, armT3, seq) is
+// identical to sorting by seq alone — at every depth the ancestor keys can
+// only agree with the seq order they summarize. The genealogy matters when a
+// coalesced timer stands in for an event a reference execution would have
+// armed elsewhere (see AtAsOf): two stand-ins can tie not just at the due time
+// but at the replaced events' arming instants too — two same-geometry ports
+// finishing serialization in the same nanosecond — and then the reference
+// breaks the tie by the arming order of the parents, which the deeper keys
+// carry and a plain (armT, seq) cannot. Ties through all three generations
+// fall to seq, the one residual the stand-in cannot reproduce; AmbiguousTies
+// counts them.
+type lineage struct {
+	armT, armT2, armT3 Time
+	asOf               bool // asserted by an AsOf entry point, not threaded
 }
 
 // Timer is a cancelable handle to a scheduled callback. The zero value is
@@ -50,52 +85,42 @@ func (tm Timer) Time() Time {
 	return tm.e.t
 }
 
-// entry is one element of the scheduler's event queue: the ordering key
-// (time, arming genealogy, FIFO sequence) plus the generation snapshot that
-// identifies whether the referenced event is still the one this entry was
-// pushed for. Cancelled events are deleted lazily — the entry stays in the
-// heap as a tombstone until its time comes up and the generation mismatch
-// discards it in O(1).
-//
-// armT is the virtual instant the event was armed at — s.now for the
-// ordinary At/After family, or a caller-asserted instant for the AsOf
-// variants. armT2 and armT3 extend the key two generations up the arming
-// ancestry: the instant the event's parent (the event whose callback armed
-// this one) was armed, and the parent's parent in turn. For truthfully
-// armed events the chain is threaded automatically from the firing event's
-// own keys, and because seq is strictly monotone over arming order, sorting
-// simultaneous events by (armT, armT2, armT3, seq) is identical to sorting
-// by seq alone — at every depth the ancestor keys can only agree with the
-// seq order they summarize. The genealogy matters when a coalesced timer
-// stands in for an event a reference execution would have armed elsewhere
-// (see AtAsOf): two stand-ins can tie not just at the due time but at the
-// replaced events' arming instants too — two same-geometry ports finishing
-// serialization in the same nanosecond — and then the reference breaks the
-// tie by the arming order of the parents, which the deeper keys carry and
-// a plain (armT, seq) cannot. Ties through all three generations fall to
-// seq, the one residual the stand-in cannot reproduce.
+// entry is one element of the scheduler's event queue: the due time, the
+// FIFO sequence number and the event. It is what every heap sift, wheel
+// append, slot flush and cascade copies, so it carries only the hot key —
+// the rest of the ordering key (the arming genealogy) is read through e,
+// and only when two due times tie.
 type entry struct {
-	t     Time
-	armT  Time
-	armT2 Time
-	armT3 Time
-	seq   uint64
-	gen   uint64
-	e     *event
+	t   Time
+	seq uint64
+	e   *event
 }
 
-func entryLess(a, b entry) bool {
+// less orders entries by (t, armT, armT2, armT3, seq). Distinct due times —
+// the common case at nanosecond resolution — decide on one word; ties fall
+// into tieLess, kept out of line so this stays small enough to inline into
+// the sift loops.
+func (s *Scheduler) less(a, b *entry) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
-	if a.armT != b.armT {
-		return a.armT < b.armT
+	return s.tieLess(a, b)
+}
+
+//go:noinline
+func (s *Scheduler) tieLess(a, b *entry) bool {
+	ea, eb := a.e, b.e
+	if ea.armT != eb.armT {
+		return ea.armT < eb.armT
 	}
-	if a.armT2 != b.armT2 {
-		return a.armT2 < b.armT2
+	if ea.armT2 != eb.armT2 {
+		return ea.armT2 < eb.armT2
 	}
-	if a.armT3 != b.armT3 {
-		return a.armT3 < b.armT3
+	if ea.armT3 != eb.armT3 {
+		return ea.armT3 < eb.armT3
+	}
+	if (ea.asOf || eb.asOf) && !ea.dead && !eb.dead {
+		s.ambiguous++
 	}
 	return a.seq < b.seq
 }
@@ -124,7 +149,9 @@ const (
 //
 // The core queue is a value-based 4-ary min-heap ordered by (time, arming
 // genealogy, insertion sequence): flatter than a binary heap (fewer cache-missing
-// levels per sift) and free of the container/heap interface dispatch. A
+// levels per sift) and free of the container/heap interface dispatch; its
+// 24-byte entries carry the time and sequence, and the genealogy is read
+// through the event pointer only when two times tie. A
 // two-level hierarchical timing wheel fronts the heap: near-future events
 // land in fixed slots with O(1) insert, and a slot's entries are flushed
 // into the heap only when the clock reaches its tick. Because every event
@@ -134,19 +161,22 @@ const (
 // and fire-or-cancel recycles them, so the steady-state scheduling path
 // performs no allocation.
 type Scheduler struct {
-	now    Time
-	seq    uint64
-	queue  []entry
-	live   int // scheduled and not cancelled — Pending() in O(1)
-	fired  uint64
-	halted bool
-	free   *event
+	now   Time
+	seq   uint64
+	queue []entry
+	live  int // scheduled and not cancelled — Pending() in O(1)
+	fired uint64
+	// ambiguous counts tie comparisons only seq could decide although one
+	// side's genealogy was asserted rather than threaded. See AmbiguousTies.
+	ambiguous uint64
+	halted    bool
+	free      *event
 
 	// Timing wheel state. cur0 is the next unflushed level-0 tick
 	// (absolute, = time >> tick0Bits); cur1 the next uncascaded level-1
-	// tick. count0/count1 track stored entries per level, tombstones
-	// included, so emptiness checks are O(1). Slot slices keep their
-	// capacity across flushes and Resets.
+	// tick. count0/count1 track stored entries per level, so emptiness
+	// checks are O(1). Slot slices keep their capacity across flushes and
+	// Resets.
 	cur0, cur1     int64
 	count0, count1 int
 	wheelInit      bool
@@ -163,9 +193,9 @@ type Scheduler struct {
 	// path in netsim re-uses one event per busy period this way instead of
 	// paying a freelist round trip per packet. firingArmT, firingArmT2 and
 	// inFire expose the firing event's arming instant and its parent's to
-	// callbacks (FiringAsOf, FiringLineage) and seed the genealogy keys of
-	// events armed inside the callback; unlike firing, they stay valid
-	// through a Rearm until the callback returns.
+	// callbacks (FiringLineage) and seed the genealogy keys of events armed
+	// inside the callback; they are copied out of the event because a Rearm
+	// re-keys it before the callback returns.
 	firing      *event
 	firingArmT  Time
 	firingArmT2 Time
@@ -212,25 +242,15 @@ func NewScheduler() *Scheduler { return &Scheduler{} }
 // every counter (now, seq, fired) restarts from zero, a run on a reset
 // scheduler is bit-identical to a run on a fresh one.
 func (s *Scheduler) Reset() {
-	for i := range s.queue {
-		en := &s.queue[i]
-		// Live events go back to the freelist (release bumps the
-		// generation, so a duplicate tombstone entry cannot match again);
-		// tombstones are already freelisted.
-		if en.e.gen == en.gen {
-			if s.drain != nil && en.e.arg != nil {
-				s.drain(en.e.arg)
-			}
-			s.release(en.e)
-		}
-		*en = entry{}
-	}
+	s.releaseAll(s.queue)
 	s.queue = s.queue[:0]
 	for i := range s.slots0 {
-		s.resetSlot(&s.slots0[i])
+		s.releaseAll(s.slots0[i])
+		s.slots0[i] = s.slots0[i][:0]
 	}
 	for i := range s.slots1 {
-		s.resetSlot(&s.slots1[i])
+		s.releaseAll(s.slots1[i])
+		s.slots1[i] = s.slots1[i][:0]
 	}
 	s.cur0 = 0
 	s.cur1 = 0
@@ -240,6 +260,7 @@ func (s *Scheduler) Reset() {
 	s.seq = 0
 	s.live = 0
 	s.fired = 0
+	s.ambiguous = 0
 	s.halted = false
 	s.firing = nil
 	s.firingArmT = 0
@@ -247,20 +268,23 @@ func (s *Scheduler) Reset() {
 	s.inFire = false
 }
 
-// resetSlot releases a wheel slot's live events and truncates it in place,
-// keeping the slice's capacity for the next run.
-func (s *Scheduler) resetSlot(sl *[]entry) {
-	for i := range *sl {
-		en := &(*sl)[i]
-		if en.e.gen == en.gen {
-			if s.drain != nil && en.e.arg != nil {
-				s.drain(en.e.arg)
+// releaseAll recycles the event behind every entry of q and clears q, for
+// the caller to truncate in place (slices keep their capacity for the next
+// run). Every entry owns its event, live or tombstone, so both kinds go back
+// to the freelist; only live ones have an argument left for the drain.
+func (s *Scheduler) releaseAll(q []entry) {
+	for i := range q {
+		e := q[i].e
+		if e.dead {
+			s.recycle(e)
+		} else {
+			if s.drain != nil && e.arg != nil {
+				s.drain(e.arg)
 			}
-			s.release(en.e)
+			s.release(e)
 		}
-		*en = entry{}
+		q[i] = entry{}
 	}
-	*sl = (*sl)[:0]
 }
 
 // Now reports the current simulated time.
@@ -274,6 +298,15 @@ func (s *Scheduler) Fired() uint64 { return s.fired }
 // Pending reports how many events are queued and not cancelled. It is a
 // maintained counter, not a scan: safe to call per event.
 func (s *Scheduler) Pending() int { return s.live }
+
+// AmbiguousTies reports how many queue comparisons since the last Reset tied
+// on the due time and all three genealogy keys, and so fell to the sequence
+// number, with an AsOf-armed event on either side. Those are the ties a
+// coalesced stand-in cannot prove it resolves as the reference execution
+// would (see AtAsOf); between truthfully armed events seq is the reference
+// order. It counts comparisons, not events, so it bounds the ambiguity from
+// above: zero means the run never relied on the residual.
+func (s *Scheduler) AmbiguousTies() uint64 { return s.ambiguous }
 
 // eventSlab is how many events an empty freelist allocates at once: a
 // world's working set of concurrent timers is built one slab allocation
@@ -297,46 +330,59 @@ func (s *Scheduler) alloc() *event {
 	return e
 }
 
-// release recycles an event: the generation bump invalidates every Timer
-// handle and heap tombstone pointing at it, and clearing the callback and
-// argument drops their references so freelisted events pin no world state.
+// release recycles an event no entry points at any more: the generation
+// bump invalidates every Timer handle, then recycle frees the struct.
 func (s *Scheduler) release(e *event) {
 	e.gen++
-	s.releaseFired(e)
+	s.recycle(e)
 }
 
-// releaseFired recycles an event whose generation was already bumped (at
-// fire time, in Step). Kept separate from release so Rearm can intercept
-// the event between the bump and the recycle.
-func (s *Scheduler) releaseFired(e *event) {
+// recycle puts an event whose generation was already bumped (at fire time,
+// or when it became a tombstone) on the freelist. Clearing the callback and
+// argument drops their references so freelisted events pin no world state.
+// Kept separate from release so Rearm can intercept the firing event
+// between the bump and the recycle.
+func (s *Scheduler) recycle(e *event) {
 	e.fn = nil
 	e.afn = nil
 	e.arg = nil
 	e.wlevel = 0
+	e.dead = false
 	e.next = s.free
 	s.free = e
+}
+
+// entomb retires a heap-resident event whose entry cannot be removed in
+// O(1): handles go inert and the callback and argument are dropped now, but
+// the struct — and with it the tie-break keys its entry is ordered by —
+// stays untouched until the entry pops and recycles it.
+func (s *Scheduler) entomb(e *event) {
+	e.gen++
+	e.fn = nil
+	e.afn = nil
+	e.arg = nil
+	e.dead = true
 }
 
 // armedNow reports the truthful genealogy keys for an event armed at this
 // moment: the arming instant is now, and the ancestor keys are those of the
 // currently firing event. Outside a callback (world setup, manual stepping)
 // every key is now, which orders after all already-fired work, as it must.
-func (s *Scheduler) armedNow() (armT, armT2, armT3 Time) {
+func (s *Scheduler) armedNow() lineage {
 	if s.inFire {
-		return s.now, s.firingArmT, s.firingArmT2
+		return lineage{armT: s.now, armT2: s.firingArmT, armT3: s.firingArmT2}
 	}
-	return s.now, s.now, s.now
+	return lineage{armT: s.now, armT2: s.now, armT3: s.now}
 }
 
-// schedule queues an event at absolute time t, armed as of virtual instant
-// armT with ancestor instants armT2, armT3 (armedNow() for the truthful
-// entry points).
-func (s *Scheduler) schedule(t, armT, armT2, armT3 Time, fn func(), afn func(any), arg any) Timer {
+// schedule queues an event at absolute time t with arming genealogy lin
+// (armedNow() for the truthful entry points, asserted for the AsOf ones).
+func (s *Scheduler) schedule(t Time, lin lineage, fn func(), afn func(any), arg any) Timer {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, s.now))
 	}
-	if armT > t {
-		panic(fmt.Sprintf("sim: armed-as-of %v after due time %v", armT, t))
+	if lin.armT > t {
+		panic(fmt.Sprintf("sim: armed-as-of %v after due time %v", lin.armT, t))
 	}
 	// When both wheels are empty the clock can outrun the cursors (heap
 	// events fire without flushing anything). Re-base then, so near-future
@@ -348,13 +394,19 @@ func (s *Scheduler) schedule(t, armT, armT2, armT3 Time, fn func(), afn func(any
 		}
 	}
 	e := s.alloc()
-	e.t = t
 	e.fn = fn
 	e.afn = afn
 	e.arg = arg
-	s.place(entry{t: t, armT: armT, armT2: armT2, armT3: armT3, seq: s.seq, gen: e.gen, e: e})
-	s.seq++
 	s.live++
+	return s.arm(e, t, lin)
+}
+
+// arm keys an event no entry points at and queues its one entry.
+func (s *Scheduler) arm(e *event, t Time, lin lineage) Timer {
+	e.t = t
+	e.lineage = lin
+	s.place(entry{t: t, seq: s.seq, e: e})
+	s.seq++
 	return Timer{e: e, gen: e.gen}
 }
 
@@ -398,9 +450,9 @@ func (s *Scheduler) place(en entry) {
 }
 
 // wheelRemove eagerly swap-removes a still-scheduled event's entry from
-// its wheel slot, fixing up the backref of whichever live entry the swap
-// moved. Wheel slots therefore never hold tombstones; only heap entries
-// are deleted lazily.
+// its wheel slot, fixing up the backref of whichever entry the swap moved.
+// Wheel slots therefore never hold tombstones; only heap entries are
+// deleted lazily.
 func (s *Scheduler) wheelRemove(e *event) {
 	var sl *[]entry
 	if e.wlevel == 1 {
@@ -482,8 +534,7 @@ func (s *Scheduler) cascade() {
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // that is always a logic error in a discrete-event model.
 func (s *Scheduler) At(t Time, fn func()) Timer {
-	a1, a2, a3 := s.armedNow()
-	return s.schedule(t, a1, a2, a3, fn, nil, nil)
+	return s.schedule(t, s.armedNow(), fn, nil, nil)
 }
 
 // After schedules fn to run d from now. Negative d panics.
@@ -491,8 +542,7 @@ func (s *Scheduler) After(d Duration, fn func()) Timer {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	a1, a2, a3 := s.armedNow()
-	return s.schedule(s.now.Add(d), a1, a2, a3, fn, nil, nil)
+	return s.schedule(s.now.Add(d), s.armedNow(), fn, nil, nil)
 }
 
 // AtArg schedules fn(arg) at absolute time t. Passing the argument through
@@ -500,8 +550,7 @@ func (s *Scheduler) After(d Duration, fn func()) Timer {
 // allocating a capturing closure per event (a pointer in an interface does
 // not allocate); netsim's per-packet delivery path relies on this.
 func (s *Scheduler) AtArg(t Time, fn func(any), arg any) Timer {
-	a1, a2, a3 := s.armedNow()
-	return s.schedule(t, a1, a2, a3, nil, fn, arg)
+	return s.schedule(t, s.armedNow(), nil, fn, arg)
 }
 
 // AfterArg schedules fn(arg) to run d from now. Negative d panics.
@@ -509,8 +558,7 @@ func (s *Scheduler) AfterArg(d Duration, fn func(any), arg any) Timer {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	a1, a2, a3 := s.armedNow()
-	return s.schedule(s.now.Add(d), a1, a2, a3, nil, fn, arg)
+	return s.schedule(s.now.Add(d), s.armedNow(), nil, fn, arg)
 }
 
 // AtAsOf schedules fn at absolute time t as if it had been armed at virtual
@@ -528,46 +576,35 @@ func (s *Scheduler) AfterArg(d Duration, fn func(any), arg any) Timer {
 // parentAt ≤ armedAt ≤ t) and may lie in the future relative to now — they
 // are ordering keys, not constraints on when the call is made.
 func (s *Scheduler) AtAsOf(t, armedAt, parentAt, grandAt Time, fn func()) Timer {
-	checkLineage(t, armedAt, parentAt, grandAt)
-	return s.schedule(t, armedAt, parentAt, grandAt, fn, nil, nil)
+	return s.schedule(t, assertedLineage(t, armedAt, parentAt, grandAt), fn, nil, nil)
 }
 
 // AtArgAsOf is AtAsOf for an argument-carrying callback.
 func (s *Scheduler) AtArgAsOf(t, armedAt, parentAt, grandAt Time, fn func(any), arg any) Timer {
-	checkLineage(t, armedAt, parentAt, grandAt)
-	return s.schedule(t, armedAt, parentAt, grandAt, nil, fn, arg)
+	return s.schedule(t, assertedLineage(t, armedAt, parentAt, grandAt), nil, fn, arg)
 }
 
-// checkLineage validates an explicit arming genealogy: each ancestor was
-// armed no later than the event it armed.
-func checkLineage(t, armedAt, parentAt, grandAt Time) {
+// assertedLineage validates an explicit arming genealogy — each ancestor
+// was armed no later than the event it armed — and marks it as asserted.
+func assertedLineage(t, armedAt, parentAt, grandAt Time) lineage {
 	if armedAt > t || parentAt > armedAt || grandAt > parentAt {
 		panic(fmt.Sprintf("sim: arming genealogy %v ≥ %v ≥ %v ≥ %v violated",
 			t, armedAt, parentAt, grandAt))
 	}
-}
-
-// FiringAsOf reports the arming instant of the event whose callback is
-// currently executing — the armedAt it was scheduled with, which for
-// ordinary events is the time of the callback that armed them. Outside a
-// callback it reports Now(), which compares after every arming instant of
-// already-fired work, as an outside observer should. Hot-path consumers
-// (netsim's batched port) use it to decide whether a reference execution
-// would already have fired a coalesced-away event at this same nanosecond:
-// the reference fires simultaneous events in arming order, so "armed before
-// the currently-firing event was" means "already happened".
-func (s *Scheduler) FiringAsOf() Time {
-	if s.inFire {
-		return s.firingArmT
-	}
-	return s.now
+	return lineage{armT: armedAt, armT2: parentAt, armT3: grandAt, asOf: true}
 }
 
 // FiringLineage reports the first two genealogy keys of the event whose
-// callback is currently executing: its own arming instant (FiringAsOf) and
-// its parent's. Consumers refining a FiringAsOf comparison use the second
-// key to break the tie one generation deeper when the arming instants
-// themselves collide. Outside a callback both report Now().
+// callback is currently executing: its own arming instant — the armedAt it
+// was scheduled with, which for ordinary events is the time of the callback
+// that armed them — and its parent's. Outside a callback both report Now(),
+// which compares after every arming instant of already-fired work, as an
+// outside observer should. Hot-path consumers (netsim's batched port) use
+// the first key to decide whether a reference execution would already have
+// fired a coalesced-away event at this same nanosecond: the reference fires
+// simultaneous events in arming order, so "armed before the currently-firing
+// event was" means "already happened". The second key breaks the tie one
+// generation deeper when the arming instants themselves collide.
 func (s *Scheduler) FiringLineage() (armedAt, parentAt Time) {
 	if s.inFire {
 		return s.firingArmT, s.firingArmT2
@@ -577,45 +614,47 @@ func (s *Scheduler) FiringLineage() (armedAt, parentAt Time) {
 
 // Cancel removes the timer's callback from the queue if it has not fired.
 // Cancelling an inert (zero, fired, or already cancelled) timer is a no-op.
-// Removal is O(1) either way: a heap-resident event is deleted lazily (the
-// orphaned entry is discarded when it reaches the top), while a
-// wheel-resident one is swap-removed from its slot immediately — so
-// cancel-heavy workloads (TCP retransmission timers rearm on every ACK)
-// cost no sift-and-fix work and leave no debris in far-future slots.
+// Removal is O(1) either way: a heap-resident event is deleted lazily (it
+// stays behind as a tombstone, discarded and recycled when its entry
+// reaches the top), while a wheel-resident one is swap-removed from its
+// slot and recycled immediately — so cancel-heavy workloads (TCP
+// retransmission timers rearm on every ACK) cost no sift-and-fix work and
+// leave no debris in far-future slots.
 func (s *Scheduler) Cancel(tm Timer) {
-	if tm.e == nil || tm.e.gen != tm.gen {
+	e := tm.e
+	if e == nil || e.gen != tm.gen {
 		return
 	}
-	if tm.e.wlevel != 0 {
-		s.wheelRemove(tm.e)
-	}
-	s.release(tm.e)
 	s.live--
+	if e.wlevel == 0 {
+		s.entomb(e)
+		return
+	}
+	s.wheelRemove(e)
+	s.release(e)
 }
 
-// Reschedule moves a still-pending timer to absolute time t without the
-// free-and-realloc round trip of Cancel + At: the event struct is re-timed
-// in place. A wheel-resident event is swap-removed from its slot and
-// re-placed; a heap-resident one leaves its old entry behind as a lazy
-// tombstone (exactly like Cancel) and pushes a fresh entry, so the cost is
-// one O(log n) sift with no freelist traffic either way. The returned
+// Reschedule moves a still-pending timer to absolute time t. A
+// wheel-resident event is swap-removed from its slot and re-keyed in place,
+// with no freelist traffic; a heap-resident one is left behind as a
+// tombstone (exactly like Cancel) and its callback and argument move to a
+// fresh event, because the old entry is still ordered by the old struct's
+// keys. The returned
 // Timer supersedes tm, which goes inert; callers re-arming a recurring
 // timer must keep the new handle. Rescheduling an inert timer reports
 // false and changes nothing; t in the past panics. The callback and
 // argument ride along unchanged — Reschedule re-times, never re-targets.
 func (s *Scheduler) Reschedule(tm Timer, t Time) (Timer, bool) {
-	a1, a2, a3 := s.armedNow()
-	return s.rescheduleAsOf(tm, t, a1, a2, a3)
+	return s.reschedule(tm, t, s.armedNow())
 }
 
 // RescheduleAsOf is Reschedule with an explicit arming genealogy for the
 // re-timed event's tie-break keys (see AtAsOf).
 func (s *Scheduler) RescheduleAsOf(tm Timer, t, armedAt, parentAt, grandAt Time) (Timer, bool) {
-	checkLineage(t, armedAt, parentAt, grandAt)
-	return s.rescheduleAsOf(tm, t, armedAt, parentAt, grandAt)
+	return s.reschedule(tm, t, assertedLineage(t, armedAt, parentAt, grandAt))
 }
 
-func (s *Scheduler) rescheduleAsOf(tm Timer, t, armT, armT2, armT3 Time) (Timer, bool) {
+func (s *Scheduler) reschedule(tm Timer, t Time, lin lineage) (Timer, bool) {
 	e := tm.e
 	if e == nil || e.gen != tm.gen {
 		return Timer{}, false
@@ -625,12 +664,14 @@ func (s *Scheduler) rescheduleAsOf(tm Timer, t, armT, armT2, armT3 Time) (Timer,
 	}
 	if e.wlevel != 0 {
 		s.wheelRemove(e)
+		e.gen++ // every old handle goes inert
+	} else {
+		old := e
+		e = s.alloc()
+		e.fn, e.afn, e.arg = old.fn, old.afn, old.arg
+		s.entomb(old)
 	}
-	e.gen++ // orphans the old heap entry (if any) and every old handle
-	e.t = t
-	s.place(entry{t: t, armT: armT, armT2: armT2, armT3: armT3, seq: s.seq, gen: e.gen, e: e})
-	s.seq++
-	return Timer{e: e, gen: e.gen}, true
+	return s.arm(e, t, lin), true
 }
 
 // Rearm re-schedules the event whose callback is currently executing to
@@ -644,18 +685,16 @@ func (s *Scheduler) rescheduleAsOf(tm Timer, t, armT, armT2, armT3 Time) (Timer,
 // past. Handles taken before the firing are already inert — keep the
 // returned Timer to cancel or re-time the chain.
 func (s *Scheduler) Rearm(t Time) Timer {
-	a1, a2, a3 := s.armedNow()
-	return s.rearmAsOf(t, a1, a2, a3)
+	return s.rearm(t, s.armedNow())
 }
 
 // RearmAsOf is Rearm with an explicit arming genealogy for the re-armed
 // event's tie-break keys (see AtAsOf).
 func (s *Scheduler) RearmAsOf(t, armedAt, parentAt, grandAt Time) Timer {
-	checkLineage(t, armedAt, parentAt, grandAt)
-	return s.rearmAsOf(t, armedAt, parentAt, grandAt)
+	return s.rearm(t, assertedLineage(t, armedAt, parentAt, grandAt))
 }
 
-func (s *Scheduler) rearmAsOf(t, armT, armT2, armT3 Time) Timer {
+func (s *Scheduler) rearm(t Time, lin lineage) Timer {
 	e := s.firing
 	if e == nil {
 		panic("sim: Rearm outside a firing callback")
@@ -664,11 +703,8 @@ func (s *Scheduler) rearmAsOf(t, armT, armT2, armT3 Time) Timer {
 		panic(fmt.Sprintf("sim: rearm at %v before now %v", t, s.now))
 	}
 	s.firing = nil
-	e.t = t
-	s.place(entry{t: t, armT: armT, armT2: armT2, armT3: armT3, seq: s.seq, gen: e.gen, e: e})
-	s.seq++
 	s.live++
-	return Timer{e: e, gen: e.gen}
+	return s.arm(e, t, lin)
 }
 
 // Halt stops the currently executing Run/RunUntil after the current event
@@ -683,35 +719,45 @@ func (s *Scheduler) Step() bool {
 		if len(s.queue) == 0 {
 			return false
 		}
-		en := s.pop()
-		e := en.e
-		if e.gen != en.gen {
-			continue // tombstone of a cancelled event
+		if s.fireTop() {
+			return true
 		}
-		// The generation bump happens at fire time — handles go inert
-		// before the callback runs, exactly as with an immediate release —
-		// but the struct is recycled only after the callback returns, so
-		// the callback may Rearm it in place for the next link of a chain.
-		e.gen++
-		s.live--
-		s.now = en.t
-		s.fired++
-		s.firing = e
-		s.firingArmT = en.armT
-		s.firingArmT2 = en.armT2
-		s.inFire = true
-		if e.afn != nil {
-			e.afn(e.arg)
-		} else {
-			e.fn()
-		}
-		s.inFire = false
-		if s.firing == e {
-			s.firing = nil
-			s.releaseFired(e)
-		}
-		return true
 	}
+}
+
+// fireTop pops the heap's minimum and fires it, or, when it is the tombstone
+// of a cancelled event, recycles the struct and reports false. The caller
+// has run advance, so the minimum precedes everything in the wheels.
+func (s *Scheduler) fireTop() bool {
+	en := s.pop()
+	e := en.e
+	if e.dead {
+		s.recycle(e)
+		return false
+	}
+	// The generation bump happens at fire time — handles go inert before
+	// the callback runs, exactly as with an immediate release — but the
+	// struct is recycled only after the callback returns, so the callback
+	// may Rearm it in place for the next link of a chain.
+	e.gen++
+	s.live--
+	s.now = en.t
+	s.fired++
+	s.firing = e
+	s.firingArmT = e.armT
+	s.firingArmT2 = e.armT2
+	s.inFire = true
+	if e.afn != nil {
+		e.afn(e.arg)
+	} else {
+		e.fn()
+	}
+	s.inFire = false
+	if s.firing == e {
+		s.firing = nil
+		s.recycle(e)
+	}
+	return true
 }
 
 // Run executes events until the queue drains or Halt is called.
@@ -722,15 +768,16 @@ func (s *Scheduler) Run() {
 }
 
 // RunUntil executes events with time ≤ t, then advances the clock to t.
-// Events scheduled exactly at t do fire.
+// Events scheduled exactly at t do fire. A tombstone due after t is left at
+// the top: every live entry sorts after it, so nothing is due.
 func (s *Scheduler) RunUntil(t Time) {
 	s.halted = false
 	for !s.halted {
-		next, ok := s.peekTime()
-		if !ok || next > t {
+		s.advance()
+		if len(s.queue) == 0 || s.queue[0].t > t {
 			break
 		}
-		s.Step()
+		s.fireTop()
 	}
 	if s.now < t {
 		s.now = t
@@ -740,22 +787,6 @@ func (s *Scheduler) RunUntil(t Time) {
 // RunFor runs the simulation for d of simulated time from now.
 func (s *Scheduler) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
 
-// peekTime reports the time of the earliest live event, discarding any
-// tombstones that have reached the top.
-func (s *Scheduler) peekTime() (Time, bool) {
-	for {
-		s.advance()
-		if len(s.queue) == 0 {
-			return 0, false
-		}
-		en := s.queue[0]
-		if en.e.gen == en.gen {
-			return en.t, true
-		}
-		s.pop()
-	}
-}
-
 // push inserts an entry into the 4-ary heap (sift up).
 func (s *Scheduler) push(en entry) {
 	s.queue = append(s.queue, en)
@@ -763,7 +794,7 @@ func (s *Scheduler) push(en entry) {
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !entryLess(q[i], q[p]) {
+		if !s.less(&q[i], &q[p]) {
 			break
 		}
 		q[i], q[p] = q[p], q[i]
@@ -793,11 +824,11 @@ func (s *Scheduler) pop() entry {
 				end = n
 			}
 			for j := c + 1; j < end; j++ {
-				if entryLess(q[j], q[best]) {
+				if s.less(&q[j], &q[best]) {
 					best = j
 				}
 			}
-			if !entryLess(q[best], last) {
+			if !s.less(&q[best], &last) {
 				break
 			}
 			q[i] = q[best]

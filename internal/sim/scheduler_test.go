@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestTimeConversions(t *testing.T) {
@@ -431,5 +432,43 @@ func TestExponentialMean(t *testing.T) {
 	want := mean.Seconds()
 	if got < 0.97*want || got > 1.03*want {
 		t.Fatalf("exponential mean = %v, want ≈ %v", got, want)
+	}
+}
+
+// The queue entry is what every heap sift, wheel append, slot flush and
+// cascade copies and compares. PR 9 grew it from 32 to 56 bytes by putting
+// the arming genealogy in it, and every event got ~44% dearer; the genealogy
+// now lives on the event and is read only when due times tie. Anything that
+// widens the entry past the pre-PR 9 size brings that tax back.
+func TestEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n > 32 {
+		t.Fatalf("entry is %d bytes, want ≤ 32: keep cold ordering keys on the event", n)
+	}
+}
+
+// AmbiguousTies counts only ties that fall through the whole genealogy to
+// seq with an asserted (AsOf) lineage on one side; truthful ties and ties
+// the genealogy resolves stay out of it, and Reset clears it.
+func TestAmbiguousTies(t *testing.T) {
+	s := NewScheduler()
+	noop := func() {}
+	due := Time(Millisecond)
+	s.At(due, noop)
+	s.At(due, noop)
+	s.AtAsOf(due, due, 0, 0, noop)
+	s.Run()
+	if n := s.AmbiguousTies(); n != 0 {
+		t.Fatalf("ties between truthful or genealogy-ordered events counted: %d", n)
+	}
+	due = s.Now().Add(Millisecond)
+	s.At(due, noop)
+	s.AtAsOf(due, s.Now(), s.Now(), s.Now(), noop) // differs from the At only in seq
+	s.Run()
+	if s.AmbiguousTies() == 0 {
+		t.Fatal("a full-genealogy tie against an AsOf event was not counted")
+	}
+	s.Reset()
+	if n := s.AmbiguousTies(); n != 0 {
+		t.Fatalf("AmbiguousTies() = %d after Reset", n)
 	}
 }

@@ -79,6 +79,11 @@ type ScenarioResult struct {
 	// Events/Forwarded is the events-per-forwarded-packet ratio that the
 	// link-service batching drives down; see ARCHITECTURE.md.
 	Forwarded uint64
+	// AmbiguousTies is the world's sim.Scheduler.AmbiguousTies: queue
+	// comparisons that only the arming sequence could decide although one
+	// side was a coalesced stand-in — the ties the batched port cannot
+	// prove it orders as the per-packet reference would.
+	AmbiguousTies uint64
 	// Flows is the number of traffic sources the world ran — transport
 	// flows plus cross-traffic noise sources — for fleet-scale
 	// accounting.

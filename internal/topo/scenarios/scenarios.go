@@ -186,15 +186,16 @@ func (w *world) finish(name string, cfg topo.ScenarioConfig, meanRTT sim.Duratio
 			return nil, err
 		}
 		return &topo.ScenarioResult{
-			Report:    rep.Clone(), // detach from the arena's scratch
-			MeanRTT:   meanRTT,
-			Bursts:    bt.Stats(),
-			Drops:     w.rec.Len(),
-			Events:    w.sched.Fired(),
-			Forwarded: w.forwarded(),
-			Flows:     w.flows,
-			Analyzer:  an, // arena-owned; valid until the arena's next use
-			Transfers: w.transfers,
+			Report:        rep.Clone(), // detach from the arena's scratch
+			MeanRTT:       meanRTT,
+			Bursts:        bt.Stats(),
+			Drops:         w.rec.Len(),
+			Events:        w.sched.Fired(),
+			Forwarded:     w.forwarded(),
+			Flows:         w.flows,
+			Analyzer:      an, // arena-owned; valid until the arena's next use
+			Transfers:     w.transfers,
+			AmbiguousTies: w.sched.AmbiguousTies(),
 		}, nil
 	}
 	report, err := analysis.AnalyzeTrace(w.rec, meanRTT, analysis.Config{})
@@ -202,15 +203,16 @@ func (w *world) finish(name string, cfg topo.ScenarioConfig, meanRTT sim.Duratio
 		return nil, err
 	}
 	return &topo.ScenarioResult{
-		Report:    report,
-		Trace:     w.rec,
-		MeanRTT:   meanRTT,
-		Bursts:    analysis.SummarizeBursts(w.rec.Events(), meanRTT/4),
-		Drops:     w.rec.Len(),
-		Events:    w.sched.Fired(),
-		Forwarded: w.forwarded(),
-		Flows:     w.flows,
-		Transfers: w.transfers,
+		Report:        report,
+		Trace:         w.rec,
+		MeanRTT:       meanRTT,
+		Bursts:        analysis.SummarizeBursts(w.rec.Events(), meanRTT/4),
+		Drops:         w.rec.Len(),
+		Events:        w.sched.Fired(),
+		Forwarded:     w.forwarded(),
+		Flows:         w.flows,
+		Transfers:     w.transfers,
+		AmbiguousTies: w.sched.AmbiguousTies(),
 	}, nil
 }
 

@@ -7,7 +7,8 @@
 //   - a markdown file at the repo root or in examples/ contains an
 //     intra-repository link to a file that does not exist,
 //   - a BENCH_*.json benchmark-trajectory snapshot at the repo root does
-//     not validate against the internal/perf schema, or the CI bench-gate
+//     not validate against the internal/perf schema, the numbered points
+//     do not run BENCH_0 … BENCH_n without a gap, or the CI bench-gate
 //     baseline (BENCH_baseline.json) is missing, or
 //   - the generated scenario-catalog table in EXPERIMENTS.md is stale:
 //     the block between its BEGIN/END markers must be byte-identical to
@@ -185,16 +186,23 @@ var nearExactBenches = []string{
 	"BenchmarkFleetSecond",
 }
 
+// benchPoint matches a numbered trajectory snapshot, as opposed to the
+// named ones (BENCH_baseline.json, a local BENCH_ci.json).
+var benchPoint = regexp.MustCompile(`^BENCH_\d+\.json$`)
+
 // checkBenchSnapshots validates the benchmark-trajectory files: every
 // BENCH_*.json at the repository root must parse against the perf schema;
-// the trajectory points (BENCH_0 … BENCH_4) and the CI bench-gate's
-// baseline must exist (the gate job would otherwise fail much later, on
-// every PR); and the baseline must gate the analysis benches strictly.
+// the numbered trajectory points must run BENCH_0 … BENCH_n without a gap
+// (a point recorded under the wrong label, or deleted, breaks the series
+// EXPERIMENTS.md narrates); the CI bench-gate's baseline must exist (the
+// gate job would otherwise fail much later, on every PR); and the baseline
+// must gate the analysis benches strictly.
 func checkBenchSnapshots(root string) []string {
 	var out []string
 	matches, _ := filepath.Glob(filepath.Join(root, "BENCH_*.json"))
 	sort.Strings(matches)
 	snaps := map[string]*perf.Snapshot{}
+	points := 0
 	for _, path := range matches {
 		s, err := perf.ReadFile(path)
 		if err != nil {
@@ -202,10 +210,16 @@ func checkBenchSnapshots(root string) []string {
 			continue
 		}
 		snaps[filepath.Base(path)] = s
+		if benchPoint.MatchString(filepath.Base(path)) {
+			points++
+		}
 	}
-	for _, required := range []string{"BENCH_0.json", "BENCH_1.json", "BENCH_2.json", "BENCH_3.json", "BENCH_4.json", "BENCH_5.json", "BENCH_6.json", "BENCH_7.json"} {
-		if _, ok := snaps[required]; !ok {
-			out = append(out, required+" missing: the benchmark trajectory must be checked in")
+	if points == 0 {
+		out = append(out, "BENCH_0.json missing: the benchmark trajectory must be checked in")
+	}
+	for n := 0; n < points; n++ {
+		if name := fmt.Sprintf("BENCH_%d.json", n); snaps[name] == nil {
+			out = append(out, fmt.Sprintf("%s missing: %d trajectory points are checked in, so their labels must run 0…%d", name, points, points-1))
 		}
 	}
 	base, ok := snaps["BENCH_baseline.json"]
