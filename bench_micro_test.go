@@ -391,23 +391,25 @@ func BenchmarkWifiGilbertSecond(b *testing.B) {
 
 // BenchmarkDumbbellSecond runs one simulated second of a loaded dumbbell —
 // 8 TCP flows into a 50 Mbps bottleneck — end to end: transports, nodes,
-// ports, queues and scheduler together, the world every figure scales up.
+// ports, queues and scheduler together, the world every figure scales up,
+// built the way every figure builds it: a topo.World on a worker's arena,
+// so iterations after the first reset the cached dumbbell.
 func BenchmarkDumbbellSecond(b *testing.B) {
 	b.ReportAllocs()
 	delays := make([]sim.Duration, 8)
 	for i := range delays {
 		delays[i] = sim.Duration(5+5*i) * sim.Millisecond
 	}
+	arena := exp.NewArena()
 	for i := 0; i < b.N; i++ {
-		sched := sim.NewScheduler()
-		pool := netsim.NewPacketPool()
-		d := topo.NewDumbbell(sched, netsim.DumbbellConfig{
+		w := topo.NewWorld(arena, 0)
+		sched, pool := w.Sched, w.Pool
+		d := w.Dumbbell(netsim.DumbbellConfig{
 			BottleneckRate: 50_000_000,
 			AccessRate:     1_000_000_000,
 			AccessDelays:   delays,
 			Buffer:         64,
 		})
-		d.AttachPool(pool)
 		for j := range delays {
 			f := tcp.NewPairFlow(sched, d.SenderNode(j), d.ReceiverNode(j), j+1, tcp.Config{
 				InitialRTT: 2 * delays[j],

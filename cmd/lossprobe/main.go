@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Each path is an independent simulated world: measure them in
 	// parallel, print them in selection order.
 	results := exp.Sweep(exp.Options{Seed: *seed, Workers: *workers}, pairs,
-		func(r exp.Run[[2]int]) (string, error) {
+		func(r exp.Run[[2]int], _ *exp.Arena) (string, error) {
 			i, j := r.Config[0], r.Config[1]
 			sched := sim.NewScheduler()
 			path := mesh.NewPathProcess(i, j)

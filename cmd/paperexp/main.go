@@ -225,7 +225,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		events  uint64
 	}
 	results := exp.Sweep(exp.Options{Seed: *seed, Workers: *workers}, arts,
-		func(r exp.Run[artifact]) (*rendered, error) {
+		func(r exp.Run[artifact], _ *exp.Arena) (*rendered, error) {
 			var rd rendered
 			start := time.Now()
 			events, err := r.Config.fn(&rd.out)

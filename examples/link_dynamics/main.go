@@ -98,11 +98,11 @@ func dynamicCatalog() error {
 		if !ok {
 			return fmt.Errorf("scenario %q not registered", name)
 		}
-		res, err := sc.Run(topo.ScenarioConfig{
+		res, err := sc.RunIn(topo.ScenarioConfig{
 			Seed:     1,
 			Duration: 12 * sim.Second,
 			Warmup:   2 * sim.Second,
-		})
+		}, nil) // nil arena: a fresh one for this run
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}

@@ -9,16 +9,18 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/tcp"
-	"repro/internal/trace"
+	"repro/internal/topo"
 )
 
 func main() {
-	sched := sim.NewScheduler()
+	// Every run is built on a topo.World: scheduler, packet pool, drop
+	// recorder and online analysis in one scaffold. A nil arena means a
+	// fresh one, which also retains the raw trace in the result.
+	w := topo.NewWorld(nil, 0)
 
 	// A 50 Mbps bottleneck shared by four TCP NewReno flows with a 40 ms
 	// round trip and a half-BDP buffer.
@@ -32,7 +34,7 @@ func main() {
 	for i := range delays {
 		delays[i] = rtt / 2
 	}
-	d := netsim.NewDumbbell(sched, netsim.DumbbellConfig{
+	d := w.Dumbbell(netsim.DumbbellConfig{
 		BottleneckRate: rate,
 		AccessRate:     10 * rate,
 		AccessDelays:   delays,
@@ -40,27 +42,24 @@ func main() {
 	})
 
 	// Record every packet the bottleneck drops — the paper's loss trace.
-	rec := &trace.Recorder{}
-	d.Forward.OnDrop = func(p *netsim.Packet, at sim.Time) {
-		rec.Add(trace.LossEvent{At: at, Flow: p.Flow, Seq: p.Seq, Size: p.Size})
-	}
+	w.ObserveDrops(d.Forward)
 
 	for i := 0; i < nFlows; i++ {
-		f := tcp.NewDumbbellFlow(d, i, i+1, tcp.Config{PktSize: pktSize, InitialRTT: rtt})
+		f := tcp.NewPairFlow(w.Sched, d.SenderNode(i), d.ReceiverNode(i), i+1,
+			tcp.Config{PktSize: pktSize, InitialRTT: rtt, Pool: w.Pool})
 		// Stagger starts slightly to avoid artificial synchronization.
-		f.StartAt(sched, sim.Time(sim.Duration(i)*250*sim.Millisecond))
+		f.StartAt(w.Sched, sim.Time(sim.Duration(i)*250*sim.Millisecond))
 	}
 
-	// Run one simulated minute.
-	sched.RunUntil(sim.Time(60 * sim.Second))
-
-	rep, err := analysis.AnalyzeTrace(rec, rtt, analysis.Config{})
+	// Run one simulated minute; the losses are analyzed as they happen.
+	res, err := w.Finish("quickstart", 60*sim.Second, rtt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "quickstart:", err)
 		os.Exit(1)
 	}
+	rep := res.Report
 
-	fmt.Printf("drops recorded:      %d\n", rec.Len())
+	fmt.Printf("drops recorded:      %d\n", res.Drops)
 	fmt.Printf("loss rate:           %.2f events/RTT\n", rep.Lambda)
 	fmt.Printf("within 0.01 RTT:     %.1f%%   (paper's NS-2 headline: >95%%)\n", 100*rep.FracBelow001)
 	fmt.Printf("within 1 RTT:        %.1f%%\n", 100*rep.FracBelow1)

@@ -77,11 +77,11 @@ func customChain() error {
 func catalog() error {
 	fmt.Println("\nscenario catalog (12 s runs):")
 	for _, sc := range topo.Scenarios() {
-		res, err := sc.Run(topo.ScenarioConfig{
+		res, err := sc.RunIn(topo.ScenarioConfig{
 			Seed:     1,
 			Duration: 12 * sim.Second,
 			Warmup:   2 * sim.Second,
-		})
+		}, nil) // nil arena: a fresh one for this run
 		if err != nil {
 			return fmt.Errorf("%s: %w", sc.Name, err)
 		}

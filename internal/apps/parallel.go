@@ -127,7 +127,7 @@ func RunParallelIn(cfg ParallelConfig, a *exp.Arena) ParallelResult {
 		// delay.
 		delays[i] = cfg.RTT / 2
 	}
-	d := topo.NewDumbbellIn(a, sched, netsim.DumbbellConfig{
+	d := topo.NewDumbbell(a, sched, netsim.DumbbellConfig{
 		BottleneckRate:  cfg.BottleneckRate,
 		BottleneckDelay: 0,
 		AccessRate:      10 * cfg.BottleneckRate,

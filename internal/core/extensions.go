@@ -58,19 +58,18 @@ type TFRCCompResult struct {
 	Events uint64
 }
 
-// RunTFRCCompetition executes the mixed TFRC/TCP experiment.
+// RunTFRCCompetition executes the mixed TFRC/TCP experiment on a fresh
+// arena.
 func RunTFRCCompetition(cfg TFRCCompConfig) (*TFRCCompResult, error) {
 	return runTFRCCompetition(cfg, nil)
 }
 
-// runTFRCCompetition is RunTFRCCompetition drawing scheduler and pool
-// from a worker's arena when one is supplied (SweepTFRCCompetition).
+// runTFRCCompetition builds and runs one competition world on the arena
+// (nil: a fresh one).
 func runTFRCCompetition(cfg TFRCCompConfig, a *exp.Arena) (*TFRCCompResult, error) {
 	cfg.fillDefaults()
-	sched := sim.NewScheduler()
-	if a != nil {
-		sched = a.Scheduler()
-	}
+	w := topo.NewWorld(a, 0)
+	sched, pool := w.Sched, w.Pool
 
 	n := cfg.FlowsPerClass
 	delays := make([]sim.Duration, 2*n)
@@ -81,18 +80,13 @@ func runTFRCCompetition(cfg TFRCCompConfig, a *exp.Arena) (*TFRCCompResult, erro
 	if buffer < 8 {
 		buffer = 8
 	}
-	d := topo.NewDumbbell(sched, netsim.DumbbellConfig{
+	d := w.Dumbbell(netsim.DumbbellConfig{
 		BottleneckRate:  cfg.BottleneckRate,
 		BottleneckDelay: 0,
 		AccessRate:      1_000_000_000,
 		AccessDelays:    delays,
 		Buffer:          buffer,
 	})
-	pool := netsim.NewPacketPool()
-	if a != nil {
-		pool = a.Pool()
-	}
-	d.AttachPool(pool)
 
 	// TCP NewReno flows on pairs [0,n). The TFRC pairs allocate plainly
 	// (their equation-paced rate is low); the ports still recycle whatever
@@ -229,19 +223,18 @@ type ECNCoverageResult struct {
 	Events uint64
 }
 
-// RunECNCoverage executes one coverage run for the given mode.
+// RunECNCoverage executes one coverage run for the given mode on a fresh
+// arena.
 func RunECNCoverage(cfg ECNCoverageConfig, mode ECNMode) (*ECNCoverageResult, error) {
 	return runECNCoverage(cfg, mode, nil)
 }
 
-// runECNCoverage is RunECNCoverage drawing scheduler and pool from a
-// worker's arena when one is supplied (RunECNComparison).
+// runECNCoverage builds and runs one coverage world on the arena (nil: a
+// fresh one).
 func runECNCoverage(cfg ECNCoverageConfig, mode ECNMode, a *exp.Arena) (*ECNCoverageResult, error) {
 	cfg.fillDefaults()
-	sched := sim.NewScheduler()
-	if a != nil {
-		sched = a.Scheduler()
-	}
+	w := topo.NewWorld(a, 0)
+	sched, pool := w.Sched, w.Pool
 	rng := sim.NewRand(sim.SubSeed(cfg.Seed, int64(100+mode)))
 
 	// Spread RTTs ±20% around the nominal so flows are not artificially
@@ -275,7 +268,7 @@ func runECNCoverage(cfg ECNCoverageConfig, mode ECNMode, a *exp.Arena) (*ECNCove
 		queue = netsim.NewRED(rc, rng)
 	}
 
-	d := topo.NewDumbbell(sched, netsim.DumbbellConfig{
+	d := w.Dumbbell(netsim.DumbbellConfig{
 		BottleneckRate:  cfg.BottleneckRate,
 		BottleneckDelay: 0,
 		AccessRate:      1_000_000_000,
@@ -283,11 +276,6 @@ func runECNCoverage(cfg ECNCoverageConfig, mode ECNMode, a *exp.Arena) (*ECNCove
 		Buffer:          buffer,
 		Queue:           queue,
 	})
-	pool := netsim.NewPacketPool()
-	if a != nil {
-		pool = a.Pool()
-	}
-	d.AttachPool(pool)
 
 	// Signal log: (time, flow) of every drop and every mark.
 	type signal struct {

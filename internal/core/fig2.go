@@ -1,14 +1,12 @@
 package core
 
 import (
-	"repro/internal/analysis"
 	"repro/internal/crosstraffic"
 	"repro/internal/exp"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 // Fig2Config reproduces the paper's NS-2 setup (Figure 1): a 100 Mbps
@@ -75,42 +73,23 @@ func (c *Fig2Config) fillDefaults() {
 	}
 }
 
-// ScenarioResult is the outcome of one loss-trace scenario (Figures 2 and
-// 3 share it).
-type ScenarioResult struct {
-	Report  *analysis.Report // the inter-loss PDF analysis
-	Trace   *trace.Recorder  // raw drop trace (post-warmup); nil in streaming sweeps
-	MeanRTT sim.Duration     // normalization RTT
-	Bursts  analysis.BurstStats
-	Drops   int
-	// Events is the number of simulated events the world executed
-	// (Scheduler.Fired) — the denominator-free half of the events/sec
-	// throughput cmd/paperexp prints per artifact.
-	Events uint64
-	// Forwarded is the number of packet transmissions the world's ports
-	// performed. Events/Forwarded — the scheduler events each forwarded
-	// packet cost — is the batching efficiency metric cmd/paperexp prints
-	// next to the throughput line (see ARCHITECTURE.md, "Link service
-	// batching").
-	Forwarded uint64
-}
+// ScenarioResult is the outcome of one loss-trace run — the figures and
+// the registered scenarios share it.
+type ScenarioResult = topo.ScenarioResult
 
-// RunFigure2 executes the NS-2-style scenario and analyzes the bottleneck
-// drop trace. The trace is retained in the result (batch mode); sweeps go
-// through runFigure2 with a per-worker arena and analyze online instead.
+// RunFigure2 executes the NS-2-style scenario on a fresh arena and
+// analyzes the bottleneck drop trace, which is retained in the result;
+// sweeps go through runFigure2 with a per-worker arena instead.
 func RunFigure2(cfg Fig2Config) (*ScenarioResult, error) {
 	return runFigure2(cfg, nil)
 }
 
-// runFigure2 builds and runs one Figure-2 world. With an arena, the
-// scheduler, packet pool and the whole measurement pipeline come from the
-// worker's scratch and losses are analyzed while the world runs.
+// runFigure2 builds and runs one Figure-2 world on the arena (nil: a
+// fresh one, see topo.NewWorld).
 func runFigure2(cfg Fig2Config, a *exp.Arena) (*ScenarioResult, error) {
 	cfg.fillDefaults()
-	sched := sim.NewScheduler()
-	if a != nil {
-		sched = a.Scheduler()
-	}
+	w := topo.NewWorld(a, cfg.Warmup)
+	sched, pool := w.Sched, w.Pool
 	rng := sim.NewRand(sim.SubSeed(cfg.Seed, 1))
 
 	delays := netsim.RandomAccessDelays(rng, cfg.Flows, cfg.AccessLow, cfg.AccessHigh)
@@ -136,7 +115,7 @@ func runFigure2(cfg Fig2Config, a *exp.Arena) (*ScenarioResult, error) {
 				float64(cfg.PktSize*8),
 		}, sim.NewRand(sim.SubSeed(cfg.Seed, 4)))
 	}
-	d := topo.NewDumbbell(sched, netsim.DumbbellConfig{
+	d := w.Dumbbell(netsim.DumbbellConfig{
 		BottleneckRate:  cfg.BottleneckRate,
 		BottleneckDelay: 0,
 		AccessRate:      1_000_000_000,
@@ -144,23 +123,7 @@ func runFigure2(cfg Fig2Config, a *exp.Arena) (*ScenarioResult, error) {
 		Buffer:          buffer,
 		Queue:           queue,
 	})
-	pool := netsim.NewPacketPool()
-	if a != nil {
-		pool = a.Pool()
-	}
-	d.AttachPool(pool)
-
-	m, err := newMeasurement(a, meanRTT)
-	if err != nil {
-		return nil, err
-	}
-	rec := m.rec
-	warm := sim.Time(cfg.Warmup)
-	d.Forward.OnDrop = func(p *netsim.Packet, at sim.Time) {
-		if at >= warm {
-			rec.Add(trace.LossEvent{At: at, Flow: p.Flow, Seq: p.Seq, Size: p.Size})
-		}
-	}
+	w.ObserveDrops(d.Forward)
 
 	flows := make([]*tcp.Flow, cfg.Flows)
 	for i := range flows {
@@ -193,7 +156,5 @@ func runFigure2(cfg Fig2Config, a *exp.Arena) (*ScenarioResult, error) {
 		nz.Start()
 	}
 
-	sched.RunUntil(sim.Time(cfg.Duration))
-
-	return m.finish("figure 2 scenario", meanRTT, sched.Fired(), d.Net.Forwarded())
+	return w.Finish("figure 2 scenario", cfg.Duration, meanRTT)
 }

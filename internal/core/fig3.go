@@ -77,22 +77,20 @@ func (c *Fig3Config) fillDefaults() {
 	}
 }
 
-// RunFigure3 executes the Dummynet-style scenario. The returned
-// ScenarioResult's trace holds the quantized timestamps (what the paper's
-// instrumented router logged).
+// RunFigure3 executes the Dummynet-style scenario on a fresh arena. The
+// returned ScenarioResult's trace holds the quantized timestamps (what the
+// paper's instrumented router logged).
 func RunFigure3(cfg Fig3Config) (*ScenarioResult, error) {
 	return runFigure3(cfg, nil)
 }
 
-// runFigure3 is RunFigure3 with optional per-worker scratch: with an
-// arena the quantized drop stream feeds the streaming analyzer directly
-// (Quantize is monotone, so the stream stays nondecreasing).
+// runFigure3 builds and runs one Figure-3 world on the arena (nil: a
+// fresh one). The quantized drop stream feeds the streaming analyzer
+// directly: Quantize is monotone, so the stream stays nondecreasing.
 func runFigure3(cfg Fig3Config, a *exp.Arena) (*ScenarioResult, error) {
 	cfg.fillDefaults()
-	sched := sim.NewScheduler()
-	if a != nil {
-		sched = a.Scheduler()
-	}
+	w := topo.NewWorld(a, cfg.Warmup)
+	sched, pool := w.Sched, w.Pool
 	noiseRng := sim.NewRand(sim.SubSeed(cfg.Seed, 11))
 
 	nFlows := cfg.FlowsPerClass * len(RTTClasses)
@@ -110,31 +108,22 @@ func runFigure3(cfg Fig3Config, a *exp.Arena) (*ScenarioResult, error) {
 		buffer = 8
 	}
 
-	d := topo.NewDumbbell(sched, netsim.DumbbellConfig{
+	d := w.Dumbbell(netsim.DumbbellConfig{
 		BottleneckRate:  cfg.BottleneckRate,
 		BottleneckDelay: 0,
 		AccessRate:      1_000_000_000,
 		AccessDelays:    delays,
 		Buffer:          buffer,
 	})
-	pool := netsim.NewPacketPool()
-	if a != nil {
-		pool = a.Pool()
-	}
-	d.AttachPool(pool)
 
-	// The Dummynet non-idealities: processing noise on the bottleneck and
-	// a quantizing drop recorder.
+	// The Dummynet non-idealities: processing noise on the bottleneck
+	// (a per-run hook Port.Reset detaches, so it is attached every run)
+	// and a quantizing drop recorder.
 	d.Forward.ProcNoise = netsim.UniformNoise(noiseRng, cfg.ProcNoiseMax)
-	m, err := newMeasurement(a, meanRTT)
-	if err != nil {
-		return nil, err
-	}
-	rec := m.rec
 	warm := sim.Time(cfg.Warmup)
 	d.Forward.OnDrop = func(p *netsim.Packet, at sim.Time) {
 		if at >= warm {
-			rec.Add(trace.LossEvent{
+			w.Record(trace.LossEvent{
 				At:   dummynet.Quantize(at, cfg.ClockResolution),
 				Flow: p.Flow, Seq: p.Seq, Size: p.Size,
 			})
@@ -167,9 +156,5 @@ func runFigure3(cfg Fig3Config, a *exp.Arena) (*ScenarioResult, error) {
 		nz.Start()
 	}
 
-	sched.RunUntil(sim.Time(cfg.Duration))
-
-	// Quantization can reorder equal-tick events only in appearance; the
-	// recorder is still nondecreasing because Quantize is monotone.
-	return m.finish("figure 3 scenario", meanRTT, sched.Fired(), d.Net.Forwarded())
+	return w.Finish("figure 3 scenario", cfg.Duration, meanRTT)
 }

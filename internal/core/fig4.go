@@ -88,7 +88,7 @@ func RunFigure4(cfg Fig4Config) (*Fig4Result, error) {
 	// The mesh is immutable after construction, so sharing it across the
 	// workers is safe; every mutable piece of a measurement is created in
 	// the worker or reset out of its arena.
-	results := exp.SweepArena(exp.Options{Seed: cfg.Seed, Workers: cfg.Workers}, pairs,
+	results := exp.Sweep(exp.Options{Seed: cfg.Seed, Workers: cfg.Workers}, pairs,
 		func(r exp.Run[[2]int], a *exp.Arena) (pathOutcome, error) {
 			sched := a.Scheduler()
 			path := mesh.NewPathProcess(r.Config[0], r.Config[1])

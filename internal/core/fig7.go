@@ -76,20 +76,18 @@ type Fig7Result struct {
 	Events uint64
 }
 
-// RunFigure7 executes the competition experiment.
+// RunFigure7 executes the competition experiment on a fresh arena.
 func RunFigure7(cfg Fig7Config) (*Fig7Result, error) {
 	return runFigure7(cfg, nil)
 }
 
-// runFigure7 is RunFigure7 drawing the scheduler and packet pool from a
-// worker's arena when one is supplied (the throughput series stay
-// per-run: they are retained in the result).
+// runFigure7 builds and runs one competition world on the arena (nil: a
+// fresh one). The throughput series stay per-run: they are retained in
+// the result.
 func runFigure7(cfg Fig7Config, a *exp.Arena) (*Fig7Result, error) {
 	cfg.fillDefaults()
-	sched := sim.NewScheduler()
-	if a != nil {
-		sched = a.Scheduler()
-	}
+	w := topo.NewWorld(a, 0)
+	sched, pool := w.Sched, w.Pool
 
 	n := cfg.FlowsPerClass
 	delays := make([]sim.Duration, 2*n)
@@ -100,18 +98,13 @@ func runFigure7(cfg Fig7Config, a *exp.Arena) (*Fig7Result, error) {
 	if buffer < 8 {
 		buffer = 8
 	}
-	d := topo.NewDumbbell(sched, netsim.DumbbellConfig{
+	d := w.Dumbbell(netsim.DumbbellConfig{
 		BottleneckRate:  cfg.BottleneckRate,
 		BottleneckDelay: 0,
 		AccessRate:      1_000_000_000,
 		AccessDelays:    delays,
 		Buffer:          buffer,
 	})
-	pool := netsim.NewPacketPool()
-	if a != nil {
-		pool = a.Pool()
-	}
-	d.AttachPool(pool)
 
 	pacedSeries := trace.NewThroughputSeries(cfg.Bin)
 	renoSeries := trace.NewThroughputSeries(cfg.Bin)

@@ -100,7 +100,7 @@ func RunFigure8(cfg Fig8Config) *Fig8Result {
 		}
 	}
 
-	results := exp.SweepArena(exp.Options{Seed: cfg.Seed, Workers: cfg.Workers}, grid,
+	results := exp.Sweep(exp.Options{Seed: cfg.Seed, Workers: cfg.Workers}, grid,
 		func(r exp.Run[cellCfg], a *exp.Arena) (Fig8Cell, error) {
 			// Every run of every cell this worker executes reuses one
 			// scheduler freelist, one packet population and (per flow

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/exp"
 	"repro/internal/planetlab"
 	"repro/internal/sim"
@@ -82,10 +83,10 @@ func TestRunFigure2Deterministic(t *testing.T) {
 			t.Fatalf("replication %d nondeterministic: %d/%v vs %d/%v",
 				k, a.Drops, a.MeanRTT, b.Drops, b.MeanRTT)
 		}
-		// Streaming sweeps retain no trace; the full report (histogram,
+		// Sweeps retain no trace; the full report (histogram,
 		// reservoir intervals, burst structure) must agree instead.
 		if a.Trace != nil || b.Trace != nil {
-			t.Fatalf("replication %d retained a trace in streaming mode", k)
+			t.Fatalf("replication %d retained a trace on a sweep arena", k)
 		}
 		if !reflect.DeepEqual(a.Report, b.Report) || a.Bursts != b.Bursts {
 			t.Fatalf("replication %d report diverges across worker counts", k)
@@ -124,15 +125,17 @@ func TestRunFigure2Deterministic(t *testing.T) {
 	}
 }
 
-// TestFigure2StreamingMatchesBatch pins core's own dual-mode measurement
-// (measure.go) the same way the root differential test pins the scenario
-// registry's: one figure world run retained+batch and once streaming on
-// an arena must agree on every statistic, exactly for the integer-derived
-// ones and within float tolerance for the online moments.
+// TestFigure2StreamingMatchesBatch pins the figure runners' use of the
+// one measurement path from inside core, where the arena entry point is
+// directly reachable (the root TestStreamingMatchesBatch goes through a
+// sweep): a nil-arena run retains its trace, an arena run does not, the
+// two agree bit for bit, and the batch pipeline over the retained trace
+// agrees with them — exactly for the integer-derived statistics and
+// within float tolerance for the online moments.
 func TestFigure2StreamingMatchesBatch(t *testing.T) {
 	t.Parallel()
 	cfg := Fig2Config{Seed: 3, Flows: 8, Duration: 10 * sim.Second, Warmup: 2 * sim.Second}
-	batch, err := RunFigure2(cfg)
+	retained, err := RunFigure2(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,16 +143,22 @@ func TestFigure2StreamingMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stream.Trace != nil || batch.Trace == nil {
-		t.Fatal("trace retention modes wrong")
+	if stream.Trace != nil || retained.Trace == nil || retained.Trace.Len() != retained.Drops {
+		t.Fatal("trace retention wrong")
 	}
-	if stream.Drops != batch.Drops || stream.Events != batch.Events || stream.Bursts != batch.Bursts {
-		t.Fatalf("world diverged:\nstream %+v\nbatch  %+v", stream, batch)
+	if stream.Drops != retained.Drops || stream.Events != retained.Events ||
+		stream.Forwarded != retained.Forwarded || stream.Bursts != retained.Bursts ||
+		!reflect.DeepEqual(stream.Report, retained.Report) {
+		t.Fatalf("arena run diverged from the nil-arena run:\narena %+v\nnil   %+v", stream, retained)
 	}
-	sr, br := stream.Report, batch.Report
+	sr := retained.Report
+	br, err := analysis.AnalyzeTrace(retained.Trace, retained.MeanRTT, analysis.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sr.N != br.N || sr.Lambda != br.Lambda || sr.KSDistance != br.KSDistance ||
 		sr.FracBelow001 != br.FracBelow001 || sr.FracBelow1 != br.FracBelow1 {
-		t.Fatalf("exact statistics diverged:\nstream %+v\nbatch  %+v", sr, br)
+		t.Fatalf("exact statistics diverged:\nonline %+v\nbatch  %+v", sr, br)
 	}
 	if diff := math.Abs(sr.CoV - br.CoV); diff > 1e-9*math.Max(1, br.CoV) {
 		t.Fatalf("CoV %v vs %v", sr.CoV, br.CoV)

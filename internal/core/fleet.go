@@ -23,8 +23,7 @@ import (
 type FleetConfig struct {
 	// Scenarios names the registered scenarios to cycle through (world i
 	// runs Scenarios[i%len]). Empty means every registered scenario, in
-	// name order. Each must implement the streaming entry point (all
-	// catalog scenarios do) — a fleet never retains traces.
+	// name order. A fleet never retains traces.
 	Scenarios []string
 	// Worlds is the fleet size (default 64).
 	Worlds int
@@ -110,6 +109,13 @@ type FleetReport struct {
 	Worlds      int
 	Skipped     int
 	SkipSamples []string
+	// SkippedTooFewDrops, SkippedPanics and SkippedOther split Skipped by
+	// cause: a world too quiet to analyze (topo.ErrTooFewDrops), a world
+	// whose run panicked, and anything else. Deterministic but diagnostic,
+	// so Fingerprint leaves them out (like AmbiguousTies).
+	SkippedTooFewDrops int
+	SkippedPanics      int
+	SkippedOther       int
 	// Flows and Drops total the traffic sources and recorded losses
 	// across merged worlds; Events totals the simulated events.
 	Flows  int
@@ -180,6 +186,33 @@ func (r *FleetReport) Fingerprint() string {
 	return b.String()
 }
 
+// errWorldPanicked marks a world whose run panicked, so the skip tally can
+// tell a crashed world from a quiet one.
+var errWorldPanicked = errors.New("world panicked")
+
+// runWorld runs one fleet world, reporting a panic as that world's error.
+func runWorld(sc topo.Scenario, cfg topo.ScenarioConfig, a *exp.Arena) (res *topo.ScenarioResult, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("%w: %v", errWorldPanicked, p)
+		}
+	}()
+	return sc.RunIn(cfg, a)
+}
+
+// countSkip tallies one skipped world under its cause.
+func (r *FleetReport) countSkip(err error) {
+	r.Skipped++
+	switch {
+	case errors.Is(err, topo.ErrTooFewDrops):
+		r.SkippedTooFewDrops++
+	case errors.Is(err, errWorldPanicked):
+		r.SkippedPanics++
+	default:
+		r.SkippedOther++
+	}
+}
+
 // RunFleet executes a fleet campaign: Worlds scenario instances, each on
 // its own SubSeed with its own jitter draws, run across Shards workers on
 // pooled arenas and merged in world order through analysis.Aggregate —
@@ -198,13 +231,9 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 	}
 	scs := make([]topo.Scenario, len(names))
 	for i, name := range names {
-		sc, ok := topo.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("core: unknown scenario %q (registered: %s)",
-				name, strings.Join(topo.Names(), ", "))
-		}
-		if sc.RunIn == nil {
-			return nil, fmt.Errorf("core: scenario %q has no streaming entry point; fleets never retain traces", name)
+		sc, err := lookupScenario(name)
+		if err != nil {
+			return nil, err
 		}
 		scs[i] = sc
 	}
@@ -226,11 +255,11 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 				RTTScale:  jitterScale(seed, fleetTagRTT, cfg.RTTSpan),
 				LossScale: jitterScale(seed, fleetTagLoss, cfg.LossSpan),
 			}
-			return scs[i%len(scs)].RunIn(c, a)
+			return runWorld(scs[i%len(scs)], c, a)
 		},
 		func(i int, seed int64, v *topo.ScenarioResult, err error) error {
 			if err != nil {
-				rep.Skipped++
+				rep.countSkip(err)
 				// Keep a bounded sample of reasons; the count is complete.
 				if len(rep.SkipSamples) < 8 {
 					rep.SkipSamples = append(rep.SkipSamples,
@@ -240,7 +269,7 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 				return nil
 			}
 			if v.Analyzer == nil {
-				return fmt.Errorf("core: world %d (%s) ran streaming but returned no analyzer", i, scs[i%len(scs)].Name)
+				return fmt.Errorf("core: world %d (%s) returned no analyzer", i, scs[i%len(scs)].Name)
 			}
 			// The analyzer points into the worker's arena; absorb it here,
 			// on the worker goroutine, before the arena's next world.
@@ -290,8 +319,9 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 func WriteFleet(w io.Writer, r *FleetReport) error {
 	a := r.Aggregate
 	if _, err := fmt.Fprintf(w,
-		"# fleet worlds=%d skipped=%d scenarios=%d flows=%d drops=%d events=%d ambiguous_ties=%d elapsed=%.2fs events_per_sec=%.3g\n",
-		r.Worlds, r.Skipped, len(r.Scenarios), r.Flows, r.Drops, r.Events, r.AmbiguousTies,
+		"# fleet worlds=%d skipped=%d (too_few_drops=%d panics=%d other=%d) scenarios=%d flows=%d drops=%d events=%d ambiguous_ties=%d elapsed=%.2fs events_per_sec=%.3g\n",
+		r.Worlds, r.Skipped, r.SkippedTooFewDrops, r.SkippedPanics, r.SkippedOther,
+		len(r.Scenarios), r.Flows, r.Drops, r.Events, r.AmbiguousTies,
 		r.Elapsed.Seconds(), r.EventsPerSec); err != nil {
 		return err
 	}

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/exp"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // fleetTestConfig is a small-but-real campaign: two scenarios, jitter on
@@ -123,6 +126,54 @@ func TestFleetAllWorldsSkipped(t *testing.T) {
 	_, err := RunFleet(cfg)
 	if err == nil || !strings.Contains(err.Error(), "every fleet world was skipped") {
 		t.Fatalf("err = %v, want the all-skipped diagnosis", err)
+	}
+	if !errors.Is(err, topo.ErrTooFewDrops) {
+		t.Fatalf("err = %v, want it to wrap topo.ErrTooFewDrops", err)
+	}
+}
+
+// TestFleetSkipCauses pins the skip tally: a too-quiet world, a world
+// that panics and a world that fails some other way each count under
+// their own cause, the breakdown is printed on the header, and it stays
+// out of the fingerprint.
+func TestFleetSkipCauses(t *testing.T) {
+	t.Parallel()
+	cfg := fleetTestConfig(2)
+	rep, err := RunFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Skipped != 0 {
+		t.Fatalf("reference fleet skipped %d worlds: %v", rep.Skipped, rep.SkipSamples)
+	}
+	fingerprint := rep.Fingerprint()
+
+	_, quiet := topo.NewWorld(nil, 0).Finish("quiet", sim.Second, sim.Millisecond)
+	_, panicked := runWorld(topo.Scenario{RunIn: func(topo.ScenarioConfig, *exp.Arena) (*topo.ScenarioResult, error) {
+		panic("boom")
+	}}, topo.ScenarioConfig{}, nil)
+	if quiet == nil || panicked == nil || !strings.Contains(panicked.Error(), "boom") {
+		t.Fatalf("setup: quiet = %v, panicked = %v", quiet, panicked)
+	}
+	for _, err := range []error{quiet, panicked, quiet, errors.New("some other failure")} {
+		rep.countSkip(err)
+	}
+	if rep.Skipped != 4 || rep.SkippedTooFewDrops != 2 || rep.SkippedPanics != 1 || rep.SkippedOther != 1 {
+		t.Fatalf("skipped=%d (too_few_drops=%d panics=%d other=%d), want 4 (2 1 1)",
+			rep.Skipped, rep.SkippedTooFewDrops, rep.SkippedPanics, rep.SkippedOther)
+	}
+	var out strings.Builder
+	if err := WriteFleet(&out, rep); err != nil {
+		t.Fatal(err)
+	}
+	if want := "skipped=4 (too_few_drops=2 panics=1 other=1)"; !strings.Contains(out.String(), want) {
+		t.Fatalf("header lacks %q:\n%s", want, out.String())
+	}
+	// Fingerprint carries the skip count (a skipped world changes the
+	// aggregate) but not the diagnostic breakdown.
+	rep.Skipped = 0
+	if rep.Fingerprint() != fingerprint {
+		t.Fatal("skip causes leaked into the fingerprint")
 	}
 }
 

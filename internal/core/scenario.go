@@ -12,62 +12,43 @@ import (
 	_ "repro/internal/topo/scenarios"
 )
 
-// RunScenario executes one registered topology scenario by name, in
-// retain/batch mode (the result carries the raw trace). An unknown name
-// returns an error listing the available scenarios.
-func RunScenario(name string, cfg topo.ScenarioConfig) (*ScenarioResult, error) {
+// lookupScenario finds a registered scenario; an unknown name returns an
+// error listing the available ones.
+func lookupScenario(name string) (topo.Scenario, error) {
 	sc, ok := topo.Lookup(name)
 	if !ok {
-		return nil, fmt.Errorf("core: unknown scenario %q (registered: %s)",
+		return sc, fmt.Errorf("core: unknown scenario %q (registered: %s)",
 			name, strings.Join(topo.Names(), ", "))
 	}
-	res, err := sc.Run(cfg)
+	return sc, nil
+}
+
+// RunScenario executes one registered topology scenario by name on a
+// fresh arena, so the result carries the raw trace.
+func RunScenario(name string, cfg topo.ScenarioConfig) (*ScenarioResult, error) {
+	sc, err := lookupScenario(name)
 	if err != nil {
 		return nil, err
 	}
-	return convertScenarioResult(res), nil
-}
-
-func convertScenarioResult(res *topo.ScenarioResult) *ScenarioResult {
-	return &ScenarioResult{
-		Report:    res.Report,
-		Trace:     res.Trace,
-		MeanRTT:   res.MeanRTT,
-		Bursts:    res.Bursts,
-		Drops:     res.Drops,
-		Events:    res.Events,
-		Forwarded: res.Forwarded,
-	}
+	return sc.RunIn(cfg, nil)
 }
 
 // SweepScenario replicates a registered scenario across derived seeds,
 // exactly like SweepFigure2 replicates the NS-2 figure: replication 0
 // replays cfg.Seed, later replications draw SubSeed streams, and the
-// result is bit-identical for any worker count. Scenarios that implement
-// the streaming entry point (all catalog scenarios do) run on per-worker
-// arenas, analyzing losses online without retaining traces.
+// result is bit-identical for any worker count. Replications run on
+// per-worker arenas, analyzing losses online without retaining traces.
 func SweepScenario(name string, cfg topo.ScenarioConfig, opts SweepOptions) (*ScenarioSweep, error) {
-	sc, ok := topo.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown scenario %q (registered: %s)",
-			name, strings.Join(topo.Names(), ", "))
+	sc, err := lookupScenario(name)
+	if err != nil {
+		return nil, err
 	}
 	opts.fillDefaults()
-	results := exp.ReplicateArena(exp.Options{Seed: cfg.Seed, Workers: opts.Workers},
+	results := exp.Replicate(exp.Options{Seed: cfg.Seed, Workers: opts.Workers},
 		opts.Replications, func(i int, seed int64, a *exp.Arena) (*ScenarioResult, error) {
 			c := cfg
 			c.Seed = replicationSeed(cfg.Seed, i, seed)
-			var res *topo.ScenarioResult
-			var err error
-			if sc.RunIn != nil {
-				res, err = sc.RunIn(c, a)
-			} else {
-				res, err = sc.Run(c)
-			}
-			if err != nil {
-				return nil, err
-			}
-			return convertScenarioResult(res), nil
+			return sc.RunIn(c, a)
 		})
 	return collectScenarioSweep(cfg.Seed, results)
 }

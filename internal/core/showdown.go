@@ -62,7 +62,7 @@ func SweepShowdown(cfg topo.ScenarioConfig, opts SweepOptions) (*ShowdownResult,
 		}
 	}
 
-	results := exp.SweepArena(exp.Options{Seed: cfg.Seed, Workers: opts.Workers}, items,
+	results := exp.Sweep(exp.Options{Seed: cfg.Seed, Workers: opts.Workers}, items,
 		func(run exp.Run[cell], a *exp.Arena) (*scenarios.ShowdownMetrics, error) {
 			c := cfg
 			// The seed depends only on the replication index, never the

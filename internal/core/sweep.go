@@ -62,14 +62,14 @@ type ScenarioSweep struct {
 }
 
 // SweepFigure2 replicates the NS-2 scenario across derived seeds. The
-// replications run in streaming mode on per-worker arenas: losses are
-// analyzed online as the worlds run, scratch (scheduler freelist, packet
-// pool, analyzer buffers) is reused run to run, and the per-replication
-// results carry no raw trace (ScenarioResult.Trace is nil; use RunFigure2
-// when the trace itself is needed).
+// replications run on per-worker arenas: scratch (scheduler freelist,
+// packet pool, analyzer buffers, the cached dumbbell) is reused run to
+// run, and the per-replication results carry no raw trace
+// (ScenarioResult.Trace is nil; use RunFigure2 when the trace itself is
+// needed).
 func SweepFigure2(cfg Fig2Config, opts SweepOptions) (*ScenarioSweep, error) {
 	opts.fillDefaults()
-	results := exp.ReplicateArena(exp.Options{Seed: cfg.Seed, Workers: opts.Workers},
+	results := exp.Replicate(exp.Options{Seed: cfg.Seed, Workers: opts.Workers},
 		opts.Replications, func(i int, seed int64, a *exp.Arena) (*ScenarioResult, error) {
 			c := cfg
 			c.Seed = replicationSeed(cfg.Seed, i, seed)
@@ -78,11 +78,11 @@ func SweepFigure2(cfg Fig2Config, opts SweepOptions) (*ScenarioSweep, error) {
 	return collectScenarioSweep(cfg.Seed, results)
 }
 
-// SweepFigure3 replicates the Dummynet scenario across derived seeds, in
-// the same streaming arena mode as SweepFigure2.
+// SweepFigure3 replicates the Dummynet scenario across derived seeds, on
+// per-worker arenas like SweepFigure2.
 func SweepFigure3(cfg Fig3Config, opts SweepOptions) (*ScenarioSweep, error) {
 	opts.fillDefaults()
-	results := exp.ReplicateArena(exp.Options{Seed: cfg.Seed, Workers: opts.Workers},
+	results := exp.Replicate(exp.Options{Seed: cfg.Seed, Workers: opts.Workers},
 		opts.Replications, func(i int, seed int64, a *exp.Arena) (*ScenarioResult, error) {
 			c := cfg
 			c.Seed = replicationSeed(cfg.Seed, i, seed)
@@ -126,7 +126,7 @@ type Fig7Sweep struct {
 // seeds, reusing each worker's arena across replications.
 func SweepFigure7(cfg Fig7Config, opts SweepOptions) (*Fig7Sweep, error) {
 	opts.fillDefaults()
-	results := exp.ReplicateArena(exp.Options{Seed: cfg.Seed, Workers: opts.Workers},
+	results := exp.Replicate(exp.Options{Seed: cfg.Seed, Workers: opts.Workers},
 		opts.Replications, func(i int, seed int64, a *exp.Arena) (*Fig7Result, error) {
 			c := cfg
 			c.Seed = replicationSeed(cfg.Seed, i, seed)
@@ -157,7 +157,7 @@ type TFRCSweep struct {
 // derived seeds with per-worker arena reuse, mirroring SweepFigure7.
 func SweepTFRCCompetition(cfg TFRCCompConfig, opts SweepOptions) (*TFRCSweep, error) {
 	opts.fillDefaults()
-	results := exp.ReplicateArena(exp.Options{Seed: cfg.Seed, Workers: opts.Workers},
+	results := exp.Replicate(exp.Options{Seed: cfg.Seed, Workers: opts.Workers},
 		opts.Replications, func(i int, seed int64, a *exp.Arena) (*TFRCCompResult, error) {
 			c := cfg
 			c.Seed = replicationSeed(cfg.Seed, i, seed)
@@ -180,7 +180,7 @@ func SweepTFRCCompetition(cfg TFRCCompConfig, opts SweepOptions) (*TFRCSweep, er
 // concurrently (the modes are independent worlds, each drawing its
 // worker's arena scratch) and returns the results in mode order.
 func RunECNComparison(cfg ECNCoverageConfig, modes []ECNMode, workers int) ([]*ECNCoverageResult, error) {
-	results := exp.SweepArena(exp.Options{Seed: cfg.Seed, Workers: workers}, modes,
+	results := exp.Sweep(exp.Options{Seed: cfg.Seed, Workers: workers}, modes,
 		func(r exp.Run[ECNMode], a *exp.Arena) (*ECNCoverageResult, error) {
 			// RunECNCoverage derives its own per-mode stream from cfg.Seed,
 			// so the sweep seed is deliberately unused: results stay

@@ -57,7 +57,7 @@ func SweepTransfers(cfg topo.ScenarioConfig, opts SweepOptions) (*TransfersResul
 		}
 	}
 
-	results := exp.SweepArena(exp.Options{Seed: cfg.Seed, Workers: opts.Workers}, items,
+	results := exp.Sweep(exp.Options{Seed: cfg.Seed, Workers: opts.Workers}, items,
 		func(run exp.Run[cell], a *exp.Arena) (*topo.ScenarioResult, error) {
 			sc, ok := topo.Lookup(names[run.Config.sc])
 			if !ok {

@@ -16,20 +16,22 @@ import (
 //
 // Ownership rules:
 //
-//   - An arena belongs to exactly one sweep worker; SweepArena creates one
+//   - An arena belongs to exactly one sweep worker; Sweep creates one
 //     per worker goroutine, so nothing in it is (or needs to be) safe for
 //     concurrent use.
 //   - Every accessor resets the piece it returns, so state can never leak
 //     from one replication into the next — which is what keeps arena-run
 //     sweeps bit-identical to fresh-world sweeps for any worker count.
 //   - Anything a run RETAINS past its return (a Report kept in a result
-//     slice, a trace handed to the caller) must be detached first —
-//     analysis.Report.Clone, or a Recorder the run allocated itself —
-//     because the arena recycles its scratch on the next run.
+//     slice) must be detached first — analysis.Report.Clone — because the
+//     arena recycles its scratch on the next run. The one exception is a
+//     run that owns its arena outright (topo.NewWorld with a nil arena
+//     allocates a fresh one and never reuses it): its recorder and
+//     analyzer live as long as the result that points at them.
 //
 // All fields are lazy: a worker that never asks for a piece never pays
-// for it, and Sweep's non-arena call path costs one empty struct per
-// worker.
+// for it, and a Sweep whose runs ignore the arena costs one empty struct
+// per worker.
 type Arena struct {
 	sched   *sim.Scheduler
 	pool    *netsim.PacketPool
@@ -79,8 +81,8 @@ func (a *Arena) Pool() *netsim.PacketPool {
 }
 
 // Recorder returns the arena's drop recorder, reset and with no sink
-// installed. It is meant for sink-mode use inside one run; a run that
-// retains its trace in a result must allocate its own recorder instead.
+// installed. On a shared arena it is for sink-mode use inside one run;
+// only a run that owns its arena may hand the recorder out in a result.
 func (a *Arena) Recorder() *trace.Recorder {
 	if a.rec == nil {
 		a.rec = &trace.Recorder{}

@@ -75,24 +75,19 @@ type Result[R any] struct {
 // which worker ran what or in which order runs finished. A run that
 // returns an error or panics records the failure in its Result slot; the
 // other runs proceed.
-func Sweep[C, R any](opts Options, configs []C, fn func(Run[C]) (R, error)) []Result[R] {
-	return SweepArena(opts, configs, func(r Run[C], _ *Arena) (R, error) {
-		return fn(r)
-	})
-}
-
-// SweepArena is Sweep with per-worker scratch: each worker goroutine owns
-// one Arena, created when the worker starts and handed to every run that
-// worker executes. Replications that route their scheduler, packet pool
-// and analysis scratch through the arena reuse those allocations across
-// the whole sweep instead of rebuilding them per run.
 //
-// The determinism contract is unchanged — every arena accessor resets the
-// state it hands out, so a run on a warm arena is bit-identical to a run
-// on a cold one and results stay invariant under the worker count. The
-// one new rule: values retained in a Result must not point into the
-// arena (see Arena).
-func SweepArena[C, R any](opts Options, configs []C, fn func(Run[C], *Arena) (R, error)) []Result[R] {
+// Each worker goroutine owns one Arena, taken when the worker starts and
+// handed to every run that worker executes. Replications that route their
+// scheduler, packet pool and analysis scratch through the arena reuse
+// those allocations across the whole sweep instead of rebuilding them per
+// run; a run that needs none of it ignores the argument (arenas are lazy,
+// so that costs nothing).
+//
+// Every arena accessor resets the state it hands out, so a run on a warm
+// arena is bit-identical to a run on a cold one and results stay invariant
+// under the worker count. The one rule: values retained in a Result must
+// not point into the arena (see Arena).
+func Sweep[C, R any](opts Options, configs []C, fn func(Run[C], *Arena) (R, error)) []Result[R] {
 	results := make([]Result[R], len(configs))
 	if len(configs) == 0 {
 		return results
@@ -150,15 +145,8 @@ func protect[C, R any](fn func(Run[C], *Arena) (R, error), r Run[C], a *Arena) (
 
 // Replicate runs fn n times — the "same experiment, n independent seeds"
 // special case of Sweep.
-func Replicate[R any](opts Options, n int, fn func(index int, seed int64) (R, error)) []Result[R] {
-	return Sweep(opts, make([]struct{}, n), func(r Run[struct{}]) (R, error) {
-		return fn(r.Index, r.Seed)
-	})
-}
-
-// ReplicateArena is Replicate with the per-worker Arena of SweepArena.
-func ReplicateArena[R any](opts Options, n int, fn func(index int, seed int64, a *Arena) (R, error)) []Result[R] {
-	return SweepArena(opts, make([]struct{}, n), func(r Run[struct{}], a *Arena) (R, error) {
+func Replicate[R any](opts Options, n int, fn func(index int, seed int64, a *Arena) (R, error)) []Result[R] {
+	return Sweep(opts, make([]struct{}, n), func(r Run[struct{}], a *Arena) (R, error) {
 		return fn(r.Index, r.Seed, a)
 	})
 }

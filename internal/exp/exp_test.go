@@ -17,7 +17,7 @@ import (
 
 // stochasticRun emulates a seeded experiment: the value depends only on
 // the run's seed and config, via its own private rng.
-func stochasticRun(r Run[int]) (float64, error) {
+func stochasticRun(r Run[int], _ *Arena) (float64, error) {
 	rng := rand.New(rand.NewSource(r.Seed))
 	sum := float64(r.Config)
 	for i := 0; i < 1000; i++ {
@@ -50,7 +50,7 @@ func TestSweepWorkerInvariance(t *testing.T) {
 func TestSweepGOMAXPROCSInvariance(t *testing.T) {
 	t.Parallel()
 	const n = 53
-	res := Replicate(Options{Seed: 1234, Workers: 0}, n, func(i int, seed int64) (float64, error) {
+	res := Replicate(Options{Seed: 1234, Workers: 0}, n, func(i int, seed int64, _ *Arena) (float64, error) {
 		rng := rand.New(rand.NewSource(seed))
 		return float64(i) + rng.Float64(), nil
 	})
@@ -70,7 +70,7 @@ func TestSweepGOMAXPROCSInvariance(t *testing.T) {
 func TestSweepOrderAndSeeds(t *testing.T) {
 	t.Parallel()
 	configs := []int{5, 6, 7}
-	res := Sweep(Options{Seed: 9, Workers: 2}, configs, func(r Run[int]) (int, error) {
+	res := Sweep(Options{Seed: 9, Workers: 2}, configs, func(r Run[int], _ *Arena) (int, error) {
 		return r.Config * 2, nil
 	})
 	for i, r := range res {
@@ -91,7 +91,7 @@ func TestSweepRunsConcurrently(t *testing.T) {
 	// Both runs must be in flight at once for either to finish.
 	var wg sync.WaitGroup
 	wg.Add(2)
-	res := Sweep(Options{Workers: 2}, []int{0, 1}, func(r Run[int]) (int, error) {
+	res := Sweep(Options{Workers: 2}, []int{0, 1}, func(r Run[int], _ *Arena) (int, error) {
 		wg.Done()
 		wg.Wait()
 		return r.Index, nil
@@ -104,7 +104,7 @@ func TestSweepRunsConcurrently(t *testing.T) {
 func TestSweepErrorCapture(t *testing.T) {
 	t.Parallel()
 	boom := errors.New("boom")
-	res := Sweep(Options{Workers: 4}, []int{0, 1, 2, 3}, func(r Run[int]) (int, error) {
+	res := Sweep(Options{Workers: 4}, []int{0, 1, 2, 3}, func(r Run[int], _ *Arena) (int, error) {
 		if r.Index == 2 {
 			return 0, boom
 		}
@@ -128,7 +128,7 @@ func TestSweepErrorCapture(t *testing.T) {
 
 func TestSweepPanicCapture(t *testing.T) {
 	t.Parallel()
-	res := Sweep(Options{Seed: 3, Workers: 2}, []int{0, 1}, func(r Run[int]) (int, error) {
+	res := Sweep(Options{Seed: 3, Workers: 2}, []int{0, 1}, func(r Run[int], _ *Arena) (int, error) {
 		if r.Index == 1 {
 			panic("kaboom")
 		}
@@ -148,7 +148,7 @@ func TestSweepPanicCapture(t *testing.T) {
 func TestSweepPanicNamesRunIndexAndSeed(t *testing.T) {
 	t.Parallel()
 	const bad = 3
-	res := Sweep(Options{Seed: 99, Workers: 4}, make([]struct{}, 6), func(r Run[struct{}]) (int, error) {
+	res := Sweep(Options{Seed: 99, Workers: 4}, make([]struct{}, 6), func(r Run[struct{}], _ *Arena) (int, error) {
 		if r.Index == bad {
 			panic("replication exploded")
 		}
@@ -182,7 +182,7 @@ func TestSweepEmptyAndValues(t *testing.T) {
 	if len(res) != 0 {
 		t.Fatal("empty sweep produced results")
 	}
-	vals, err := Values(Sweep(Options{Workers: 1}, []int{1, 2}, func(r Run[int]) (int, error) {
+	vals, err := Values(Sweep(Options{Workers: 1}, []int{1, 2}, func(r Run[int], _ *Arena) (int, error) {
 		return r.Config + 1, nil
 	}))
 	if err != nil || !reflect.DeepEqual(vals, []int{2, 3}) {
@@ -192,10 +192,10 @@ func TestSweepEmptyAndValues(t *testing.T) {
 
 func TestReplicate(t *testing.T) {
 	t.Parallel()
-	seq := Replicate(Options{Seed: 11, Workers: 1}, 9, func(i int, seed int64) (int64, error) {
+	seq := Replicate(Options{Seed: 11, Workers: 1}, 9, func(i int, seed int64, _ *Arena) (int64, error) {
 		return seed ^ int64(i), nil
 	})
-	par := Replicate(Options{Seed: 11, Workers: 4}, 9, func(i int, seed int64) (int64, error) {
+	par := Replicate(Options{Seed: 11, Workers: 4}, 9, func(i int, seed int64, _ *Arena) (int64, error) {
 		return seed ^ int64(i), nil
 	})
 	if !reflect.DeepEqual(seq, par) {
@@ -269,7 +269,7 @@ func TestSweepLoadBalancing(t *testing.T) {
 	n := 101
 	counts := make([]int32, n)
 	var mu sync.Mutex
-	res := Sweep(Options{Workers: 7}, make([]struct{}, n), func(r Run[struct{}]) (int, error) {
+	res := Sweep(Options{Workers: 7}, make([]struct{}, n), func(r Run[struct{}], _ *Arena) (int, error) {
 		mu.Lock()
 		counts[r.Index]++
 		mu.Unlock()
@@ -288,7 +288,7 @@ func TestSweepLoadBalancing(t *testing.T) {
 func ExampleSweep() {
 	// Three replications of a seeded "experiment", two workers. The output
 	// is identical for any worker count.
-	res := Replicate(Options{Seed: 1, Workers: 2}, 3, func(i int, seed int64) (float64, error) {
+	res := Replicate(Options{Seed: 1, Workers: 2}, 3, func(i int, seed int64, _ *Arena) (float64, error) {
 		rng := rand.New(rand.NewSource(seed))
 		return rng.Float64(), nil
 	})

@@ -21,7 +21,7 @@ type FleetOptions struct {
 // Fleet runs n worlds across a shard pool and merges their results in
 // strict world order — the engine under core.RunFleet and cmd/fleet.
 //
-// It differs from SweepArena in one decisive way: Sweep materializes one
+// It differs from Sweep in one decisive way: Sweep materializes one
 // Result per run, so a million-world campaign would hold a million
 // reports; Fleet holds none. Each worker runs world i on its pooled
 // Arena, then waits at a turnstile until every lower-indexed world has

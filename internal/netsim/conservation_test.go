@@ -146,44 +146,3 @@ func TestREDConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestDumbbellEndToEndConservation: across a full dumbbell, data packets
-// offered by senders equal receiver deliveries plus bottleneck and access
-// drops.
-func TestDumbbellEndToEndConservation(t *testing.T) {
-	s := sim.NewScheduler()
-	d := NewDumbbell(s, DumbbellConfig{
-		BottleneckRate:  2_000_000,
-		BottleneckDelay: sim.Millisecond,
-		AccessRate:      100_000_000,
-		AccessDelays:    []sim.Duration{5 * sim.Millisecond, 5 * sim.Millisecond},
-		Buffer:          10,
-	})
-	got := 0
-	for i := 0; i < 2; i++ {
-		d.ReceiverNode(i).Bind(i+1, HandlerFunc(func(p *Packet) { got++ }))
-	}
-	drops := 0
-	d.Forward.OnDrop = func(p *Packet, at sim.Time) { drops++ }
-
-	rng := rand.New(rand.NewSource(5))
-	const offered = 2000
-	for i := 0; i < offered; i++ {
-		i := i
-		s.At(sim.Time(sim.Duration(rng.Intn(1000))*sim.Millisecond), func() {
-			pair := i % 2
-			d.SenderNode(pair).Handle(&Packet{
-				ID: uint64(i), Flow: pair + 1, Kind: Data, Size: 1000,
-				Src: SenderAddr(pair), Dst: ReceiverAddr(pair),
-			})
-		})
-	}
-	s.Run()
-	if got+drops != offered {
-		t.Fatalf("conservation violated: delivered=%d dropped=%d offered=%d",
-			got, drops, offered)
-	}
-	if drops == 0 {
-		t.Fatal("expected some drops at the 2 Mbps bottleneck")
-	}
-}

@@ -8,7 +8,9 @@ import (
 
 // DumbbellConfig describes the paper's Figure-1 topology: a set of senders
 // and receivers joined by a single bottleneck, with per-sender access links
-// whose one-way latencies determine the flows' RTTs.
+// whose one-way latencies determine the flows' RTTs. topo.NewDumbbell
+// builds it (netsim only holds the parameters and the addressing scheme,
+// which the transports and cross-traffic sources share).
 type DumbbellConfig struct {
 	// BottleneckRate is the capacity c of the shared link in bits/second
 	// (100 Mbps in the paper).
@@ -39,31 +41,11 @@ type DumbbellConfig struct {
 	ReverseQueue Queue
 }
 
-// Dumbbell is the built topology. Each flow i has a dedicated sender-side
-// node SenderNode(i) and receiver-side node ReceiverNode(i); all share the
-// forward and reverse bottleneck ports.
-type Dumbbell struct {
-	Sched *sim.Scheduler
-
-	LeftRouter  *Node // aggregates senders, owns the forward bottleneck port
-	RightRouter *Node // aggregates receivers, owns the reverse bottleneck port
-
-	Forward *Port // left -> right bottleneck (where data-direction drops happen)
-	Reverse *Port // right -> left bottleneck
-
-	senders   []*Node
-	receivers []*Node
-
-	cfg DumbbellConfig
-}
-
 // Endpoint addressing scheme: senders are 1000+i, receivers are 2000+i,
 // routers are 1 (left) and 2 (right).
 const (
-	leftRouterAddr  = 1
-	rightRouterAddr = 2
-	senderAddrBase  = 1000
-	recvAddrBase    = 2000
+	senderAddrBase = 1000
+	recvAddrBase   = 2000
 )
 
 // SenderAddr returns the node address of sender i.
@@ -71,76 +53,6 @@ func SenderAddr(i int) int { return senderAddrBase + i }
 
 // ReceiverAddr returns the node address of receiver i.
 func ReceiverAddr(i int) int { return recvAddrBase + i }
-
-// NewDumbbell wires the topology of DumbbellConfig onto sched.
-func NewDumbbell(sched *sim.Scheduler, cfg DumbbellConfig) *Dumbbell {
-	if cfg.BottleneckRate <= 0 || cfg.AccessRate <= 0 {
-		panic("netsim: dumbbell rates must be positive")
-	}
-	if len(cfg.AccessDelays) == 0 {
-		panic("netsim: dumbbell needs at least one endpoint pair")
-	}
-	if cfg.Buffer <= 0 && cfg.Queue == nil {
-		panic("netsim: dumbbell needs a buffer size or an explicit queue")
-	}
-
-	d := &Dumbbell{Sched: sched, cfg: cfg}
-	d.LeftRouter = NewNode(sched, leftRouterAddr)
-	d.RightRouter = NewNode(sched, rightRouterAddr)
-
-	fq := cfg.Queue
-	if fq == nil {
-		fq = NewDropTail(cfg.Buffer)
-	}
-	rq := cfg.ReverseQueue
-	if rq == nil {
-		rq = NewDropTail(maxInt(cfg.Buffer, 1024)) // generous reverse buffer: ACKs should not drop unless asked
-	}
-	d.Forward = NewPort(sched, fq, NewLink(cfg.BottleneckRate, cfg.BottleneckDelay, d.RightRouter))
-	d.Reverse = NewPort(sched, rq, NewLink(cfg.BottleneckRate, cfg.BottleneckDelay, d.LeftRouter))
-
-	for i, delay := range cfg.AccessDelays {
-		half := delay / 2
-		sn := NewNode(sched, SenderAddr(i))
-		rn := NewNode(sched, ReceiverAddr(i))
-
-		// sender -> left router and back
-		sUp := NewPort(sched, NewDropTail(4096), NewLink(cfg.AccessRate, half, d.LeftRouter))
-		sDown := NewPort(sched, NewDropTail(4096), NewLink(cfg.AccessRate, half, sn))
-		// right router -> receiver and back
-		rDown := NewPort(sched, NewDropTail(4096), NewLink(cfg.AccessRate, half, rn))
-		rUp := NewPort(sched, NewDropTail(4096), NewLink(cfg.AccessRate, half, d.RightRouter))
-
-		// Routing: everything a sender emits goes up its access link; the
-		// left router sends receiver-bound traffic over the bottleneck and
-		// sender-bound traffic down the right access link, and vice versa.
-		sn.AddRoute(ReceiverAddr(i), sUp)
-		rn.AddRoute(SenderAddr(i), rUp)
-		d.LeftRouter.AddRoute(ReceiverAddr(i), d.Forward)
-		d.LeftRouter.AddRoute(SenderAddr(i), sDown)
-		d.RightRouter.AddRoute(SenderAddr(i), d.Reverse)
-		d.RightRouter.AddRoute(ReceiverAddr(i), rDown)
-
-		d.senders = append(d.senders, sn)
-		d.receivers = append(d.receivers, rn)
-	}
-	return d
-}
-
-// NumPairs reports how many endpoint pairs the dumbbell has.
-func (d *Dumbbell) NumPairs() int { return len(d.senders) }
-
-// SenderNode returns the sender-side endpoint node for pair i.
-func (d *Dumbbell) SenderNode(i int) *Node { return d.senders[i] }
-
-// ReceiverNode returns the receiver-side endpoint node for pair i.
-func (d *Dumbbell) ReceiverNode(i int) *Node { return d.receivers[i] }
-
-// PairRTT reports the base (unloaded, zero-size-packet) round-trip time of
-// pair i: twice the access delay plus twice the bottleneck delay.
-func (d *Dumbbell) PairRTT(i int) sim.Duration {
-	return 2*d.cfg.AccessDelays[i] + 2*d.cfg.BottleneckDelay
-}
 
 // BDP reports the bandwidth-delay product for a given RTT, in packets of
 // the given size — the paper sizes buffers in fractions of this.
@@ -161,11 +73,4 @@ func RandomAccessDelays(rng *rand.Rand, n int, lo, hi sim.Duration) []sim.Durati
 		out[i] = lo + sim.Duration(rng.Int63n(int64(hi-lo)+1))
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,44 +1,55 @@
-package netsim
+// The dumbbell tests drive netsim's nodes, ports and queues through the one
+// dumbbell builder, topo.NewDumbbell — hence the external test package
+// (topo imports netsim).
+package netsim_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/exp"
+	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
-func testDumbbell(t *testing.T, n int) (*sim.Scheduler, *Dumbbell) {
+// newDumbbell builds cfg on a fresh arena's scheduler.
+func newDumbbell(cfg netsim.DumbbellConfig) (*sim.Scheduler, *topo.Dumbbell) {
+	a := exp.NewArena()
+	s := a.Scheduler()
+	return s, topo.NewDumbbell(a, s, cfg)
+}
+
+func testDumbbell(t *testing.T, n int) (*sim.Scheduler, *topo.Dumbbell) {
 	t.Helper()
-	s := sim.NewScheduler()
 	delays := make([]sim.Duration, n)
 	for i := range delays {
 		delays[i] = 10 * sim.Millisecond
 	}
-	d := NewDumbbell(s, DumbbellConfig{
+	return newDumbbell(netsim.DumbbellConfig{
 		BottleneckRate:  100_000_000,
 		BottleneckDelay: sim.Millisecond,
 		AccessRate:      1_000_000_000,
 		AccessDelays:    delays,
 		Buffer:          50,
 	})
-	return s, d
 }
 
 func TestDumbbellRoundTrip(t *testing.T) {
 	s, d := testDumbbell(t, 2)
 
-	var atRecv, atSend []*Packet
-	d.ReceiverNode(0).Bind(1, HandlerFunc(func(p *Packet) {
+	var atRecv, atSend []*netsim.Packet
+	d.ReceiverNode(0).Bind(1, netsim.HandlerFunc(func(p *netsim.Packet) {
 		atRecv = append(atRecv, p)
 		// Echo an ACK back.
-		ack := &Packet{ID: 1000 + p.ID, Flow: p.Flow, Kind: Ack, Size: 40,
+		ack := &netsim.Packet{ID: 1000 + p.ID, Flow: p.Flow, Kind: netsim.Ack, Size: 40,
 			Src: p.Dst, Dst: p.Src, Ack: p.Seq + 1}
 		d.ReceiverNode(0).Handle(ack)
 	}))
-	d.SenderNode(0).Bind(1, HandlerFunc(func(p *Packet) { atSend = append(atSend, p) }))
+	d.SenderNode(0).Bind(1, netsim.HandlerFunc(func(p *netsim.Packet) { atSend = append(atSend, p) }))
 
-	pkt := &Packet{ID: 1, Flow: 1, Kind: Data, Size: 1000, Seq: 0,
-		Src: SenderAddr(0), Dst: ReceiverAddr(0)}
+	pkt := &netsim.Packet{ID: 1, Flow: 1, Kind: netsim.Data, Size: 1000, Seq: 0,
+		Src: netsim.SenderAddr(0), Dst: netsim.ReceiverAddr(0)}
 	d.SenderNode(0).Handle(pkt)
 	s.Run()
 
@@ -67,12 +78,12 @@ func TestDumbbellPairRTT(t *testing.T) {
 func TestDumbbellIsolatesPairs(t *testing.T) {
 	s, d := testDumbbell(t, 2)
 	got0, got1 := 0, 0
-	d.ReceiverNode(0).Bind(1, HandlerFunc(func(p *Packet) { got0++ }))
-	d.ReceiverNode(1).Bind(2, HandlerFunc(func(p *Packet) { got1++ }))
-	d.SenderNode(0).Handle(&Packet{ID: 1, Flow: 1, Kind: Data, Size: 100,
-		Src: SenderAddr(0), Dst: ReceiverAddr(0)})
-	d.SenderNode(1).Handle(&Packet{ID: 2, Flow: 2, Kind: Data, Size: 100,
-		Src: SenderAddr(1), Dst: ReceiverAddr(1)})
+	d.ReceiverNode(0).Bind(1, netsim.HandlerFunc(func(p *netsim.Packet) { got0++ }))
+	d.ReceiverNode(1).Bind(2, netsim.HandlerFunc(func(p *netsim.Packet) { got1++ }))
+	d.SenderNode(0).Handle(&netsim.Packet{ID: 1, Flow: 1, Kind: netsim.Data, Size: 100,
+		Src: netsim.SenderAddr(0), Dst: netsim.ReceiverAddr(0)})
+	d.SenderNode(1).Handle(&netsim.Packet{ID: 2, Flow: 2, Kind: netsim.Data, Size: 100,
+		Src: netsim.SenderAddr(1), Dst: netsim.ReceiverAddr(1)})
 	s.Run()
 	if got0 != 1 || got1 != 1 {
 		t.Fatalf("delivery: %d,%d", got0, got1)
@@ -80,8 +91,7 @@ func TestDumbbellIsolatesPairs(t *testing.T) {
 }
 
 func TestDumbbellBottleneckDrops(t *testing.T) {
-	s := sim.NewScheduler()
-	d := NewDumbbell(s, DumbbellConfig{
+	s, d := newDumbbell(netsim.DumbbellConfig{
 		BottleneckRate:  1_000_000, // slow bottleneck
 		BottleneckDelay: sim.Millisecond,
 		AccessRate:      1_000_000_000,
@@ -89,13 +99,13 @@ func TestDumbbellBottleneckDrops(t *testing.T) {
 		Buffer:          5,
 	})
 	drops := 0
-	d.Forward.OnDrop = func(p *Packet, at sim.Time) { drops++ }
-	d.ReceiverNode(0).Bind(1, HandlerFunc(func(p *Packet) {}))
+	d.Forward.OnDrop = func(p *netsim.Packet, at sim.Time) { drops++ }
+	d.ReceiverNode(0).Bind(1, netsim.HandlerFunc(func(p *netsim.Packet) {}))
 	// Blast 100 packets at time 0: access link is 1000x faster, so the
 	// bottleneck queue (5) must overflow.
 	for i := 0; i < 100; i++ {
-		d.SenderNode(0).Handle(&Packet{ID: uint64(i), Flow: 1, Kind: Data,
-			Size: 1000, Src: SenderAddr(0), Dst: ReceiverAddr(0)})
+		d.SenderNode(0).Handle(&netsim.Packet{ID: uint64(i), Flow: 1, Kind: netsim.Data,
+			Size: 1000, Src: netsim.SenderAddr(0), Dst: netsim.ReceiverAddr(0)})
 	}
 	s.Run()
 	if drops == 0 {
@@ -113,25 +123,25 @@ func TestDumbbellUnboundFlowPanics(t *testing.T) {
 			t.Fatal("expected panic for unbound flow")
 		}
 	}()
-	d.SenderNode(0).Handle(&Packet{ID: 1, Flow: 42, Kind: Data, Size: 100,
-		Src: SenderAddr(0), Dst: ReceiverAddr(0)})
+	d.SenderNode(0).Handle(&netsim.Packet{ID: 1, Flow: 42, Kind: netsim.Data, Size: 100,
+		Src: netsim.SenderAddr(0), Dst: netsim.ReceiverAddr(0)})
 	s.Run()
 }
 
 func TestNodeDefaultHandlerAndDropObserver(t *testing.T) {
 	s := sim.NewScheduler()
-	n := NewNode(s, 5)
+	n := netsim.NewNode(s, 5)
 	caught := 0
-	n.BindDefault(HandlerFunc(func(p *Packet) { caught++ }))
-	n.Handle(&Packet{Flow: 9, Dst: 5})
+	n.BindDefault(netsim.HandlerFunc(func(p *netsim.Packet) { caught++ }))
+	n.Handle(&netsim.Packet{Flow: 9, Dst: 5})
 	if caught != 1 {
 		t.Fatal("default handler not used")
 	}
 
-	n2 := NewNode(s, 6)
+	n2 := netsim.NewNode(s, 6)
 	dropped := 0
-	n2.OnLocalDrop(func(p *Packet, at sim.Time) { dropped++ })
-	n2.Handle(&Packet{Flow: 9, Dst: 6})
+	n2.OnLocalDrop(func(p *netsim.Packet, at sim.Time) { dropped++ })
+	n2.Handle(&netsim.Packet{Flow: 9, Dst: 6})
 	if dropped != 1 {
 		t.Fatal("local drop observer not used")
 	}
@@ -139,10 +149,10 @@ func TestNodeDefaultHandlerAndDropObserver(t *testing.T) {
 
 func TestBDP(t *testing.T) {
 	// 100 Mbps · 100 ms = 10 Mbit = 1.25 MB; at 1250 B/packet → 1000 packets.
-	if got := BDP(100_000_000, 100*sim.Millisecond, 1250); got != 1000 {
+	if got := netsim.BDP(100_000_000, 100*sim.Millisecond, 1250); got != 1000 {
 		t.Fatalf("BDP = %d", got)
 	}
-	if got := BDP(1000, sim.Millisecond, 1500); got != 1 {
+	if got := netsim.BDP(1000, sim.Millisecond, 1500); got != 1 {
 		t.Fatalf("tiny BDP should clamp to 1, got %d", got)
 	}
 }
@@ -150,7 +160,7 @@ func TestBDP(t *testing.T) {
 func TestRandomAccessDelaysInRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	lo, hi := 2*sim.Millisecond, 200*sim.Millisecond
-	ds := RandomAccessDelays(rng, 500, lo, hi)
+	ds := netsim.RandomAccessDelays(rng, 500, lo, hi)
 	if len(ds) != 500 {
 		t.Fatalf("len = %d", len(ds))
 	}
@@ -162,8 +172,7 @@ func TestRandomAccessDelaysInRange(t *testing.T) {
 }
 
 func TestDumbbellConfigValidation(t *testing.T) {
-	s := sim.NewScheduler()
-	for name, cfg := range map[string]DumbbellConfig{
+	for name, cfg := range map[string]netsim.DumbbellConfig{
 		"no rate":   {AccessRate: 1, AccessDelays: []sim.Duration{1}, Buffer: 1},
 		"no access": {BottleneckRate: 1, AccessDelays: []sim.Duration{1}, Buffer: 1},
 		"no pairs":  {BottleneckRate: 1, AccessRate: 1, Buffer: 1},
@@ -175,7 +184,47 @@ func TestDumbbellConfigValidation(t *testing.T) {
 					t.Fatalf("%s: no panic", name)
 				}
 			}()
-			NewDumbbell(s, cfg)
+			newDumbbell(cfg)
 		}()
+	}
+}
+
+// TestDumbbellEndToEndConservation: across a full dumbbell, data packets
+// offered by senders equal receiver deliveries plus bottleneck and access
+// drops.
+func TestDumbbellEndToEndConservation(t *testing.T) {
+	s, d := newDumbbell(netsim.DumbbellConfig{
+		BottleneckRate:  2_000_000,
+		BottleneckDelay: sim.Millisecond,
+		AccessRate:      100_000_000,
+		AccessDelays:    []sim.Duration{5 * sim.Millisecond, 5 * sim.Millisecond},
+		Buffer:          10,
+	})
+	got := 0
+	for i := 0; i < 2; i++ {
+		d.ReceiverNode(i).Bind(i+1, netsim.HandlerFunc(func(p *netsim.Packet) { got++ }))
+	}
+	drops := 0
+	d.Forward.OnDrop = func(p *netsim.Packet, at sim.Time) { drops++ }
+
+	rng := rand.New(rand.NewSource(5))
+	const offered = 2000
+	for i := 0; i < offered; i++ {
+		i := i
+		s.At(sim.Time(sim.Duration(rng.Intn(1000))*sim.Millisecond), func() {
+			pair := i % 2
+			d.SenderNode(pair).Handle(&netsim.Packet{
+				ID: uint64(i), Flow: pair + 1, Kind: netsim.Data, Size: 1000,
+				Src: netsim.SenderAddr(pair), Dst: netsim.ReceiverAddr(pair),
+			})
+		})
+	}
+	s.Run()
+	if got+drops != offered {
+		t.Fatalf("conservation violated: delivered=%d dropped=%d offered=%d",
+			got, drops, offered)
+	}
+	if drops == 0 {
+		t.Fatal("expected some drops at the 2 Mbps bottleneck")
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Flow bundles a sender/receiver pair wired onto a dumbbell endpoint pair.
+// Flow bundles a sender/receiver pair wired onto an endpoint pair.
 type Flow struct {
 	Sender   *Sender
 	Receiver *Receiver
@@ -45,12 +45,6 @@ func (f *Flow) ResetPair(snd, rcv *netsim.Node, flowID int, cfg Config) {
 	f.Receiver.SetPool(cfg.Pool)
 	rcv.Bind(flowID, f.Receiver)
 	snd.Bind(flowID, f.Sender)
-}
-
-// NewDumbbellFlow wires a TCP flow onto pair i of a dumbbell. The supplied
-// cfg's Flow/Src/Dst fields are filled in; other fields are respected.
-func NewDumbbellFlow(d *netsim.Dumbbell, i int, flowID int, cfg Config) *Flow {
-	return NewPairFlow(d.Sched, d.SenderNode(i), d.ReceiverNode(i), flowID, cfg)
 }
 
 // GoodputBits reports the bits delivered in-order to the receiver so far

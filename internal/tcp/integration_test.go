@@ -3,32 +3,45 @@ package tcp
 import (
 	"testing"
 
+	"repro/internal/exp"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
+// newDumbbell builds cfg through the one dumbbell builder on a fresh
+// arena's scheduler.
+func newDumbbell(cfg netsim.DumbbellConfig) (*sim.Scheduler, *topo.Dumbbell) {
+	a := exp.NewArena()
+	s := a.Scheduler()
+	return s, topo.NewDumbbell(a, s, cfg)
+}
+
 // buildDumbbell makes a small bottleneck shared by n flows with the given
 // one-way access delays.
-func buildDumbbell(n int, delay sim.Duration, rate int64, buffer int) (*sim.Scheduler, *netsim.Dumbbell) {
-	s := sim.NewScheduler()
+func buildDumbbell(n int, delay sim.Duration, rate int64, buffer int) (*sim.Scheduler, *topo.Dumbbell) {
 	delays := make([]sim.Duration, n)
 	for i := range delays {
 		delays[i] = delay
 	}
-	d := netsim.NewDumbbell(s, netsim.DumbbellConfig{
+	return newDumbbell(netsim.DumbbellConfig{
 		BottleneckRate:  rate,
 		BottleneckDelay: sim.Millisecond,
 		AccessRate:      10 * rate,
 		AccessDelays:    delays,
 		Buffer:          buffer,
 	})
-	return s, d
+}
+
+// newDumbbellFlow wires a TCP flow onto pair i of a dumbbell.
+func newDumbbellFlow(d *topo.Dumbbell, i int, flowID int, cfg Config) *Flow {
+	return NewPairFlow(d.Sched, d.SenderNode(i), d.ReceiverNode(i), flowID, cfg)
 }
 
 func TestSingleFlowSaturatesBottleneck(t *testing.T) {
 	s, d := buildDumbbell(1, 10*sim.Millisecond, 10_000_000, 50)
-	f := NewDumbbellFlow(d, 0, 1, Config{PktSize: 1000})
+	f := newDumbbellFlow(d, 0, 1, Config{PktSize: 1000})
 	f.Sender.Start()
 	s.RunUntil(sim.Time(20 * sim.Second))
 	// 10 Mbps for 20 s = 25,000 packets max. Expect >70% utilization
@@ -47,7 +60,7 @@ func TestSingleFlowSaturatesBottleneck(t *testing.T) {
 
 func TestFiniteTransferOverDumbbell(t *testing.T) {
 	s, d := buildDumbbell(1, 5*sim.Millisecond, 10_000_000, 30)
-	f := NewDumbbellFlow(d, 0, 1, Config{PktSize: 1000, TotalPackets: 2000})
+	f := newDumbbellFlow(d, 0, 1, Config{PktSize: 1000, TotalPackets: 2000})
 	var doneAt sim.Time
 	f.Sender.OnComplete = func(at sim.Time) { doneAt = at }
 	f.Sender.Start()
@@ -66,8 +79,8 @@ func TestFiniteTransferOverDumbbell(t *testing.T) {
 
 func TestTwoFlowsShareBottleneckFairly(t *testing.T) {
 	s, d := buildDumbbell(2, 10*sim.Millisecond, 10_000_000, 60)
-	f0 := NewDumbbellFlow(d, 0, 1, Config{PktSize: 1000})
-	f1 := NewDumbbellFlow(d, 1, 2, Config{PktSize: 1000})
+	f0 := newDumbbellFlow(d, 0, 1, Config{PktSize: 1000})
+	f1 := newDumbbellFlow(d, 1, 2, Config{PktSize: 1000})
 	f0.Sender.Start()
 	f1.Sender.Start()
 	s.RunUntil(sim.Time(60 * sim.Second))
@@ -90,8 +103,8 @@ func TestDropTraceRecordsBottleneckLosses(t *testing.T) {
 	d.Forward.OnDrop = func(p *netsim.Packet, at sim.Time) {
 		rec.Add(trace.LossEvent{At: at, Flow: p.Flow, Seq: p.Seq, Size: p.Size})
 	}
-	f0 := NewDumbbellFlow(d, 0, 1, Config{PktSize: 1000})
-	f1 := NewDumbbellFlow(d, 1, 2, Config{PktSize: 1000})
+	f0 := newDumbbellFlow(d, 0, 1, Config{PktSize: 1000})
+	f1 := newDumbbellFlow(d, 1, 2, Config{PktSize: 1000})
 	f0.Sender.Start()
 	f1.Sender.Start()
 	s.RunUntil(sim.Time(30 * sim.Second))
@@ -108,16 +121,15 @@ func TestDropTraceRecordsBottleneckLosses(t *testing.T) {
 
 func TestShorterRTTGetsMoreThroughput(t *testing.T) {
 	// Classic TCP RTT bias: the 10 ms flow should outrun the 80 ms flow.
-	s := sim.NewScheduler()
-	d := netsim.NewDumbbell(s, netsim.DumbbellConfig{
+	s, d := newDumbbell(netsim.DumbbellConfig{
 		BottleneckRate:  10_000_000,
 		BottleneckDelay: sim.Millisecond,
 		AccessRate:      100_000_000,
 		AccessDelays:    []sim.Duration{10 * sim.Millisecond, 80 * sim.Millisecond},
 		Buffer:          60,
 	})
-	fast := NewDumbbellFlow(d, 0, 1, Config{PktSize: 1000})
-	slow := NewDumbbellFlow(d, 1, 2, Config{PktSize: 1000})
+	fast := newDumbbellFlow(d, 0, 1, Config{PktSize: 1000})
+	slow := newDumbbellFlow(d, 1, 2, Config{PktSize: 1000})
 	fast.Sender.Start()
 	slow.Sender.Start()
 	s.RunUntil(sim.Time(60 * sim.Second))
@@ -135,10 +147,10 @@ func TestPacedVsWindowCompetition(t *testing.T) {
 	s, d := buildDumbbell(2*n, 25*sim.Millisecond, 50_000_000, 150)
 	var paced, window []*Flow
 	for i := 0; i < n; i++ {
-		window = append(window, NewDumbbellFlow(d, i, i+1, Config{PktSize: 1000}))
+		window = append(window, newDumbbellFlow(d, i, i+1, Config{PktSize: 1000}))
 	}
 	for i := n; i < 2*n; i++ {
-		paced = append(paced, NewDumbbellFlow(d, i, i+1, Config{PktSize: 1000,
+		paced = append(paced, newDumbbellFlow(d, i, i+1, Config{PktSize: 1000,
 			Paced: true, InitialRTT: 52 * sim.Millisecond}))
 	}
 	for _, f := range window {
@@ -164,13 +176,12 @@ func TestPacedVsWindowCompetition(t *testing.T) {
 func TestECNFlowsOverREDBottleneck(t *testing.T) {
 	// ECN-enabled flows over an ECN-marking RED bottleneck should make
 	// progress with almost no retransmissions.
-	s := sim.NewScheduler()
 	rng := sim.NewRand(1)
 	red := netsim.NewRED(netsim.REDConfig{
 		Limit: 100, MinTh: 10, MaxTh: 30, MaxP: 0.1, ECN: true,
 		PacketsPerSecond: 10_000_000 / 8000,
 	}, rng)
-	d := netsim.NewDumbbell(s, netsim.DumbbellConfig{
+	s, d := newDumbbell(netsim.DumbbellConfig{
 		BottleneckRate:  10_000_000,
 		BottleneckDelay: sim.Millisecond,
 		AccessRate:      100_000_000,
@@ -178,8 +189,8 @@ func TestECNFlowsOverREDBottleneck(t *testing.T) {
 		Buffer:          100,
 		Queue:           red,
 	})
-	f0 := NewDumbbellFlow(d, 0, 1, Config{PktSize: 1000, ECN: true})
-	f1 := NewDumbbellFlow(d, 1, 2, Config{PktSize: 1000, ECN: true})
+	f0 := newDumbbellFlow(d, 0, 1, Config{PktSize: 1000, ECN: true})
+	f1 := newDumbbellFlow(d, 1, 2, Config{PktSize: 1000, ECN: true})
 	f0.Sender.Start()
 	f1.Sender.Start()
 	s.RunUntil(sim.Time(30 * sim.Second))
@@ -199,7 +210,7 @@ func TestECNFlowsOverREDBottleneck(t *testing.T) {
 
 func TestGoodputBits(t *testing.T) {
 	s, d := buildDumbbell(1, 5*sim.Millisecond, 10_000_000, 30)
-	f := NewDumbbellFlow(d, 0, 1, Config{PktSize: 1000, TotalPackets: 100})
+	f := newDumbbellFlow(d, 0, 1, Config{PktSize: 1000, TotalPackets: 100})
 	f.StartAt(s, sim.Time(100*sim.Millisecond))
 	s.RunUntil(sim.Time(10 * sim.Second))
 	if !f.Sender.Done() {
@@ -209,7 +220,7 @@ func TestGoodputBits(t *testing.T) {
 		t.Fatalf("goodput = %d", f.GoodputBits(1000))
 	}
 	// StartAt in the past starts immediately and must not panic.
-	f2 := NewDumbbellFlow(d, 0, 2, Config{PktSize: 1000, TotalPackets: 1})
+	f2 := newDumbbellFlow(d, 0, 2, Config{PktSize: 1000, TotalPackets: 1})
 	f2.StartAt(s, 0)
 	s.RunUntil(sim.Time(20 * sim.Second))
 	if !f2.Sender.Done() {

@@ -19,7 +19,7 @@ func TestVegasKeepsQueueShortAndAvoidsLoss(t *testing.T) {
 	// forever. Compare steady-state drops (t > 5 s).
 	runOne := func(v Variant) (steadyDrops uint64, delivered int64) {
 		s, d := buildDumbbell(1, 20*sim.Millisecond, 10_000_000, 60)
-		f := NewDumbbellFlow(d, 0, 1, Config{PktSize: 1000, Variant: v,
+		f := newDumbbellFlow(d, 0, 1, Config{PktSize: 1000, Variant: v,
 			InitialRTT: 42 * sim.Millisecond})
 		f.Sender.Start()
 		s.RunUntil(sim.Time(5 * sim.Second))
@@ -50,7 +50,7 @@ func TestVegasFairnessBetterThanNewReno(t *testing.T) {
 		s, d := buildDumbbell(4, 20*sim.Millisecond, 20_000_000, 80)
 		flows := make([]*Flow, 4)
 		for i := range flows {
-			flows[i] = NewDumbbellFlow(d, i, i+1, Config{PktSize: 1000, Variant: v,
+			flows[i] = newDumbbellFlow(d, i, i+1, Config{PktSize: 1000, Variant: v,
 				InitialRTT: 42 * sim.Millisecond})
 			off := sim.Duration(i) * 500 * sim.Millisecond
 			flows[i].StartAt(s, sim.Time(off))

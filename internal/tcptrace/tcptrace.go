@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
+	"repro/internal/exp"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/tcp"
@@ -78,7 +79,8 @@ type Result struct {
 // every retransmission (the TCP-trace proxy for a loss event).
 func Run(cfg Config) (*Result, error) {
 	cfg.fillDefaults()
-	sched := sim.NewScheduler()
+	a := exp.NewArena()
+	sched := a.Scheduler()
 
 	delays := make([]sim.Duration, cfg.Flows)
 	for i := range delays {
@@ -90,7 +92,7 @@ func Run(cfg Config) (*Result, error) {
 	if buffer < 8 {
 		buffer = 8
 	}
-	d := topo.NewDumbbell(sched, netsim.DumbbellConfig{
+	d := topo.NewDumbbell(a, sched, netsim.DumbbellConfig{
 		BottleneckRate: cfg.BottleneckRate,
 		AccessRate:     10 * cfg.BottleneckRate,
 		AccessDelays:   delays,

@@ -19,10 +19,10 @@ func senderName(i int) string   { return fmt.Sprintf("s%d", i) }
 func receiverName(i int) string { return fmt.Sprintf("r%d", i) }
 
 // DumbbellSpec expresses netsim.DumbbellConfig — the paper's Figure-1
-// topology — as a declarative Spec: the generic builder then produces a
-// world with exactly the wiring netsim.NewDumbbell hand-assembles (same
-// addresses, queue sizes, delays and routes), which is what lets the
-// dumbbell figures run through the topology subsystem unchanged.
+// topology — as a declarative Spec: two routers joined by the bottleneck,
+// one sender and one receiver node per pair at the netsim.SenderAddr /
+// ReceiverAddr addresses, each behind an access link carrying half the
+// pair's access delay per side.
 func DumbbellSpec(cfg netsim.DumbbellConfig) Spec {
 	s := Spec{Name: "dumbbell"}
 	s.Nodes = append(s.Nodes,
@@ -33,8 +33,7 @@ func DumbbellSpec(cfg netsim.DumbbellConfig) Spec {
 	fwd := QueueSpec{Custom: cfg.Queue, Limit: cfg.Buffer}
 	rev := QueueSpec{Custom: cfg.ReverseQueue, Limit: cfg.Buffer}
 	if rev.Custom == nil && rev.Limit < 1024 {
-		// Generous reverse buffer: ACKs should not drop unless asked,
-		// mirroring netsim.NewDumbbell.
+		// Generous reverse buffer: ACKs should not drop unless asked.
 		rev.Limit = 1024
 	}
 	s.Links = append(s.Links, LinkSpec{
@@ -84,22 +83,17 @@ type Dumbbell struct {
 	Reverse *netsim.Port
 }
 
-// NewDumbbell builds DumbbellSpec(cfg) onto sched through the generic
-// builder. It panics on an invalid config, matching netsim.NewDumbbell's
-// contract (a malformed dumbbell is a programming error in the caller).
-func NewDumbbell(sched *sim.Scheduler, cfg netsim.DumbbellConfig) *Dumbbell {
-	return NewDumbbellIn(nil, sched, cfg)
-}
-
-// NewDumbbellIn is NewDumbbell through the arena's world cache (see
-// NetworkIn): with a non-nil arena the dumbbell's compiled program and
-// instantiated world are reused across runs, reset instead of rebuilt.
-// The Spec itself is cached per pair count too, retuned in place instead
-// of re-derived — a dumbbell's structure is a pure function of how many
-// pairs it has, and rebuilding the node-name strings and link slices was
-// most of what a warm run still paid. Dumbbells with Custom queues are
-// never cached (neither spec nor world).
-func NewDumbbellIn(a *exp.Arena, sched *sim.Scheduler, cfg netsim.DumbbellConfig) *Dumbbell {
+// NewDumbbell builds DumbbellSpec(cfg) onto sched — the arena's (reset)
+// scheduler — through the arena's world cache (see NetworkIn): the
+// dumbbell's compiled program and instantiated world are reused across
+// runs on the same arena, reset instead of rebuilt. The Spec itself is
+// cached per pair count too, retuned in place instead of re-derived — a
+// dumbbell's structure is a pure function of how many pairs it has, and
+// rebuilding the node-name strings and link slices was most of what a
+// warm run still paid. Dumbbells with Custom queues are never cached
+// (neither spec nor world). It panics on an invalid config: a malformed
+// dumbbell is a programming error in the caller.
+func NewDumbbell(a *exp.Arena, sched *sim.Scheduler, cfg netsim.DumbbellConfig) *Dumbbell {
 	if cfg.Buffer <= 0 && cfg.Queue == nil {
 		panic("topo: dumbbell needs a buffer size or an explicit queue")
 	}
@@ -107,7 +101,7 @@ func NewDumbbellIn(a *exp.Arena, sched *sim.Scheduler, cfg netsim.DumbbellConfig
 		panic("topo: dumbbell needs at least one endpoint pair")
 	}
 	var spec Spec
-	if a != nil && cfg.Queue == nil && cfg.ReverseQueue == nil {
+	if cfg.Queue == nil && cfg.ReverseQueue == nil {
 		key := "topo/dumbspec/" + strconv.Itoa(len(cfg.AccessDelays))
 		if v, ok := a.Scratch(key).(*Spec); ok {
 			retuneDumbbellSpec(v, cfg)

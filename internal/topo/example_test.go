@@ -3,6 +3,7 @@ package topo_test
 import (
 	"fmt"
 
+	"repro/internal/exp"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -11,10 +12,12 @@ import (
 // ExampleNewDumbbell builds the paper's Figure-1 dumbbell through the
 // declarative topology builder: the config names the rates, per-pair
 // access delays and the shared bottleneck buffer, and the builder wires
-// nodes, queues, routes and per-pair base RTTs.
+// nodes, queues, routes and per-pair base RTTs. The world lives in the
+// arena's cache, so a second NewDumbbell of the same pair count on the
+// same arena resets it instead of rebuilding.
 func ExampleNewDumbbell() {
-	sched := sim.NewScheduler()
-	d := topo.NewDumbbell(sched, netsim.DumbbellConfig{
+	a := exp.NewArena()
+	d := topo.NewDumbbell(a, a.Scheduler(), netsim.DumbbellConfig{
 		BottleneckRate:  50_000_000,
 		BottleneckDelay: sim.Millisecond,
 		AccessRate:      1_000_000_000,

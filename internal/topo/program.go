@@ -432,18 +432,15 @@ func structuralKey(spec Spec) string {
 	return b.String()
 }
 
-// NetworkIn returns a world for spec on the arena's terms: with a nil
-// arena it is exactly Build; with an arena it keeps one compiled-and-
-// instantiated Network per structural shape in the arena's scratch and
-// Resets it for each subsequent run, so a replication sweep pays
-// validation, BFS and allocation once per worker instead of once per
-// replication. sched must be the arena's (reset) scheduler. Worlds whose
-// spec uses Custom queues are never cached — they fall back to Build
-// every time, since an opaque queue cannot be rewound.
+// NetworkIn returns a world for spec through the arena's world cache: it
+// keeps one compiled-and-instantiated Network per structural shape in the
+// arena's scratch and Resets it for each subsequent run, so a replication
+// sweep pays validation, BFS and allocation once per worker instead of
+// once per replication. sched must be the arena's (reset) scheduler.
+// Worlds whose spec uses Custom queues are never cached — they are built
+// every time, since an opaque queue cannot be rewound. Runners reach this
+// through World.Network; a one-off world that wants no cache calls Build.
 func NetworkIn(a *exp.Arena, sched *sim.Scheduler, spec Spec, seed int64) (*Network, error) {
-	if a == nil {
-		return Build(sched, spec, seed)
-	}
 	key := "topo/" + structuralKey(spec)
 	if v := a.Scratch(key); v != nil {
 		if net, ok := v.(*Network); ok && net.Sched == sched {

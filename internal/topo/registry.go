@@ -61,9 +61,9 @@ func (c *ScenarioConfig) FillDefaults() {
 type ScenarioResult struct {
 	// Report is the inter-loss-interval PDF analysis.
 	Report *analysis.Report
-	// Trace is the raw post-warmup drop trace; nil when the scenario ran
-	// in streaming mode (RunIn), where events are analyzed online and
-	// never retained.
+	// Trace is the raw post-warmup drop trace, retained only when the run
+	// owned its arena (RunIn with a nil arena); nil on a caller's arena,
+	// where events are analyzed online and never stored.
 	Trace *trace.Recorder
 	// MeanRTT is the normalization RTT handed to the analysis.
 	MeanRTT sim.Duration
@@ -88,12 +88,11 @@ type ScenarioResult struct {
 	// flows plus cross-traffic noise sources — for fleet-scale
 	// accounting.
 	Flows int
-	// Analyzer is the streaming analyzer that observed the run's losses;
-	// set only in streaming mode (RunIn). It points into the arena the
-	// run executed on and is valid ONLY until that arena's next use — the
-	// fleet layer absorbs it into a cross-world aggregate on the worker
-	// goroutine before the arena is recycled. Everything else in the
-	// result is detached and safe to retain.
+	// Analyzer is the streaming analyzer that observed the run's losses.
+	// It points into the arena the run executed on and is valid ONLY until
+	// that arena's next use — the fleet layer absorbs it into a cross-world
+	// aggregate on the worker goroutine before the arena is recycled.
+	// Everything else in the result is detached and safe to retain.
 	Analyzer *analysis.Streaming
 	// Transfers aggregates the run's reliable-file-transfer outcomes
 	// (flow completion times, goodput, retransmission totals); nil for
@@ -116,18 +115,12 @@ type Scenario struct {
 	// `docscheck -write-catalog`. Optional; the generator prints "—" when
 	// empty.
 	Headline string
-	// Run executes one world with the given config, retaining the drop
-	// trace and analyzing it with the batch pipeline — the mode the
-	// golden-trace and CSV paths use. Implementations must honor the
-	// determinism contract: build everything inside Run, derive all
-	// randomness from cfg.Seed, and never share state across calls.
-	Run func(cfg ScenarioConfig) (*ScenarioResult, error)
-	// RunIn, when set, executes the same world in streaming mode on a
-	// sweep worker's arena: the scheduler, packet pool and measurement
-	// scratch come from the arena, losses are analyzed online, and the
-	// result's Trace is nil. The report must match Run's within float
-	// tolerance (TestStreamingMatchesBatch). Sweeps prefer RunIn and fall
-	// back to Run.
+	// RunIn executes one world with the given config on the arena — a
+	// sweep or fleet worker's, or nil for a fresh one, which additionally
+	// retains the drop trace in the result (see World). Implementations
+	// must honor the determinism contract: build everything through the
+	// World, derive all randomness from cfg.Seed, and never share state
+	// across calls.
 	RunIn func(cfg ScenarioConfig, a *exp.Arena) (*ScenarioResult, error)
 }
 
@@ -137,11 +130,11 @@ var (
 )
 
 // Register adds a scenario to the global registry. It panics on a missing
-// name or Run function and on duplicate registration — all three are
+// name or RunIn function and on duplicate registration — all three are
 // programming errors at package init time.
 func Register(s Scenario) {
-	if s.Name == "" || s.Run == nil {
-		panic("topo: Register requires a name and a Run function")
+	if s.Name == "" || s.RunIn == nil {
+		panic("topo: Register requires a name and a RunIn function")
 	}
 	registryMu.Lock()
 	defer registryMu.Unlock()

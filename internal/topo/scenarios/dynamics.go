@@ -89,9 +89,8 @@ func runDynamicPath(w *world, cfg topo.ScenarioConfig, spec topo.Spec,
 	if err != nil {
 		return nil, err
 	}
-	net.AttachPool(w.pool)
 	hop := net.Port("left", "right")
-	w.observeDrops(hop)
+	w.ObserveDrops(hop)
 	w.startFlows(net, cfg, float64(buffer), 2*sim.Second)
 	w.absorb(net, "left", "right")
 	w.noiseInto(net, hop, 8, noiseRate, noiseFraction, 100000,

@@ -173,7 +173,6 @@ func RunShowdownWorld(shape ShowdownShape, kind topo.FlowKind, cfg topo.Scenario
 	if err != nil {
 		return nil, err
 	}
-	net.AttachPool(w.pool)
 
 	n := net.NumFlows()
 	warm := sim.Time(cfg.Warmup)
@@ -232,7 +231,7 @@ func RunShowdownWorld(shape ShowdownShape, kind topo.FlowKind, cfg topo.Scenario
 				InitialRTT: net.FlowRTT(i),
 				Estimator:  ratectl.EstimatorKind(i % 2),
 				Seed:       sim.SubSeed(cfg.Seed, int64(1000+i)),
-				Pool:       w.pool,
+				Pool:       w.Pool,
 			})
 			f.Receiver.OnData = onData
 			f.StartAt(net.Sched, at)
@@ -241,7 +240,7 @@ func RunShowdownWorld(shape ShowdownShape, kind topo.FlowKind, cfg topo.Scenario
 				PktSize:         cfg.PktSize,
 				InitialRTT:      net.FlowRTT(i),
 				InitialSSThresh: float64(buffer),
-				Pool:            w.pool,
+				Pool:            w.Pool,
 			})
 			f.Receiver.OnData = onData
 			f.StartAt(net.Sched, at)
@@ -252,9 +251,9 @@ func RunShowdownWorld(shape ShowdownShape, kind topo.FlowKind, cfg topo.Scenario
 	w.noiseInto(net, hop, 8, shape.NoiseRate, shape.NoiseFraction, 100000,
 		net.Addr("left"), "right", sim.SubSeed(cfg.Seed, 3))
 
-	w.sched.RunUntil(sim.Time(cfg.Duration))
+	w.Sched.RunUntil(sim.Time(cfg.Duration))
 
-	m := &ShowdownMetrics{Drops: drops, Events: w.sched.Fired()}
+	m := &ShowdownMetrics{Drops: drops, Events: w.Sched.Fired()}
 	span := (cfg.Duration - cfg.Warmup).Seconds()
 	if span > 0 {
 		var total int64

@@ -22,7 +22,6 @@ package scenarios
 import (
 	"fmt"
 
-	"repro/internal/analysis"
 	"repro/internal/apps/rft"
 	"repro/internal/crosstraffic"
 	"repro/internal/exp"
@@ -32,12 +31,10 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
-// register wires one run function into the registry under both execution
-// modes (batch and streaming). headline is the measured catalog number
-// (see topo.Scenario.Headline).
+// register adds one run function to the registry. headline is the
+// measured catalog number (see topo.Scenario.Headline).
 func register(name, description, topology, headline string,
 	run func(cfg topo.ScenarioConfig, a *exp.Arena) (*topo.ScenarioResult, error)) {
 	topo.Register(topo.Scenario{
@@ -45,10 +42,7 @@ func register(name, description, topology, headline string,
 		Description: description,
 		Topology:    topology,
 		Headline:    headline,
-		Run: func(cfg topo.ScenarioConfig) (*topo.ScenarioResult, error) {
-			return run(cfg, nil)
-		},
-		RunIn: run,
+		RunIn:       run,
 	})
 }
 
@@ -75,20 +69,13 @@ func init() {
 		runHeteroMesh)
 }
 
-// world bundles the per-run state every scenario shares: one scheduler,
-// the drop recorder, and the warmup cutoff. With an arena (streaming
-// mode) the pieces come from the sweep worker's scratch and finish
-// analyzes the loss stream online; without one (retain mode, the golden
-// and CSV paths) everything is fresh and finish batch-analyzes the
-// retained trace.
+// world is the catalog's layer over the shared topo.World scaffold: the
+// transport wiring (startFlows, noiseInto), the fleet-jitter scales and
+// the traffic-source and file-transfer accounting that only registered
+// scenarios report.
 type world struct {
-	sched *sim.Scheduler
-	rec   *trace.Recorder
-	warm  sim.Time
-	pool  *netsim.PacketPool
-	arena *exp.Arena
-	flows int             // traffic sources started (transports + noise), for fleet accounting
-	nets  []*topo.Network // every network built into this world, for forwarded-packet accounting
+	*topo.World
+	flows int // traffic sources started (transports + noise), for fleet accounting
 
 	// Reliable-file-transfer accounting: the per-world FCT aggregate and
 	// the flows whose run totals fold into it when the world finishes.
@@ -102,17 +89,8 @@ type world struct {
 }
 
 func newWorld(cfg topo.ScenarioConfig, a *exp.Arena) *world {
-	w := &world{warm: sim.Time(cfg.Warmup), arena: a}
+	w := &world{World: topo.NewWorld(a, cfg.Warmup)}
 	w.rateScale, w.rttScale, w.lossScale = cfg.EffScales()
-	if a != nil {
-		w.sched = a.Scheduler()
-		w.rec = a.Recorder()
-		w.pool = a.Pool()
-		return w
-	}
-	w.sched = sim.NewScheduler()
-	w.rec = &trace.Recorder{}
-	w.pool = netsim.NewPacketPool()
 	return w
 }
 
@@ -122,98 +100,24 @@ func newWorld(cfg topo.ScenarioConfig, a *exp.Arena) *world {
 // build seed is the uniform SubSeed(cfg.Seed, 2) world tag.
 func (w *world) network(cfg topo.ScenarioConfig, spec topo.Spec) (*topo.Network, error) {
 	spec = topo.ScaleSpec(spec, w.rateScale, w.rttScale, w.lossScale)
-	net, err := topo.NetworkIn(w.arena, w.sched, spec, sim.SubSeed(cfg.Seed, 2))
-	if net != nil {
-		w.nets = append(w.nets, net)
-	}
-	return net, err
+	return w.Network(spec, sim.SubSeed(cfg.Seed, 2))
 }
 
-// forwarded sums packet transmissions over every network built into this
-// world — the denominator of the events-per-forwarded-packet ratio.
-func (w *world) forwarded() uint64 {
-	var sum uint64
-	for _, n := range w.nets {
-		sum += n.Forwarded()
-	}
-	return sum
-}
-
-// observeDrops records post-warmup losses at the given ports. Ports fire
-// OnDrop in simulated-time order, so the merged trace stays sorted even
-// across multiple bottlenecks.
-func (w *world) observeDrops(ports ...*netsim.Port) {
-	for _, p := range ports {
-		p.OnDrop = func(pkt *netsim.Packet, at sim.Time) {
-			if at >= w.warm {
-				w.rec.Add(trace.LossEvent{At: at, Flow: pkt.Flow, Seq: pkt.Seq, Size: pkt.Size})
-			}
-		}
-	}
-}
-
-// finish runs the world to cfg.Duration and analyzes the loss process:
-// online through the arena's streaming analyzer and burst tracker in
-// streaming mode (the sink is installed before any event fires, so no
-// event is ever retained), batch over the retained trace otherwise.
+// finish runs the world to cfg.Duration and measures it (topo.World.Finish),
+// then adds what only catalog scenarios report: the traffic-source count
+// and the file-transfer aggregate, with every transfer flow's run totals
+// folded in (completions were observed online by trackTransfers).
 func (w *world) finish(name string, cfg topo.ScenarioConfig, meanRTT sim.Duration) (*topo.ScenarioResult, error) {
-	var an *analysis.Streaming
-	var bt *analysis.BurstTracker
-	if w.arena != nil {
-		var err error
-		an, err = w.arena.Analyzer(meanRTT, analysis.Config{})
-		if err != nil {
-			return nil, err
-		}
-		bt = w.arena.Bursts(meanRTT / 4)
-		w.rec.SetSink(func(e trace.LossEvent) {
-			an.Observe(e)
-			bt.Observe(e)
-		}, false)
-	}
-	w.sched.RunUntil(sim.Time(cfg.Duration))
-	// Fold the run totals of every transfer flow into the world's FCT
-	// aggregate (completions were observed online by trackTransfers).
-	for _, f := range w.rftFlows {
-		w.transfers.AddFlowTotals(f)
-	}
-	if w.rec.Len() < 2 {
-		return nil, fmt.Errorf("scenarios: %s produced %d drops; increase duration or load", name, w.rec.Len())
-	}
-	if an != nil {
-		rep, err := an.Finalize()
-		if err != nil {
-			return nil, err
-		}
-		return &topo.ScenarioResult{
-			Report:        rep.Clone(), // detach from the arena's scratch
-			MeanRTT:       meanRTT,
-			Bursts:        bt.Stats(),
-			Drops:         w.rec.Len(),
-			Events:        w.sched.Fired(),
-			Forwarded:     w.forwarded(),
-			Flows:         w.flows,
-			Analyzer:      an, // arena-owned; valid until the arena's next use
-			Transfers:     w.transfers,
-			AmbiguousTies: w.sched.AmbiguousTies(),
-		}, nil
-	}
-	report, err := analysis.AnalyzeTrace(w.rec, meanRTT, analysis.Config{})
+	res, err := w.Finish(name, cfg.Duration, meanRTT)
 	if err != nil {
 		return nil, err
 	}
-	return &topo.ScenarioResult{
-		Report:        report,
-		Trace:         w.rec,
-		MeanRTT:       meanRTT,
-		Bursts:        analysis.SummarizeBursts(w.rec.Events(), meanRTT/4),
-		Drops:         w.rec.Len(),
-		Events:        w.sched.Fired(),
-		Forwarded:     w.forwarded(),
-		Flows:         w.flows,
-		Transfers:     w.transfers,
-		AmbiguousTies: w.sched.AmbiguousTies(),
-	}, nil
+	for _, f := range w.rftFlows {
+		w.transfers.AddFlowTotals(f)
+	}
+	res.Flows = w.flows
+	res.Transfers = w.transfers
+	return res, nil
 }
 
 // startFlows wires one transport flow per declared endpoint pair — the
@@ -234,9 +138,9 @@ func (w *world) startFlows(net *topo.Network, cfg topo.ScenarioConfig, ssthresh 
 				// Per-flow branch of the scenario's seed chain, offset past
 				// the world/noise tags (same scheme as the GCC flows).
 				Seed: sim.SubSeed(cfg.Seed, int64(1000+i)),
-				Pool: w.pool,
+				Pool: w.Pool,
 			})
-			w.trackTransfers(f)
+			w.trackTransfers(f, sim.Time(cfg.Warmup))
 			f.StartAt(net.Sched, at)
 		case topo.FlowGCC:
 			f := ratectl.NewGCCFlow(net.Sched, net.FlowSender(i), net.FlowReceiver(i), i+1, ratectl.GCCConfig{
@@ -248,7 +152,7 @@ func (w *world) startFlows(net *topo.Network, cfg topo.ScenarioConfig, ssthresh 
 				// Per-flow branch of the scenario's seed chain, offset past
 				// the world/noise tags.
 				Seed: sim.SubSeed(cfg.Seed, int64(1000+i)),
-				Pool: w.pool,
+				Pool: w.Pool,
 			})
 			f.StartAt(net.Sched, at)
 		default:
@@ -256,7 +160,7 @@ func (w *world) startFlows(net *topo.Network, cfg topo.ScenarioConfig, ssthresh 
 				PktSize:         cfg.PktSize,
 				InitialRTT:      net.FlowRTT(i),
 				InitialSSThresh: ssthresh,
-				Pool:            w.pool,
+				Pool:            w.Pool,
 			})
 			f.StartAt(net.Sched, at)
 		}
@@ -270,16 +174,17 @@ func (w *world) startFlows(net *topo.Network, cfg topo.ScenarioConfig, ssthresh 
 const rftFileChunks = 512
 
 // trackTransfers folds a transfer flow into the world's FCT aggregate:
-// every post-warmup completion is observed and the flow restarts for the
-// next back-to-back transfer; run totals fold in when the world finishes.
-func (w *world) trackTransfers(f *rft.Flow) {
+// every completion at or after warm is observed and the flow restarts for
+// the next back-to-back transfer; run totals fold in when the world
+// finishes.
+func (w *world) trackTransfers(f *rft.Flow, warm sim.Time) {
 	if w.transfers == nil {
 		w.transfers = rft.NewTransferAgg()
 	}
 	w.rftFlows = append(w.rftFlows, f)
 	bytes := f.Sender.TransferBytes()
 	f.Sender.OnComplete = func(at sim.Time) {
-		if at >= w.warm {
+		if at >= warm {
 			w.transfers.ObserveFCT(f.FCT(), bytes)
 		}
 		f.Restart()
@@ -291,7 +196,7 @@ func (w *world) trackTransfers(f *rft.Flow) {
 // to the world's pool.
 func (w *world) absorb(net *topo.Network, names ...string) {
 	for _, name := range names {
-		net.Node(name).BindDefault(w.pool.Sink())
+		net.Node(name).BindDefault(w.Pool.Sink())
 	}
 }
 
@@ -303,7 +208,7 @@ func (w *world) noiseInto(net *topo.Network, port *netsim.Port, n int, capacity 
 	fraction float64, flowBase int, srcAddr int, dst string, seed int64) {
 	w.flows += n
 	for _, nz := range crosstraffic.NoiseSet(net.Sched, port, n, topo.ScaleRate(capacity, w.rateScale),
-		fraction, flowBase, srcAddr, net.Addr(dst), seed, w.pool) {
+		fraction, flowBase, srcAddr, net.Addr(dst), seed, w.Pool) {
 		nz.Start()
 	}
 }
@@ -350,15 +255,13 @@ func runDumbbell(cfg topo.ScenarioConfig, a *exp.Arena) (*topo.ScenarioResult, e
 	}
 	meanRTT = topo.ScaleDuration(meanRTT, w.rttScale)
 
-	d := topo.NewDumbbellIn(w.arena, w.sched, netsim.DumbbellConfig{
+	d := w.Dumbbell(netsim.DumbbellConfig{
 		BottleneckRate: srate,
 		AccessRate:     1_000_000_000,
 		AccessDelays:   sdelays,
 		Buffer:         buffer,
 	})
-	d.AttachPool(w.pool)
-	w.nets = append(w.nets, d.Net)
-	w.observeDrops(d.Forward)
+	w.ObserveDrops(d.Forward)
 	w.startFlows(d.Net, cfg, float64(buffer), 2*sim.Second)
 
 	w.absorb(d.Net, "L", "R")
@@ -419,13 +322,11 @@ func runParkingLot(cfg topo.ScenarioConfig, a *exp.Arena) (*topo.ScenarioResult,
 		return nil, err
 	}
 
-	net.AttachPool(w.pool)
-
 	var hopPorts []*netsim.Port
 	for h := 0; h < hops; h++ {
 		hopPorts = append(hopPorts, net.Port(router(h), router(h+1)))
 	}
-	w.observeDrops(hopPorts...)
+	w.ObserveDrops(hopPorts...)
 	w.startFlows(net, cfg, float64(buffer), 2*sim.Second)
 
 	// Per-hop cross traffic: each hop's ensemble enters at the hop's head
@@ -501,9 +402,8 @@ func runAccessTree(cfg topo.ScenarioConfig, a *exp.Arena) (*topo.ScenarioResult,
 		return nil, err
 	}
 
-	net.AttachPool(w.pool)
 	uplink := net.Port("edge", "core")
-	w.observeDrops(uplink)
+	w.ObserveDrops(uplink)
 	w.startFlows(net, cfg, float64(buffer), 2*sim.Second)
 
 	w.absorb(net, "edge", "core")
@@ -587,9 +487,8 @@ func runHeteroMesh(cfg topo.ScenarioConfig, a *exp.Arena) (*topo.ScenarioResult,
 		return nil, err
 	}
 
-	net.AttachPool(w.pool)
 	west, east := net.Port("B0", "B1"), net.Port("B1", "B2")
-	w.observeDrops(west, east)
+	w.ObserveDrops(west, east)
 	w.startFlows(net, cfg, float64(westBuf), 2*sim.Second)
 
 	w.absorb(net, "B0", "B1", "B2")

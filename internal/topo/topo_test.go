@@ -6,12 +6,10 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/crosstraffic"
+	"repro/internal/exp"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/tcp"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 // chainSpec builds a three-hop parking-lot-shaped chain with two endpoint
@@ -258,93 +256,13 @@ func TestREDOnInnerHop(t *testing.T) {
 	}
 }
 
-// dumbbellPorts abstracts the two builders so the equivalence test can run
-// the identical workload on each.
-type dumbbellWorld struct {
-	sched            *sim.Scheduler
-	forward, reverse *netsim.Port
-	left, right      *netsim.Node
-	snd, rcv         func(i int) *netsim.Node
-}
-
-// runDumbbellWorkload drives TCP flows plus two-way noise and returns the
-// bottleneck drop trace.
-func runDumbbellWorkload(w dumbbellWorld, nPairs int) []trace.LossEvent {
-	rec := &trace.Recorder{}
-	w.forward.OnDrop = func(p *netsim.Packet, at sim.Time) {
-		rec.Add(trace.LossEvent{At: at, Flow: p.Flow, Seq: p.Seq, Size: p.Size})
-	}
-	for i := 0; i < nPairs; i++ {
-		f := tcp.NewPairFlow(w.sched, w.snd(i), w.rcv(i), i+1, tcp.Config{
-			PktSize:    1000,
-			InitialRTT: 20 * sim.Millisecond,
-		})
-		f.StartAt(w.sched, sim.Time(sim.Duration(i)*10*sim.Millisecond))
-	}
-	w.left.BindDefault(netsim.HandlerFunc(func(p *netsim.Packet) {}))
-	w.right.BindDefault(netsim.HandlerFunc(func(p *netsim.Packet) {}))
-	for _, nz := range crosstraffic.NoiseSet(w.sched, w.forward, 4, 5_000_000, 0.2,
-		100000, netsim.SenderAddr(0), 2, 11, nil) {
-		nz.Start()
-	}
-	w.sched.RunUntil(sim.Time(8 * sim.Second))
-	return rec.Events()
-}
-
-// TestDumbbellBuilderEquivalence: the declarative builder produces a world
-// with bit-identical packet dynamics to the hand-wired netsim dumbbell —
-// the guarantee that lets the dumbbell figures run through topo unchanged.
-func TestDumbbellBuilderEquivalence(t *testing.T) {
-	t.Parallel()
-	cfg := netsim.DumbbellConfig{
-		BottleneckRate: 5_000_000,
-		AccessRate:     100_000_000,
-		AccessDelays: []sim.Duration{
-			4 * sim.Millisecond, 10 * sim.Millisecond, 25 * sim.Millisecond,
-		},
-		Buffer: 12,
-	}
-
-	s1 := sim.NewScheduler()
-	nd := netsim.NewDumbbell(s1, cfg)
-	legacy := runDumbbellWorkload(dumbbellWorld{
-		sched: s1, forward: nd.Forward, reverse: nd.Reverse,
-		left: nd.LeftRouter, right: nd.RightRouter,
-		snd: nd.SenderNode, rcv: nd.ReceiverNode,
-	}, len(cfg.AccessDelays))
-
-	s2 := sim.NewScheduler()
-	td := topo.NewDumbbell(s2, cfg)
-	declarative := runDumbbellWorkload(dumbbellWorld{
-		sched: s2, forward: td.Forward, reverse: td.Reverse,
-		left: td.LeftRouter, right: td.RightRouter,
-		snd: td.SenderNode, rcv: td.ReceiverNode,
-	}, len(cfg.AccessDelays))
-
-	if len(legacy) == 0 {
-		t.Fatal("workload produced no drops; equivalence vacuous")
-	}
-	if !reflect.DeepEqual(legacy, declarative) {
-		t.Fatalf("builders diverge: netsim %d drops vs topo %d drops",
-			len(legacy), len(declarative))
-	}
-	for i := range cfg.AccessDelays {
-		if nd.PairRTT(i) != td.PairRTT(i) {
-			t.Fatalf("pair %d RTT: %v vs %v", i, nd.PairRTT(i), td.PairRTT(i))
-		}
-	}
-	if td.NumPairs() != nd.NumPairs() {
-		t.Fatalf("pair count: %d vs %d", td.NumPairs(), nd.NumPairs())
-	}
-}
-
 func TestRegistryRegisterAndLookup(t *testing.T) {
 	// Not parallel: mutates the global registry.
 	name := "test-registry-scenario"
 	topo.Register(topo.Scenario{
 		Name:        name,
 		Description: "registry round-trip",
-		Run: func(cfg topo.ScenarioConfig) (*topo.ScenarioResult, error) {
+		RunIn: func(topo.ScenarioConfig, *exp.Arena) (*topo.ScenarioResult, error) {
 			return nil, nil
 		},
 	})
@@ -372,5 +290,5 @@ func TestRegistryRegisterAndLookup(t *testing.T) {
 			t.Fatal("duplicate Register did not panic")
 		}
 	}()
-	topo.Register(topo.Scenario{Name: name, Run: func(topo.ScenarioConfig) (*topo.ScenarioResult, error) { return nil, nil }})
+	topo.Register(topo.Scenario{Name: name, RunIn: func(topo.ScenarioConfig, *exp.Arena) (*topo.ScenarioResult, error) { return nil, nil }})
 }

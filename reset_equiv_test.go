@@ -14,9 +14,9 @@ import (
 	"repro/internal/topo"
 )
 
-// digestScenario flattens everything a streaming scenario run reports into
-// one comparable string: burstiness report, burst records, drop and event
-// counts. Two runs whose digests match consumed identical random streams
+// digestScenario flattens everything a scenario run reports into one
+// comparable string: burstiness report, burst records, drop, event and
+// forwarded-packet counts. Two runs whose digests match consumed identical random streams
 // and saw identical packet dynamics. The report's histogram is a pointer
 // and is rendered through its pointee so the digest carries values, not
 // addresses.
@@ -27,23 +27,23 @@ func digestScenario(res *topo.ScenarioResult) string {
 		hist = fmt.Sprintf("%+v", *rep.Hist)
 		rep.Hist = nil
 	}
-	return fmt.Sprintf("drops=%d events=%d rtt=%v\nreport=%+v\nhist=%s\nbursts=%+v",
-		res.Drops, res.Events, res.MeanRTT, rep, hist, res.Bursts)
+	return fmt.Sprintf("drops=%d events=%d forwarded=%d rtt=%v\nreport=%+v\nhist=%s\nbursts=%+v",
+		res.Drops, res.Events, res.Forwarded, res.MeanRTT, rep, hist, res.Bursts)
 }
 
 // TestResetEquivalence is the world-lifecycle property test: running a
 // scenario on a warm arena — where topo.NetworkIn finds the cached world
 // and Resets it instead of instantiating — must be bit-identical to
-// running it on a fresh arena, run for run. Seeds vary across the runs so
-// the reset path also exercises parameter retuning (hetero-mesh perturbs
-// delays, buffers and labels per seed while keeping the structure).
+// running it on a cold arena and to running it with a nil arena (the
+// retained-trace form), run for run. Seeds vary across the runs so the
+// reset path also exercises parameter retuning (hetero-mesh perturbs
+// delays, buffers and labels per seed while keeping the structure). The
+// figure runners' half of this property lives in internal/core
+// (TestResetEquivalence there), next to the unexported arena entry points.
 func TestResetEquivalence(t *testing.T) {
 	const runs = 3
 	for _, name := range topo.Names() {
-		sc, ok := topo.Lookup(name)
-		if !ok || sc.RunIn == nil {
-			continue
-		}
+		sc, _ := topo.Lookup(name)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			cfgAt := func(i int) topo.ScenarioConfig {
@@ -59,13 +59,18 @@ func TestResetEquivalence(t *testing.T) {
 				}
 				return digestScenario(res)
 			}
-			// Reference: every run on its own cold arena (Instantiate path).
+			// Reference: every run on its own cold arena (Instantiate path),
+			// which a nil arena must reproduce.
 			want := make([]string, runs)
 			sawResult := false
 			for i := range want {
 				want[i] = digest(sc.RunIn(cfgAt(i), exp.NewArena()))
 				if want[i][:4] != "err:" {
 					sawResult = true
+				}
+				if got := digest(sc.RunIn(cfgAt(i), nil)); got != want[i] {
+					t.Fatalf("run %d with a nil arena diverged from a cold arena:\n--- cold ---\n%s\n--- nil ---\n%s",
+						i, want[i], got)
 				}
 			}
 			if !sawResult {

@@ -2,8 +2,11 @@ package repro_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -20,62 +23,104 @@ func closeEnough(a, b float64) bool {
 	return diff <= 1e-9*scale
 }
 
-// TestStreamingMatchesBatch is the differential contract of the streaming
-// measurement engine: every registered scenario, run once in retain/batch
-// mode (Run) and once in streaming mode (RunIn), must produce the same
-// Report — exactly for everything integer-derived (N, histogram counts,
+// oracleRun is one world the measurement oracle checks: a retained run
+// (nil arena) and the same run on the shared arena.
+type oracleRun struct {
+	name     string
+	retained func() (*topo.ScenarioResult, error)
+	onArena  func(a *exp.Arena) (*topo.ScenarioResult, error)
+}
+
+// TestStreamingMatchesBatch is the differential contract of the one
+// measurement path: every registered scenario and Figures 2 and 3, run
+// once with a nil arena (online analysis plus the retained trace), must
+// report what the batch pipeline — analysis.AnalyzeTrace and
+// SummarizeBursts, the CSV tools' analysis — computes from that very
+// trace: exactly for everything integer-derived (N, histogram counts,
 // clustering fractions, the arrival-ordered mean and so Lambda, the KS
 // statistic while the reservoir holds the full trace, the burst
 // structure), and within float tolerance for the two online moments (CoV,
 // index of dispersion).
 //
-// All four scenarios run on ONE arena in sequence, so the test also
-// proves the scratch reset: state leaking from one run into the next
-// would break the comparison for whichever scenario runs second.
+// Every world then runs again on ONE shared arena, where it must retain
+// no trace and reproduce the retained run's report bit for bit — which
+// also proves the scratch reset: state leaking from one run into the next
+// would break the comparison for whichever world runs second.
 func TestStreamingMatchesBatch(t *testing.T) {
 	cfg := topo.ScenarioConfig{
 		Seed:     11,
 		Duration: 12 * sim.Second,
 		Warmup:   3 * sim.Second,
 	}
-	arena := exp.NewArena()
 	names := topo.Names()
 	if len(names) < 4 {
 		t.Fatalf("registry has %d scenarios, want ≥ 4", len(names))
 	}
+	var runs []oracleRun
 	for _, name := range names {
 		sc, _ := topo.Lookup(name)
-		if sc.RunIn == nil {
-			t.Fatalf("scenario %q has no streaming entry point", name)
+		runs = append(runs, oracleRun{
+			name:     name,
+			retained: func() (*topo.ScenarioResult, error) { return sc.RunIn(cfg, nil) },
+			onArena:  func(a *exp.Arena) (*topo.ScenarioResult, error) { return sc.RunIn(cfg, a) },
+		})
+	}
+	// The figure runners take their arena from the sweep; a one-replication
+	// sweep replays the config's own seed.
+	sweepOne := func(sw *core.ScenarioSweep, err error) (*topo.ScenarioResult, error) {
+		if err != nil {
+			return nil, err
 		}
-		t.Run(name, func(t *testing.T) {
-			batch, err := sc.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stream, err := sc.RunIn(cfg, arena)
-			if err != nil {
-				t.Fatal(err)
-			}
+		return sw.Results[0], nil
+	}
+	fig2 := core.Fig2Config{Seed: 11, Flows: 8, Duration: 12 * sim.Second, Warmup: 3 * sim.Second}
+	fig3 := core.Fig3Config{Seed: 11, FlowsPerClass: 2, Duration: 12 * sim.Second, Warmup: 3 * sim.Second}
+	one := core.SweepOptions{Replications: 1, Workers: 1}
+	runs = append(runs,
+		oracleRun{
+			name:     "figure2",
+			retained: func() (*topo.ScenarioResult, error) { return core.RunFigure2(fig2) },
+			onArena:  func(*exp.Arena) (*topo.ScenarioResult, error) { return sweepOne(core.SweepFigure2(fig2, one)) },
+		},
+		oracleRun{
+			name:     "figure3",
+			retained: func() (*topo.ScenarioResult, error) { return core.RunFigure3(fig3) },
+			onArena:  func(*exp.Arena) (*topo.ScenarioResult, error) { return sweepOne(core.SweepFigure3(fig3, one)) },
+		},
+	)
 
+	arena := exp.NewArena()
+	for _, run := range runs {
+		t.Run(run.name, func(t *testing.T) {
+			res, err := run.retained()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Trace == nil || res.Trace.Len() != res.Drops {
+				t.Fatal("nil-arena run did not retain its trace")
+			}
+			stream, err := run.onArena(arena)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if stream.Trace != nil {
-				t.Fatal("streaming run retained a trace")
+				t.Fatal("arena run retained a trace")
 			}
-			if batch.Trace == nil || batch.Trace.Len() != batch.Drops {
-				t.Fatal("batch run lost its trace")
-			}
-			if stream.Drops != batch.Drops || stream.Events != batch.Events ||
-				stream.MeanRTT != batch.MeanRTT {
-				t.Fatalf("world diverged: drops %d/%d events %d/%d rtt %v/%v",
-					stream.Drops, batch.Drops, stream.Events, batch.Events,
-					stream.MeanRTT, batch.MeanRTT)
-			}
-			if stream.Bursts != batch.Bursts {
-				t.Fatalf("burst stats diverged:\nstream %+v\nbatch  %+v",
-					stream.Bursts, batch.Bursts)
+			if stream.Drops != res.Drops || stream.Events != res.Events ||
+				stream.Bursts != res.Bursts || !reflect.DeepEqual(stream.Report, res.Report) {
+				t.Fatalf("arena run diverged from the nil-arena run: drops %d/%d events %d/%d",
+					stream.Drops, res.Drops, stream.Events, res.Events)
 			}
 
-			sr, br := stream.Report, batch.Report
+			batch, err := analysis.AnalyzeTrace(res.Trace, res.MeanRTT, analysis.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := analysis.SummarizeBursts(res.Trace.Events(), res.MeanRTT/4); res.Bursts != want {
+				t.Fatalf("burst stats diverged:\nonline %+v\nbatch  %+v", res.Bursts, want)
+			}
+
+			sr, br := res.Report, batch
 			if sr.N != br.N || sr.RTT != br.RTT {
 				t.Fatalf("N/RTT diverged: %d/%v vs %d/%v", sr.N, sr.RTT, br.N, br.RTT)
 			}
