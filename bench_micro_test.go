@@ -220,6 +220,76 @@ func BenchmarkPortDrain(b *testing.B) {
 	}
 }
 
+// BenchmarkNodeForward isolates a packet's walk through the nodes: a router
+// holding a route to each of 134 hosts on the dumbbell's sparse address
+// plan (1000+i, 2000+i), every host holding one flow binding — the shape of
+// the paper-scale 66-pair dumbbell, compiled by topo so the nodes forward
+// through the world's shared address→slot index. Each packet crosses
+// Node.Handle twice (route lookup at the router, binding scan at the host)
+// and one fast-path port between them. Pool, world and scheduler are
+// reused across ops, so allocs/op is gated at exactly zero; ns/pkt is the
+// number to read.
+func BenchmarkNodeForward(b *testing.B) {
+	b.ReportAllocs()
+	const hosts, perHost = 134, 32
+	spec := topo.Spec{Name: "bench-star", Nodes: []topo.NodeSpec{{Name: "R", Addr: 1}}}
+	for i := 0; i < hosts; i++ {
+		name := fmt.Sprintf("h%d", i)
+		spec.Nodes = append(spec.Nodes, topo.NodeSpec{Name: name, Addr: 1000*(1+i%2) + i/2})
+		spec.Links = append(spec.Links, topo.LinkSpec{A: "R", B: name,
+			AB: topo.Dir{Rate: 1_000_000_000, Delay: sim.Millisecond, Queue: topo.QueueSpec{Limit: perHost}}})
+	}
+	sched := sim.NewScheduler()
+	net, err := topo.Build(sched, spec, benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool := netsim.NewPacketPool()
+	net.AttachPool(pool)
+	delivered := 0
+	sink := netsim.HandlerFunc(func(p *netsim.Packet) {
+		delivered++
+		pool.Put(p)
+	})
+	router := net.Node("R")
+	dsts := make([]int, hosts)
+	for i := range dsts {
+		h := net.Node(spec.Nodes[1+i].Name)
+		h.Bind(1, sink)
+		dsts[i] = h.Addr
+	}
+	offer := func() {
+		for k := 0; k < perHost; k++ {
+			for _, dst := range dsts {
+				p := pool.Get()
+				p.Flow = 1
+				p.Size = 1000
+				p.Dst = dst
+				router.Handle(p)
+			}
+		}
+	}
+	ports := net.Ports()
+	run := func() {
+		sched.Reset()
+		for _, pi := range ports {
+			pi.Port.Reset()
+		}
+		delivered = 0
+		sched.At(0, offer)
+		sched.Run()
+		if delivered != hosts*perHost {
+			b.Fatalf("delivered %d of %d", delivered, hosts*perHost)
+		}
+	}
+	run() // warm the pool, the delivery rings and the scheduler arena
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hosts*perHost), "ns/pkt")
+}
+
 // BenchmarkREDDropPath isolates the RED decision arithmetic (EWMA update,
 // uniformized drop probability, idle aging) at an operating point inside
 // the [minTh, maxTh) probabilistic band, where the math is hottest.
@@ -482,6 +552,21 @@ func BenchmarkOveruseDetector(b *testing.B) {
 	}
 }
 
+// warmReports replays a feedback-carrying world until it is in its steady
+// state. The first replay takes the creation path (NewFlow, pool and arena
+// growth), the second the ResetPair path the timed loop measures; the rest
+// are for the packets' report blocks: a receiver's report rides whichever
+// pooled packet it draws, that packet keeps the block it is given
+// (netsim.Packet.Report), and each replay leaves the pool in a different
+// order, so it takes a few replays before every circulating packet has
+// one. Replays are deterministic, so the count is not a tolerance: both
+// benchmarks allocate in replays 2–4 and in none after.
+func warmReports[T any](run func() T) {
+	for i := 0; i < 6; i++ {
+		run()
+	}
+}
+
 // BenchmarkRatectlSecond runs one simulated second of two delay-based
 // flows sharing a static 6 Mbps bottleneck, replayed through the cached
 // world: per op the arena rewinds the scheduler, Network.Reset reseeds the
@@ -541,7 +626,7 @@ func BenchmarkRatectlSecond(b *testing.B) {
 		sched.RunUntil(sim.Time(sim.Second))
 		return sched
 	}
-	run() // warm the pool, scheduler arena and flow objects
+	warmReports(run)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sched := run()
@@ -612,11 +697,7 @@ func BenchmarkRFTTransferSecond(b *testing.B) {
 		sched.RunUntil(sim.Time(sim.Second))
 		return sched
 	}
-	// Warm twice: the first run takes the creation path (NewFlow, pool and
-	// arena growth), the second the ResetPair replay path the timed loop
-	// measures — both must have grown their storage before the timer starts.
-	run()
-	run()
+	warmReports(run)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sched := run()

@@ -215,7 +215,7 @@ func (r *Receiver) sendAck(now sim.Time) {
 	p.Dst = r.cfg.Src // back to the sender
 	p.SendTime = now
 	p.HasRFTAck = true
-	fb := &p.RFTAck
+	fb := &p.Report().RFT
 	fb.Epoch = r.epoch
 	fb.AckSeq = r.ackSeq
 	fb.NextNeeded = r.nextNeeded

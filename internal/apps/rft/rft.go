@@ -385,7 +385,7 @@ func (s *Sender) Handle(p *netsim.Packet) {
 		s.cfg.Pool.Put(p)
 		return
 	}
-	fb := p.RFTAck
+	fb := p.Report().RFT
 	s.cfg.Pool.Put(p)
 	if fb.Epoch != s.epoch || fb.AckSeq <= s.lastAckSeq {
 		s.StaleAcks++

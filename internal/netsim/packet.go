@@ -54,6 +54,13 @@ type Packet struct {
 	ECT bool // ECN-capable transport
 	CE  bool // congestion experienced, set by RED/ECN routers
 
+	// HasRateFB marks a Feedback packet as carrying a delay-based (GCC
+	// style) receiver report in Report().Rate.
+	HasRateFB bool
+	// HasRFTAck marks a Feedback packet as carrying a reliable-file-transfer
+	// client report in Report().RFT (internal/apps/rft).
+	HasRFTAck bool
+
 	// SenderRTT is the sender's current RTT estimate, carried on TFRC data
 	// packets (RFC 3448 §3.2.1) so the receiver can group losses into loss
 	// events and pace its feedback.
@@ -63,21 +70,36 @@ type Packet struct {
 	// Feedback. It is nil on other packets.
 	FeedbackPayload *TFRCFeedback
 
-	// HasRateFB marks a Feedback packet as carrying a delay-based (GCC
-	// style) receiver report in RateFB. The report is embedded by value —
-	// not behind a pointer like the TFRC payload — so pooled feedback
-	// packets stay allocation-free on the steady-state rate-control path.
-	HasRateFB bool
-	// RateFB is the delay-based receiver report (valid iff HasRateFB).
-	RateFB RateFeedback
+	// report is the out-of-line block behind Report. Only feedback packets
+	// of the GCC and RFT transports ever attach one; data segments and
+	// ACKs stay two cache lines.
+	report *Report
+}
 
-	// HasRFTAck marks a Feedback packet as carrying a reliable-file-transfer
-	// client report in RFTAck (internal/apps/rft). Embedded by value like
-	// RateFB, with a fixed-size resend-entry array, so the periodic client
-	// ACK stream stays allocation-free on pooled packets.
-	HasRFTAck bool
-	// RFTAck is the file-transfer client report (valid iff HasRFTAck).
-	RFTAck RFTFeedback
+// Report holds the by-value receiver reports a Feedback packet can carry.
+// It lives out of line so the packets that carry no report — every data
+// segment and ACK — do not pay for it in size or in PacketPool.Get's
+// clearing, and by value inside one block so the periodic report streams
+// stay allocation-free on pooled packets.
+type Report struct {
+	// Rate is the delay-based receiver report (valid iff HasRateFB).
+	Rate RateFeedback
+	// RFT is the file-transfer client report (valid iff HasRFTAck), with a
+	// fixed-size resend-entry array.
+	RFT RFTFeedback
+}
+
+// Report returns the packet's report block, attaching a zero one on first
+// use. The writer of a report sets the matching Has flag and fills the
+// block through this; a reader checks the flag first. The block stays
+// with a pooled packet for the packet's life: PacketPool.Get zeroes it
+// along with the packet, so a recycled packet never shows an earlier
+// report.
+func (p *Packet) Report() *Report {
+	if p.report == nil {
+		p.report = new(Report)
+	}
+	return p.report
 }
 
 // RFTResendEntries is the resend-entry capacity of one client ACK. A real
@@ -183,7 +205,8 @@ func NewPacketPool() *PacketPool { return &PacketPool{} }
 // are per world and packets never outlive their world.
 const poolSlab = 64
 
-// Get returns a zeroed packet, reusing a recycled one when available.
+// Get returns a zeroed packet, reusing a recycled one when available. A
+// recycled packet keeps its report block, zeroed too.
 func (pl *PacketPool) Get() *Packet {
 	if pl == nil {
 		return &Packet{}
@@ -199,7 +222,11 @@ func (pl *PacketPool) Get() *Packet {
 	p := pl.free[n]
 	pl.free[n] = nil
 	pl.free = pl.free[:n]
-	*p = Packet{}
+	r := p.report
+	if r != nil {
+		*r = Report{}
+	}
+	*p = Packet{report: r}
 	return p
 }
 

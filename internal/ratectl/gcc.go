@@ -192,7 +192,7 @@ func (s *GCCSender) Handle(p *netsim.Packet) {
 		return
 	}
 	s.FeedbackIn++
-	fb := p.RateFB
+	fb := p.Report().Rate
 	s.cfg.Pool.Put(p)
 
 	if sample := s.sched.Now().Sub(fb.Timestamp) - fb.Delay; sample > 0 {
@@ -452,7 +452,7 @@ func (r *GCCReceiver) sendFeedback() {
 	p.Dst = r.cfg.Src // back to the sender
 	p.SendTime = now
 	p.HasRateFB = true
-	p.RateFB = netsim.RateFeedback{
+	p.Report().Rate = netsim.RateFeedback{
 		TargetRate: r.TargetRate(),
 		RecvRate:   r.recvRate,
 		Timestamp:  r.lastDataSend,

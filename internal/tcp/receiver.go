@@ -18,8 +18,13 @@ type Receiver struct {
 	dst   int // the sender's node address
 	ack   int // ack packet size in bytes
 
-	cumAck int64          // next expected sequence
-	ooo    map[int64]bool // received beyond the cumulative point
+	cumAck int64 // next expected sequence
+	// ooo is the reorder window: a power-of-two ring of flags indexed
+	// seq & (len-1), covering the sequences [cumAck, cumAck+len). A flag is
+	// set iff that sequence arrived ahead of the cumulative point; every
+	// other slot — cumAck's own included — is false, so the window slides
+	// forward without any clearing beyond the flags it consumes.
+	ooo []bool
 
 	ceSeen bool // latched CE until echoed (simplified ECE)
 
@@ -49,15 +54,19 @@ func NewReceiver(sched *sim.Scheduler, out netsim.Handler, flow, src, dst, ackSi
 	return &Receiver{
 		sched: sched, out: out,
 		flow: flow, src: src, dst: dst, ack: ackSize,
-		ooo: make(map[int64]bool),
+		ooo: make([]bool, minWindow),
 	}
 }
 
+// minWindow is the reorder ring's initial length (a power of two). The
+// ring doubles whenever a segment lands beyond it, so the value only sets
+// how many doublings a receiver pays on its first loss episodes.
+const minWindow = 64
+
 // Reset rewinds the receiver to the state NewReceiver(sched, out, flow,
-// src, dst, ackSize) would produce, keeping the scheduler and the
-// out-of-order map's buckets (cleared, not reallocated — reusing a warm
-// receiver makes the per-packet hole tracking allocation-free after the
-// first run).
+// src, dst, ackSize) would produce, keeping the scheduler and the reorder
+// ring at the length it grew to (cleared, not reallocated — a warm
+// receiver tracks holes allocation-free).
 func (r *Receiver) Reset(out netsim.Handler, flow, src, dst, ackSize int) {
 	if out == nil {
 		panic("tcp: Receiver.Reset requires an output")
@@ -108,20 +117,43 @@ func (r *Receiver) Handle(p *netsim.Packet) {
 	switch {
 	case p.Seq == r.cumAck:
 		r.cumAck++
-		for r.ooo[r.cumAck] {
-			delete(r.ooo, r.cumAck)
+		mask := int64(len(r.ooo) - 1)
+		for r.ooo[r.cumAck&mask] {
+			r.ooo[r.cumAck&mask] = false
 			r.cumAck++
 		}
 	case p.Seq > r.cumAck:
-		if r.ooo[p.Seq] {
+		if p.Seq-r.cumAck >= int64(len(r.ooo)) {
+			r.growWindow(p.Seq)
+		}
+		slot := &r.ooo[p.Seq&int64(len(r.ooo)-1)]
+		if *slot {
 			r.Duplicates++
 		}
-		r.ooo[p.Seq] = true
+		*slot = true
 	default:
 		r.Duplicates++
 	}
 	r.sendAck(p)
 	r.pool.Put(p)
+}
+
+// growWindow doubles the reorder ring until it covers seq. A flag's slot
+// depends on the ring length, so the buffered flags are re-indexed by
+// sequence rather than copied by position.
+func (r *Receiver) growWindow(seq int64) {
+	n := int64(len(r.ooo))
+	for seq-r.cumAck >= n {
+		n *= 2
+	}
+	grown := make([]bool, n)
+	old := int64(len(r.ooo))
+	for s := r.cumAck; s < r.cumAck+old; s++ {
+		if r.ooo[s&(old-1)] {
+			grown[s&(n-1)] = true
+		}
+	}
+	r.ooo = grown
 }
 
 func (r *Receiver) sendAck(data *netsim.Packet) {

@@ -33,8 +33,8 @@ type progRoute struct {
 // assigned addresses, directed-port creation order with per-direction seed
 // tags, and the full shortest-path routing solution as a replayable install
 // list. A Program is immutable after Compile and may be shared by any
-// number of instantiated Networks (the addr and next maps are handed to
-// instances read-only).
+// number of instantiated Networks (the addr and next maps and the
+// address→slot index are handed to instances read-only).
 //
 // The split exists for replication sweeps: Compile once per structural
 // shape, Instantiate to stamp out a world, and Network.Reset to rewind the
@@ -44,6 +44,7 @@ type progRoute struct {
 type Program struct {
 	spec   Spec
 	addr   map[string]int  // immutable; shared with every instance
+	index  []int32         // address -> node index, -1 = unassigned; immutable, shared by every node of every instance
 	dirs   []progDir       // directed-port creation order (A→B then B→A per link)
 	next   map[edge]string // immutable next-hop solution; shared with instances
 	routes []progRoute     // AddRoute replay list, BFS discovery order
@@ -84,6 +85,10 @@ func Compile(spec Spec) (*Program, error) {
 		}
 	}
 
+	if err := p.buildIndex(); err != nil {
+		return nil, err
+	}
+
 	for i, l := range spec.Links {
 		p.dirs = append(p.dirs,
 			progDir{e: edge{l.A, l.B}, dir: l.AB, tag: int64(2 * i)},
@@ -93,6 +98,37 @@ func Compile(spec Spec) (*Program, error) {
 
 	p.computeRoutes()
 	return p, nil
+}
+
+// maxAddr is the largest node address Compile accepts. Every node of a
+// world forwards through one shared address→slot index with an int32 entry
+// per address up to the largest one in use, so the bound caps what a spec —
+// user input — can make Compile allocate at 4 MB; a million-node address
+// space is far beyond any world this simulator can run.
+const maxAddr = 1 << 20
+
+// buildIndex derives the address→slot index from the assigned addresses:
+// slot = the node's position in Spec.Nodes, -1 for an address no node
+// holds. Sparse address plans (the dumbbell's 1, 2, 1000+i, 2000+i) thus
+// cost every node a routing table of one pointer per node, not per
+// address.
+func (p *Program) buildIndex() error {
+	top := 0
+	for _, ns := range p.spec.Nodes {
+		a := p.addr[ns.Name]
+		if a > maxAddr {
+			return fmt.Errorf("topo: %s node %q has address %d, above the limit %d", p.spec.Name, ns.Name, a, maxAddr)
+		}
+		top = max(top, a)
+	}
+	p.index = make([]int32, top+1)
+	for i := range p.index {
+		p.index[i] = -1
+	}
+	for i, ns := range p.spec.Nodes {
+		p.index[p.addr[ns.Name]] = int32(i)
+	}
+	return nil
 }
 
 // computeRoutes solves static shortest-path routing for the program:
@@ -185,10 +221,9 @@ func (p *Program) Instantiate(sched *sim.Scheduler, seed int64) (*Network, error
 		edges: make([]edge, 0, len(p.dirs)),
 		next:  p.next,
 	}
-	reserve := len(p.spec.Nodes) - 1
 	for _, ns := range p.spec.Nodes {
 		nd := netsim.NewNode(sched, p.addr[ns.Name])
-		nd.ReserveRoutes(reserve)
+		nd.SetIndex(p.index, len(p.spec.Nodes))
 		n.nodes[ns.Name] = nd
 	}
 

@@ -3,6 +3,7 @@ package topo_test
 import (
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -57,6 +58,8 @@ func TestBuildValidationErrors(t *testing.T) {
 			"declares node \"a\" twice"},
 		{"dup addr", topo.Spec{Name: "x", Nodes: []topo.NodeSpec{{Name: "a", Addr: 7}, {Name: "b", Addr: 7}}},
 			"share address 7"},
+		{"address above the index bound", topo.Spec{Name: "x", Nodes: []topo.NodeSpec{{Name: "a"}, {Name: "b", Addr: 1<<20 + 1}}},
+			"above the limit"},
 		{"unknown link end", topo.Spec{Name: "x",
 			Nodes: []topo.NodeSpec{{Name: "a"}},
 			Links: []topo.LinkSpec{{A: "a", B: "ghost", AB: topo.Dir{Rate: 1}}}},
@@ -102,6 +105,41 @@ func TestBuildValidationErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// The largest accepted address compiles, and a packet for an address the
+// world does not have — inside the shared index or beyond it — panics at
+// the node that cannot forward it, as it did when routes were a map.
+func TestSparseAddressesRouteThroughTheIndex(t *testing.T) {
+	t.Parallel()
+	spec := topo.Spec{Name: "sparse",
+		Nodes: []topo.NodeSpec{{Name: "a"}, {Name: "b", Addr: 1 << 20}, {Name: "c", Addr: 77}},
+		Links: []topo.LinkSpec{
+			{A: "a", B: "c", AB: topo.Dir{Rate: 1_000_000, Delay: sim.Millisecond}},
+			{A: "c", B: "b", AB: topo.Dir{Rate: 1_000_000, Delay: sim.Millisecond}}},
+		Flows: []topo.FlowSpec{{From: "a", To: "b"}}}
+	net, err := topo.Build(sim.NewScheduler(), spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	net.Node("b").BindDefault(netsim.HandlerFunc(func(p *netsim.Packet) { got++ }))
+	net.Node("a").Handle(&netsim.Packet{Size: 100, Src: net.Addr("a"), Dst: net.Addr("b")})
+	net.Sched.Run()
+	if got != 1 {
+		t.Fatalf("packet for address %d not delivered across two hops", net.Addr("b"))
+	}
+	for _, dst := range []int{50, 1<<20 + 5} {
+		func() {
+			defer func() {
+				want := "netsim: node 1: no route to " + strconv.Itoa(dst)
+				if r := recover(); r != want {
+					t.Errorf("dst %d: panic %v, want %q", dst, r, want)
+				}
+			}()
+			net.Node("a").Handle(&netsim.Packet{Size: 100, Dst: dst})
+		}()
 	}
 }
 

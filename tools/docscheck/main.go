@@ -163,7 +163,8 @@ func rewriteCatalog(path string) error {
 // histogram/moment/reservoir merges once the aggregate reservoir hits its
 // bound) and the port's deep-queue drain (the batched serialization chain
 // and delivery ring reuse their timers and ring storage, so a steady-state
-// drain allocates nothing) — so the bench-gate baseline must carry them
+// drain allocates nothing) and the node walk (dense tables, pooled
+// packets) — so the bench-gate baseline must carry them
 // with a ZERO allocs/op tolerance. Any allocation regression in those
 // layers fails CI.
 var analysisBenches = []string{
@@ -174,6 +175,7 @@ var analysisBenches = []string{
 	"BenchmarkOveruseDetector",
 	"BenchmarkFleetMerge",
 	"BenchmarkPortDrain",
+	"BenchmarkNodeForward",
 }
 
 // nearExactBenches must be present in the baseline with -benchmem data and
