@@ -12,15 +12,13 @@ import (
 
 // BenchmarkFleetSecond runs a small fleet campaign end to end — four
 // jittered dumbbell worlds merged through the turnstile aggregator — and
-// reports the aggregate simulated-event throughput that headlines
-// BENCH_5.json. It runs on one shard so the measurement is the engine,
-// not the host's core count. Its allocs/op is near-exact, not bit-exact:
-// the arena pool is drained to the same empty state before every
-// iteration, but world construction builds routing tables and
-// out-of-order maps whose overflow-bucket counts depend on per-map hash
-// seeds (±~0.2% in practice), so the bench-gate stamps it with the same
-// 0.5% allocs tolerance as the other world-scale benches. The merge path
-// itself is gated strictly by BenchmarkFleetMerge below.
+// reports the aggregate simulated-event throughput. It runs on one shard so
+// the measurement is the engine, not the host's core count. Its allocs/op
+// is near-exact, not bit-exact: the arena pool is drained to the same empty
+// state before every iteration, but world construction builds routing
+// tables and out-of-order maps whose overflow-bucket counts depend on
+// per-map hash seeds (±~0.2% in practice). The merge path itself is held to
+// zero through steadyFleetMerge below.
 func BenchmarkFleetSecond(b *testing.B) {
 	b.ReportAllocs()
 	cfg := core.FleetConfig{
@@ -65,14 +63,14 @@ func BenchmarkFleetSecond(b *testing.B) {
 // work the fleet turnstile serializes, so it bounds fleet scalability,
 // and it must stay allocation-free in steady state (the aggregate's
 // reservoir is pre-filled to its bound below, after which replacement
-// draws happen in place). It carries the strict zero-tolerance allocs/op
-// stamp: any allocation creeping into the merge layer fails CI outright.
-func BenchmarkFleetMerge(b *testing.B) {
-	b.ReportAllocs()
+// draws happen in place).
+func BenchmarkFleetMerge(b *testing.B) { benchSteady(b, steadyFleetMerge) }
+
+func steadyFleetMerge(tb testing.TB) func() {
 	cfg := analysis.Config{KSReservoir: 1024}
 	world, err := analysis.NewStreaming(100*sim.Millisecond, cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	// One finished world: a bursty synthetic loss stream, 2k events.
 	at := sim.Time(0)
@@ -84,20 +82,18 @@ func BenchmarkFleetMerge(b *testing.B) {
 		}
 	}
 	agg := analysis.NewAggregate(cfg)
-	// Fill the merged reservoir past its bound so the timed loop is the
-	// steady state: in-place replacement draws, no growth.
-	for agg.KSExact() {
+	absorb := func() {
 		if err := agg.Absorb(world); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := agg.Absorb(world); err != nil {
-			b.Fatal(err)
-		}
+	// Fill the merged reservoir past its bound so the op is the steady
+	// state: in-place replacement draws, no growth.
+	for agg.KSExact() {
+		absorb()
 	}
 	if agg.N() == 0 {
-		b.Fatal("aggregate absorbed nothing")
+		tb.Fatal("aggregate absorbed nothing")
 	}
+	return absorb
 }

@@ -17,10 +17,13 @@ import (
 
 // The micro-benchmarks in this file isolate the simulator's per-packet hot
 // paths — scheduler timer churn, port enqueue/dequeue, the RED decision
-// path, and a full dumbbell world — so the CI bench-gate can localize a
+// path, and a full dumbbell world — so a developer can localize a
 // regression instead of only seeing it smeared across a whole figure run.
 // All of them ReportAllocs: the engine's contract is an allocation-free
-// steady state, and allocs/op is the machine-independent half of the gate.
+// steady state. The benchmarks whose steady state is contractually 0
+// allocs/op are written as a steadyX(tb) constructor — build and warm the
+// world, return one op — that the Benchmark loops over and
+// TestSteadyStateZeroAllocs (steady_state_test.go) gates in tier-1.
 
 // BenchmarkSchedulerChurn models the TCP retransmission-timer pattern that
 // dominates scheduler load: every "ACK" cancels a pending timer and arms a
@@ -182,9 +185,10 @@ func BenchmarkLinkEnqueueDequeue(b *testing.B) {
 // place) plus one delivery ring (a single timer walking the ring), so the
 // per-packet cost is the pure dequeue-and-rearm hot path — and the steady
 // state must be allocation-free: scheduler, pool, port and ring are reused
-// across ops, so allocs/op is gated at exactly zero.
-func BenchmarkPortDrain(b *testing.B) {
-	b.ReportAllocs()
+// across ops.
+func BenchmarkPortDrain(b *testing.B) { benchSteady(b, steadyPortDrain) }
+
+func steadyPortDrain(tb testing.TB) func() {
 	const depth = 4096
 	sched := sim.NewScheduler()
 	pool := netsim.NewPacketPool()
@@ -210,14 +214,11 @@ func BenchmarkPortDrain(b *testing.B) {
 		sched.At(0, fill)
 		sched.Run()
 		if delivered != depth {
-			b.Fatalf("delivered %d of %d", delivered, depth)
+			tb.Fatalf("delivered %d of %d", delivered, depth)
 		}
 	}
 	run() // warm the pool, the delivery ring and the scheduler arena
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
+	return run
 }
 
 // BenchmarkNodeForward isolates a packet's walk through the nodes: a router
@@ -227,22 +228,27 @@ func BenchmarkPortDrain(b *testing.B) {
 // through the world's shared address→slot index. Each packet crosses
 // Node.Handle twice (route lookup at the router, binding scan at the host)
 // and one fast-path port between them. Pool, world and scheduler are
-// reused across ops, so allocs/op is gated at exactly zero; ns/pkt is the
+// reused across ops, so the steady state allocates nothing; ns/pkt is the
 // number to read.
 func BenchmarkNodeForward(b *testing.B) {
-	b.ReportAllocs()
-	const hosts, perHost = 134, 32
+	benchSteady(b, steadyNodeForward)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*forwardHosts*forwardPerHost), "ns/pkt")
+}
+
+const forwardHosts, forwardPerHost = 134, 32
+
+func steadyNodeForward(tb testing.TB) func() {
 	spec := topo.Spec{Name: "bench-star", Nodes: []topo.NodeSpec{{Name: "R", Addr: 1}}}
-	for i := 0; i < hosts; i++ {
+	for i := 0; i < forwardHosts; i++ {
 		name := fmt.Sprintf("h%d", i)
 		spec.Nodes = append(spec.Nodes, topo.NodeSpec{Name: name, Addr: 1000*(1+i%2) + i/2})
 		spec.Links = append(spec.Links, topo.LinkSpec{A: "R", B: name,
-			AB: topo.Dir{Rate: 1_000_000_000, Delay: sim.Millisecond, Queue: topo.QueueSpec{Limit: perHost}}})
+			AB: topo.Dir{Rate: 1_000_000_000, Delay: sim.Millisecond, Queue: topo.QueueSpec{Limit: forwardPerHost}}})
 	}
 	sched := sim.NewScheduler()
 	net, err := topo.Build(sched, spec, benchSeed)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	pool := netsim.NewPacketPool()
 	net.AttachPool(pool)
@@ -252,14 +258,14 @@ func BenchmarkNodeForward(b *testing.B) {
 		pool.Put(p)
 	})
 	router := net.Node("R")
-	dsts := make([]int, hosts)
+	dsts := make([]int, forwardHosts)
 	for i := range dsts {
 		h := net.Node(spec.Nodes[1+i].Name)
 		h.Bind(1, sink)
 		dsts[i] = h.Addr
 	}
 	offer := func() {
-		for k := 0; k < perHost; k++ {
+		for k := 0; k < forwardPerHost; k++ {
 			for _, dst := range dsts {
 				p := pool.Get()
 				p.Flow = 1
@@ -278,16 +284,12 @@ func BenchmarkNodeForward(b *testing.B) {
 		delivered = 0
 		sched.At(0, offer)
 		sched.Run()
-		if delivered != hosts*perHost {
-			b.Fatalf("delivered %d of %d", delivered, hosts*perHost)
+		if delivered != forwardHosts*forwardPerHost {
+			tb.Fatalf("delivered %d of %d", delivered, forwardHosts*forwardPerHost)
 		}
 	}
 	run() // warm the pool, the delivery rings and the scheduler arena
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hosts*perHost), "ns/pkt")
+	return run
 }
 
 // BenchmarkREDDropPath isolates the RED decision arithmetic (EWMA update,
@@ -370,40 +372,38 @@ func BenchmarkAnalyzeBatch(b *testing.B) {
 // iterations exactly as a sweep worker reuses it across replications —
 // the steady state is allocation-free except for the bounded one-time
 // scratch growth.
-func BenchmarkAnalyzeStreaming(b *testing.B) {
-	b.ReportAllocs()
+func BenchmarkAnalyzeStreaming(b *testing.B) { benchSteady(b, steadyAnalyzeStreaming) }
+
+func steadyAnalyzeStreaming(tb testing.TB) func() {
 	times, rtt := syntheticLossTrace(20000)
 	an, err := analysis.NewStreaming(rtt, analysis.Config{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rec := &trace.Recorder{}
 	rec.SetSink(an.Observe, false)
-	run := func() *analysis.Report {
+	run := func() {
 		if err := an.Reset(rtt, analysis.Config{}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		for k, at := range times {
 			rec.Add(trace.LossEvent{At: at, Flow: k % 16, Seq: int64(k)})
 		}
 		rep, err := an.Finalize()
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		return rep
+		reportMetric(tb, rep.CoV, "cov")
 	}
-	run() // warm the scratch: steady state is what the gate defends
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.ReportMetric(run().CoV, "cov")
-	}
+	run() // warm the scratch: the steady state is what the contract covers
+	return run
 }
 
 // BenchmarkWifiGilbertSecond runs one simulated second of a time-varying
 // world — 8 TCP flows over a random-walk-modulated wireless hop with a
 // Gilbert–Elliott wire dropper — so the link-dynamics path (modulator
-// retunes, per-packet chain draws, wire-drop recycling) sits in the CI
-// bench-gate smoke set next to the static DumbbellSecond.
+// retunes, per-packet chain draws, wire-drop recycling) has a micro-bench
+// next to the static DumbbellSecond.
 func BenchmarkWifiGilbertSecond(b *testing.B) {
 	b.ReportAllocs()
 	spec := topo.Spec{Name: "wifi-bench"}
@@ -502,8 +502,9 @@ func BenchmarkDumbbellSecond(b *testing.B) {
 // drains, with no world around it. This is the per-packet cost a GCC
 // receiver adds on top of plain forwarding, and it must stay
 // allocation-free: every stage reuses its own state across resets.
-func BenchmarkOveruseDetector(b *testing.B) {
-	b.ReportAllocs()
+func BenchmarkOveruseDetector(b *testing.B) { benchSteady(b, steadyOveruseDetector) }
+
+func steadyOveruseDetector(tb testing.TB) func() {
 	type pkt struct {
 		send, arrive sim.Time
 		size         int
@@ -532,8 +533,7 @@ func BenchmarkOveruseDetector(b *testing.B) {
 	kal := ratectl.NewKalmanEstimator()
 	det := ratectl.NewOveruseDetector()
 	aimd := ratectl.NewAIMDController(125_000, 12_500, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		ia.Reset()
 		kal.Reset()
 		det.Reset()
@@ -547,7 +547,7 @@ func BenchmarkOveruseDetector(b *testing.B) {
 			aimd.Update(st, 250_000, d.Arrival)
 		}
 		if det.OveruseHits == 0 || aimd.Decreases == 0 {
-			b.Fatal("sawtooth never tripped the detector")
+			tb.Fatal("sawtooth never tripped the detector")
 		}
 	}
 }
@@ -560,8 +560,8 @@ func BenchmarkOveruseDetector(b *testing.B) {
 // (netsim.Packet.Report), and each replay leaves the pool in a different
 // order, so it takes a few replays before every circulating packet has
 // one. Replays are deterministic, so the count is not a tolerance: both
-// benchmarks allocate in replays 2–4 and in none after.
-func warmReports[T any](run func() T) {
+// worlds allocate in replays 2–4 and in none after.
+func warmReports(run func()) {
 	for i := 0; i < 6; i++ {
 		run()
 	}
@@ -573,10 +573,11 @@ func warmReports[T any](run func() T) {
 // compiled topology and GCCFlow.ResetPair rewinds the transports. The spec
 // deliberately has no Dynamics and no Loss — those reseed paths allocate
 // (modulator rebuild, loss-hook rebind) and belong to WorldInstantiate;
-// here the gate is the ratectl contract: a steady-state second of pacing,
+// here the point is the ratectl contract: a steady-state second of pacing,
 // grouping, estimation and feedback at 0 allocs/op.
-func BenchmarkRatectlSecond(b *testing.B) {
-	b.ReportAllocs()
+func BenchmarkRatectlSecond(b *testing.B) { benchSteady(b, steadyRatectlSecond) }
+
+func steadyRatectlSecond(tb testing.TB) func() {
 	const seed = 3
 	spec := topo.Spec{Name: "ratectl-second"}
 	spec.Nodes = append(spec.Nodes, topo.NodeSpec{Name: "left"}, topo.NodeSpec{Name: "right"})
@@ -597,14 +598,14 @@ func BenchmarkRatectlSecond(b *testing.B) {
 	sched := arena.Scheduler()
 	net, err := topo.NetworkIn(arena, sched, spec, sim.SubSeed(seed, 1))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	net.AttachPool(arena.Pool())
 	var flows []*ratectl.GCCFlow
-	run := func() *sim.Scheduler {
+	run := func() {
 		sched := arena.Scheduler()
 		if err := net.Reset(spec, sim.SubSeed(seed, 1)); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		for i := 0; i < net.NumFlows(); i++ {
 			cfg := ratectl.GCCConfig{
@@ -624,17 +625,13 @@ func BenchmarkRatectlSecond(b *testing.B) {
 			flows[i].StartAt(sched, sim.Time(sim.Duration(i)*10*sim.Millisecond))
 		}
 		sched.RunUntil(sim.Time(sim.Second))
-		return sched
+		if flows[0].Sender.Sent == 0 || flows[0].Sender.FeedbackIn == 0 {
+			tb.Fatal("flow exchanged no data or feedback")
+		}
+		reportMetric(tb, float64(sched.Fired()), "events")
 	}
 	warmReports(run)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sched := run()
-		if flows[0].Sender.Sent == 0 || flows[0].Sender.FeedbackIn == 0 {
-			b.Fatal("flow exchanged no data or feedback")
-		}
-		b.ReportMetric(float64(sched.Fired()), "events")
-	}
+	return run
 }
 
 // BenchmarkRFTTransferSecond runs one simulated second of two reliable
@@ -642,11 +639,12 @@ func BenchmarkRatectlSecond(b *testing.B) {
 // cached world: per op the arena rewinds the scheduler, Network.Reset
 // reseeds the compiled topology and rft.Flow.ResetPair rewinds the
 // transfer pairs. Like RatectlSecond the spec carries no Dynamics and no
-// Loss; the gate is the transfer contract — a steady-state second of
+// Loss; the point is the transfer contract — a steady-state second of
 // pacing, ledger upkeep, client ACKs and AIMD updates at 0 allocs/op on
 // warm sentAt/bitmap/resend capacity.
-func BenchmarkRFTTransferSecond(b *testing.B) {
-	b.ReportAllocs()
+func BenchmarkRFTTransferSecond(b *testing.B) { benchSteady(b, steadyRFTTransferSecond) }
+
+func steadyRFTTransferSecond(tb testing.TB) func() {
 	const seed = 3
 	spec := topo.Spec{Name: "rft-second"}
 	spec.Nodes = append(spec.Nodes, topo.NodeSpec{Name: "left"}, topo.NodeSpec{Name: "right"})
@@ -667,14 +665,14 @@ func BenchmarkRFTTransferSecond(b *testing.B) {
 	sched := arena.Scheduler()
 	net, err := topo.NetworkIn(arena, sched, spec, sim.SubSeed(seed, 1))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	net.AttachPool(arena.Pool())
 	var flows []*rft.Flow
-	run := func() *sim.Scheduler {
+	run := func() {
 		sched := arena.Scheduler()
 		if err := net.Reset(spec, sim.SubSeed(seed, 1)); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		for i := 0; i < net.NumFlows(); i++ {
 			cfg := rft.Config{
@@ -695,15 +693,11 @@ func BenchmarkRFTTransferSecond(b *testing.B) {
 			flows[i].StartAt(sched, sim.Time(sim.Duration(i)*10*sim.Millisecond))
 		}
 		sched.RunUntil(sim.Time(sim.Second))
-		return sched
+		if flows[0].Sender.Sent == 0 || flows[0].Receiver.AcksOut == 0 {
+			tb.Fatal("transfer exchanged no data or reports")
+		}
+		reportMetric(tb, float64(sched.Fired()), "events")
 	}
 	warmReports(run)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sched := run()
-		if flows[0].Sender.Sent == 0 || flows[0].Receiver.AcksOut == 0 {
-			b.Fatal("transfer exchanged no data or reports")
-		}
-		b.ReportMetric(float64(sched.Fired()), "events")
-	}
+	return run
 }

@@ -6,8 +6,9 @@
 //
 //	go test -bench=. -benchmem
 //
-// Absolute run times also serve as the performance regression gate for the
-// simulator itself.
+// These are developer tools: the engine's wall clock and allocation volume
+// are measured by the one benchmark in bench/ (see bench/README.md), and the
+// steady-state 0 allocs/op contracts are gated by TestSteadyStateZeroAllocs.
 package repro_test
 
 import (
@@ -22,8 +23,7 @@ import (
 // benchSeed seeds every benchmark world. It is a constant, not the
 // iteration index, so each op simulates the same world: ns/op means
 // something at any -benchtime, and the custom metrics (ReportMetric keeps
-// the last iteration's) do not depend on b.N. Seed 1 is the world the
-// `-benchtime 1x` trajectory snapshots (BENCH_*.json) always recorded.
+// the last iteration's) do not depend on b.N.
 const benchSeed = 1
 
 // BenchmarkTable1Sites regenerates Table 1 (the 26-site catalogue) and the

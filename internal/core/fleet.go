@@ -138,8 +138,8 @@ type FleetReport struct {
 	// the spread the pooled CoV summarizes.
 	CoVMin, CoVMax float64
 	// Elapsed is the wall-clock time of the campaign and EventsPerSec
-	// the aggregate simulated-event throughput (Events / Elapsed) —
-	// the BENCH_5 headline. Excluded from Fingerprint.
+	// the aggregate simulated-event throughput (Events / Elapsed).
+	// Excluded from Fingerprint.
 	Elapsed      time.Duration
 	EventsPerSec float64
 }

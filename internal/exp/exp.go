@@ -89,32 +89,52 @@ type Result[R any] struct {
 // not point into the arena (see Arena).
 func Sweep[C, R any](opts Options, configs []C, fn func(Run[C], *Arena) (R, error)) []Result[R] {
 	results := make([]Result[R], len(configs))
-	if len(configs) == 0 {
-		return results
+	run := func(i int, seed int64, a *Arena) (R, error) {
+		return fn(Run[C]{Index: i, Seed: seed, Config: configs[i]}, a)
 	}
-	nw := opts.workers(len(configs))
+	forEach(len(configs), opts.workers(len(configs)), func() bool { return false }, func(i int, a *Arena) {
+		seed := sim.SubSeed(opts.Seed, int64(i))
+		v, err := protect(run, i, seed, a)
+		results[i] = Result[R]{Index: i, Seed: seed, Value: v, Err: err}
+	})
+	return results
+}
 
+// forEach is the one worker loop under Sweep and Fleet: it calls do(i, a) for
+// i = 0 … n-1 on `workers` goroutines, each owning one pooled Arena for as
+// long as it runs, and returns when every call has. Indices are issued in
+// order; stop is polled before each is issued and again before it starts, and
+// once it reports true the rest are skipped. One worker runs inline on the
+// caller's goroutine — same order, same callbacks, no goroutines.
+func forEach(n, workers int, stop func() bool, do func(i int, a *Arena)) {
+	if workers == 1 {
+		a := getArena()
+		defer putArena(a)
+		for i := 0; i < n && !stop(); i++ {
+			do(i, a)
+		}
+		return
+	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			arena := getArena()
-			defer putArena(arena)
+			a := getArena()
+			defer putArena(a)
 			for i := range jobs {
-				r := Run[C]{Index: i, Seed: sim.SubSeed(opts.Seed, int64(i)), Config: configs[i]}
-				v, err := protect(fn, r, arena)
-				results[i] = Result[R]{Index: i, Seed: r.Seed, Value: v, Err: err}
+				if !stop() { // else drain the queue so the feeder never blocks
+					do(i, a)
+				}
 			}
 		}()
 	}
-	for i := range configs {
+	for i := 0; i < n && !stop(); i++ {
 		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-	return results
 }
 
 // arenaPool recycles worker arenas across sweeps. A sweep's arenas carry
@@ -132,15 +152,15 @@ var arenaPool = sync.Pool{New: func() any { return NewArena() }}
 func getArena() *Arena  { return arenaPool.Get().(*Arena) }
 func putArena(a *Arena) { arenaPool.Put(a) }
 
-// protect runs fn, converting a panic into an error so one bad replication
-// cannot take down a whole sweep.
-func protect[C, R any](fn func(Run[C], *Arena) (R, error), r Run[C], a *Arena) (v R, err error) {
+// protect runs one replication or fleet world, converting a panic into that
+// run's error so one bad run cannot take down a whole sweep or fleet.
+func protect[R any](fn func(int, int64, *Arena) (R, error), i int, seed int64, a *Arena) (v R, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("exp: run %d (seed %d) panicked: %v", r.Index, r.Seed, p)
+			err = fmt.Errorf("exp: run %d (seed %d) panicked: %v", i, seed, p)
 		}
 	}()
-	return fn(r, a)
+	return fn(i, seed, a)
 }
 
 // Replicate runs fn n times — the "same experiment, n independent seeds"

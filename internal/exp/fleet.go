@@ -48,54 +48,14 @@ type FleetOptions struct {
 func Fleet[R any](opts FleetOptions, n int,
 	run func(index int, seed int64, a *Arena) (R, error),
 	merge func(index int, seed int64, v R, err error) error) error {
-	if n <= 0 {
-		return nil
-	}
-	nw := Options{Workers: opts.Shards}.workers(n)
-	if nw == 1 {
-		// Sequential fast path: same order, same callbacks, no goroutines.
-		a := getArena()
-		defer putArena(a)
-		for i := 0; i < n; i++ {
-			seed := sim.SubSeed(opts.Seed, int64(i))
-			v, err := protectRun(run, i, seed, a)
-			if merr := protectMerge(merge, i, seed, v, err); merr != nil {
-				return merr
-			}
-		}
-		return nil
-	}
-
 	t := newTurnstile()
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			a := getArena()
-			defer putArena(a)
-			for i := range jobs {
-				if t.aborted() {
-					continue // drain the queue so the feeder never blocks
-				}
-				seed := sim.SubSeed(opts.Seed, int64(i))
-				v, err := protectRun(run, i, seed, a)
-				if !t.enter(i) {
-					continue // aborted while waiting our turn
-				}
-				t.leave(protectMerge(merge, i, seed, v, err))
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		if t.aborted() {
-			break
+	forEach(n, Options{Workers: opts.Shards}.workers(n), t.aborted, func(i int, a *Arena) {
+		seed := sim.SubSeed(opts.Seed, int64(i))
+		v, err := protect(run, i, seed, a)
+		if t.enter(i) { // false: aborted while waiting our turn
+			t.leave(protectMerge(merge, i, seed, v, err))
 		}
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	})
 	return t.err()
 }
 
@@ -150,17 +110,6 @@ func (t *turnstile) err() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.fail
-}
-
-// protectRun shields the fleet from a panicking world, like Sweep's
-// protect: the panic becomes that world's error and reaches merge.
-func protectRun[R any](run func(int, int64, *Arena) (R, error), i int, seed int64, a *Arena) (v R, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("exp: fleet world %d (seed %d) panicked: %v", i, seed, p)
-		}
-	}()
-	return run(i, seed, a)
 }
 
 // protectMerge converts a merge panic into the fleet's abort error —

@@ -13,10 +13,16 @@ type DropFunc func(p *Packet, at sim.Time)
 // NaivePortPath, when set before a world is built, pins every Port created
 // from then on to the reference scheduler path: one serialization-complete
 // event and one delivery event per packet, nothing coalesced. It exists for
-// the differential tests that hold the batched hot path (serialization
-// chains, delivery rings) to bit-identical behavior against the naive
-// model, and for A/B benchmarks of the batching win. The flag is read once
-// in NewPort; flipping it never affects existing ports.
+// the differential tests that hold the batched hot path (the eagerly
+// committed schedule and its delivery ring) to bit-identical behavior against
+// the naive model, and for A/B benchmarks of the batching win. A naive port
+// differs from a production one only by never latching fast mode: both run
+// the same exact-mode code, including the serialization-complete event
+// re-armed in place (Rearm arms the key After would). The flag is read once
+// in NewPort; flipping it never affects existing ports. It stays a package
+// global because it is the tests' reference switch: no production code sets
+// it, and a per-world option would thread through topo, exp, core and the
+// scenarios to reach NewPort.
 var NaivePortPath bool
 
 // Link is a unidirectional wire: it serializes packets at Rate and delivers
@@ -151,7 +157,7 @@ type Port struct {
 	Pool *PacketPool
 
 	busy  bool
-	txPkt *Packet // packet currently serializing (exact and naive modes)
+	txPkt *Packet // packet currently serializing (exact mode)
 
 	red   *RED      // cached type assertion of Queue
 	dt    *DropTail // cached type assertion of Queue
@@ -159,7 +165,7 @@ type Port struct {
 	fast  bool      // eager-chain mode; re-evaluated whenever the port idles
 
 	txDone  func()    // serialization-complete callback, created once
-	deliver func(any) // per-event delivery callback (naive path, ring evictions)
+	deliver func(any) // per-event delivery callback (exact mode, ring evictions)
 	delFire func()    // ring delivery-timer callback, created once
 
 	// Delivery ring: committed transmissions in commit order, which the
@@ -405,7 +411,7 @@ func (p *Port) transmitNext(chained bool) {
 	// destination a propagation delay later. The port is free to start the
 	// next packet as soon as serialization completes.
 	p.txPkt = pkt
-	if chained && !p.naive {
+	if chained {
 		p.Sched.Rearm(p.Sched.Now().Add(tx))
 	} else {
 		p.Sched.After(tx, p.txDone)
@@ -510,11 +516,8 @@ func (p *Port) onRetune(oldRate int64, oldDelay sim.Duration) {
 		p.Sched.Cancel(p.delTimer)
 		p.delTimer = sim.Timer{}
 	} else if e0 := p.entryAt(0); evicted || p.delTimer.Time() != e0.due {
-		if tm, ok := p.Sched.RescheduleAsOf(p.delTimer, e0.due, e0.done, e0.start, e0.pstart); ok {
-			p.delTimer = tm
-		} else {
-			p.delTimer = p.Sched.AtAsOf(e0.due, e0.done, e0.start, e0.pstart, p.delFire)
-		}
+		p.Sched.Cancel(p.delTimer)
+		p.delTimer = p.Sched.AtAsOf(e0.due, e0.done, e0.start, e0.pstart, p.delFire)
 	}
 }
 

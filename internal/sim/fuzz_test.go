@@ -85,11 +85,9 @@ var fuzzOffsets = [...]Duration{0, 1, Microsecond, 100 * Microsecond}
 // its callback.
 const (
 	fzAfter = iota
-	fzAtArg
+	fzAfterArg
 	fzAtAsOf
 	fzCancel
-	fzReschedule
-	fzRescheduleAsOf
 	fzRearm
 	fzRearmAsOf
 	fzRunUntil
@@ -106,7 +104,7 @@ type schedFuzz struct {
 	ref  refSched
 	prog []byte
 
-	handles []Timer   // by event id; replaced on Reschedule/Rearm
+	handles []Timer   // by event id; replaced on Rearm
 	cur     *refEvent // the firing event, nil outside a callback
 	rearmed bool
 	drained []int
@@ -148,7 +146,7 @@ func (z *schedFuzz) arm(t, a1, a2, a3 Time, asOf, arg bool) {
 	case asOf:
 		tm = z.s.AtAsOf(t, a1, a2, a3, func() { z.fire(id) })
 	case arg:
-		tm = z.s.AtArg(t, z.fireArg, id)
+		tm = z.s.AfterArg(t.Sub(z.s.Now()), z.fireArg, id)
 	default:
 		tm = z.s.After(t.Sub(z.s.Now()), func() { z.fire(id) })
 	}
@@ -192,7 +190,7 @@ func (z *schedFuzz) op() {
 	switch op {
 	case fzAfter:
 		z.arm(t, n1, n2, n3, false, false)
-	case fzAtArg:
+	case fzAfterArg:
 		z.arm(t, n1, n2, n3, false, true)
 	case fzAtAsOf:
 		a1, a2, a3 := fuzzLineage(t, b)
@@ -205,29 +203,6 @@ func (z *schedFuzz) op() {
 		s.Cancel(z.handles[id])
 		if i := z.ref.find(id); i >= 0 {
 			z.ref.remove(i)
-		}
-	case fzReschedule, fzRescheduleAsOf:
-		if len(z.handles) == 0 {
-			break
-		}
-		id := int(a) % len(z.handles)
-		t = s.Now().Add(fuzzDelta(b & 15))
-		var tm Timer
-		var ok bool
-		if op == fzRescheduleAsOf {
-			n1, n2, n3 = fuzzLineage(t, b>>4)
-			tm, ok = s.RescheduleAsOf(z.handles[id], t, n1, n2, n3)
-		} else {
-			tm, ok = s.Reschedule(z.handles[id], t)
-		}
-		i := z.ref.find(id)
-		if ok != (i >= 0) {
-			z.t.Fatalf("Reschedule(%d) = %v, reference pending = %v", id, ok, i >= 0)
-		}
-		if ok {
-			e := z.ref.remove(i)
-			z.handles[id] = tm
-			z.ref.add(refEvent{t: t, a1: n1, a2: n2, a3: n3, id: id, arg: e.arg})
 		}
 	case fzRearm, fzRearmAsOf:
 		if top || z.rearmed {
@@ -355,8 +330,8 @@ func (z *schedFuzz) check() {
 	}
 }
 
-// FuzzScheduler runs random programs of every arming, cancelling, re-timing,
-// running and resetting call against a sorted-slice reference ordered by the
+// FuzzScheduler runs random programs of every arming, cancelling, running
+// and resetting call against a sorted-slice reference ordered by the
 // full (t, armT, armT2, armT3, seq) key, and requires identical firing
 // order, Pending(), Timer.Pending()/Time() and reset drains, plus the
 // one-entry-per-event invariants the narrow entry depends on.
@@ -376,37 +351,33 @@ func FuzzScheduler(f *testing.F) {
 		fzAfter, d10us, 0,
 		fzCancel, 1, 0,
 		fzAtAsOf, d1us, 0x15,
-		fzAtArg, d10us, 0,
+		fzAfterArg, d10us, 0,
 		fzRunUntil, d1ms, 0, 0, 0,
 	})
-	// Reschedule inside the current tick: three heap residents tie on the
-	// due time and order by genealogy; re-timing the middle one (from the
-	// top level, and again from inside a callback) must not re-key the
-	// struct its old entry still points at.
+	// Ties inside the current tick: three heap residents due at the same
+	// instant order by genealogy, behind an event that re-arms itself with
+	// an asserted genealogy from inside its callback.
 	f.Add([]byte{
 		fzAfter, d1ms, 0,
 		fzRunUntil, d1ms, 0, 0,
 		fzAtAsOf, d10us, 0x02,
 		fzAfter, d10us, 0,
 		fzAtAsOf, d10us, 0x00,
-		fzRescheduleAsOf, 2, d10us,
-		fzAtArg, d1us, 0,
-		fzRunUntil, d1us, 0, 2,
-		fzReschedule, 1, d10us,
+		fzAfterArg, d1us, 0,
+		fzRunUntil, d1us, 0, 1,
 		fzRearmAsOf, d10us, 0x01,
 		fzRunUntil, d1ms, 0,
 	})
 	// Wheel residents, a cascade, and a Reset with live arguments and a
 	// tombstone pending.
 	f.Add([]byte{
-		fzAtArg, 7, 0,
-		fzAtArg, 8, 0,
-		fzAtArg, 9, 0,
+		fzAfterArg, 7, 0,
+		fzAfterArg, 8, 0,
+		fzAfterArg, 9, 0,
 		fzCancel, 2, 0,
-		fzReschedule, 0, 9,
 		fzRunUntil, 5, 0,
 		fzReset, 0, 0,
-		fzAtArg, 5, 0,
+		fzAfterArg, 5, 0,
 		fzStep, 0, 0, 1,
 		fzRearm, 6, 0,
 	})

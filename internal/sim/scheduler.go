@@ -13,9 +13,9 @@ import "fmt"
 // points at an event struct, and an event is on the freelist only when none
 // does. The tie-break keys below live here rather than in the entry, so they
 // must not change while an entry can still be compared through them — which
-// is why a heap-resident Cancel/Reschedule retires the struct as a tombstone
-// (dead) instead of recycling or re-keying it, and the struct returns to the
-// freelist only when its entry pops.
+// is why a heap-resident Cancel retires the struct as a tombstone (dead)
+// instead of recycling it, and the struct returns to the freelist only when
+// its entry pops.
 type event struct {
 	t    Time
 	gen  uint64
@@ -32,7 +32,7 @@ type event struct {
 	// slots until the clock reached them.
 	wlevel uint8
 	wslot  uint8
-	dead   bool // tombstone: cancelled or superseded while heap-resident
+	dead   bool // tombstone: cancelled while heap-resident
 	wpos   int32
 
 	// The tie-break among entries due at the same instant. Last, so that
@@ -203,7 +203,7 @@ type Scheduler struct {
 }
 
 // SetResetDrain installs a hook that Reset hands the argument of every
-// still-scheduled AtArg/AfterArg event to, before recycling the event.
+// still-scheduled AfterArg/AtArgAsOf event to, before recycling the event.
 // Without it, resetting a world mid-flight strands whatever the pending
 // events were carrying — in netsim terms, every packet that was riding a
 // propagation or serialization event leaks to the garbage collector and
@@ -545,15 +545,11 @@ func (s *Scheduler) After(d Duration, fn func()) Timer {
 	return s.schedule(s.now.Add(d), s.armedNow(), fn, nil, nil)
 }
 
-// AtArg schedules fn(arg) at absolute time t. Passing the argument through
-// the scheduler lets hot paths reuse one long-lived callback instead of
-// allocating a capturing closure per event (a pointer in an interface does
-// not allocate); netsim's per-packet delivery path relies on this.
-func (s *Scheduler) AtArg(t Time, fn func(any), arg any) Timer {
-	return s.schedule(t, s.armedNow(), nil, fn, arg)
-}
-
-// AfterArg schedules fn(arg) to run d from now. Negative d panics.
+// AfterArg schedules fn(arg) to run d from now. Negative d panics. Passing
+// the argument through the scheduler lets hot paths reuse one long-lived
+// callback instead of allocating a capturing closure per event (a pointer in
+// an interface does not allocate); netsim's per-packet delivery path relies
+// on this.
 func (s *Scheduler) AfterArg(d Duration, fn func(any), arg any) Timer {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
@@ -634,46 +630,6 @@ func (s *Scheduler) Cancel(tm Timer) {
 	s.release(e)
 }
 
-// Reschedule moves a still-pending timer to absolute time t. A
-// wheel-resident event is swap-removed from its slot and re-keyed in place,
-// with no freelist traffic; a heap-resident one is left behind as a
-// tombstone (exactly like Cancel) and its callback and argument move to a
-// fresh event, because the old entry is still ordered by the old struct's
-// keys. The returned
-// Timer supersedes tm, which goes inert; callers re-arming a recurring
-// timer must keep the new handle. Rescheduling an inert timer reports
-// false and changes nothing; t in the past panics. The callback and
-// argument ride along unchanged — Reschedule re-times, never re-targets.
-func (s *Scheduler) Reschedule(tm Timer, t Time) (Timer, bool) {
-	return s.reschedule(tm, t, s.armedNow())
-}
-
-// RescheduleAsOf is Reschedule with an explicit arming genealogy for the
-// re-timed event's tie-break keys (see AtAsOf).
-func (s *Scheduler) RescheduleAsOf(tm Timer, t, armedAt, parentAt, grandAt Time) (Timer, bool) {
-	return s.reschedule(tm, t, assertedLineage(t, armedAt, parentAt, grandAt))
-}
-
-func (s *Scheduler) reschedule(tm Timer, t Time, lin lineage) (Timer, bool) {
-	e := tm.e
-	if e == nil || e.gen != tm.gen {
-		return Timer{}, false
-	}
-	if t < s.now {
-		panic(fmt.Sprintf("sim: reschedule at %v before now %v", t, s.now))
-	}
-	if e.wlevel != 0 {
-		s.wheelRemove(e)
-		e.gen++ // every old handle goes inert
-	} else {
-		old := e
-		e = s.alloc()
-		e.fn, e.afn, e.arg = old.fn, old.afn, old.arg
-		s.entomb(old)
-	}
-	return s.arm(e, t, lin), true
-}
-
 // Rearm re-schedules the event whose callback is currently executing to
 // fire again at absolute time t, with the same callback and argument. It
 // is the chain primitive for self-perpetuating timers (a port's
@@ -683,7 +639,7 @@ func (s *Scheduler) reschedule(tm Timer, t Time, lin lineage) (Timer, bool) {
 // alloc/release pairs. Rearm may be called at most once per firing, only
 // from inside the callback (panics otherwise), and t must not be in the
 // past. Handles taken before the firing are already inert — keep the
-// returned Timer to cancel or re-time the chain.
+// returned Timer to cancel the chain.
 func (s *Scheduler) Rearm(t Time) Timer {
 	return s.rearm(t, s.armedNow())
 }
@@ -783,9 +739,6 @@ func (s *Scheduler) RunUntil(t Time) {
 		s.now = t
 	}
 }
-
-// RunFor runs the simulation for d of simulated time from now.
-func (s *Scheduler) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
 
 // push inserts an entry into the 4-ary heap (sift up).
 func (s *Scheduler) push(en entry) {

@@ -132,7 +132,7 @@ func TestSchedulerAfterArg(t *testing.T) {
 	deliver := func(a any) { got = append(got, a.(*payload).n) }
 	s.AfterArg(2*Second, deliver, &payload{2})
 	s.AfterArg(1*Second, deliver, &payload{1})
-	s.AtArg(Time(3*Second), deliver, &payload{3})
+	s.AfterArg(3*Second, deliver, &payload{3})
 	tm := s.AfterArg(4*Second, deliver, &payload{4})
 	s.Cancel(tm)
 	s.Run()
@@ -218,7 +218,7 @@ func TestSchedulerRunFor(t *testing.T) {
 		s.After(100*Millisecond, tick)
 	}
 	s.After(100*Millisecond, tick)
-	s.RunFor(1 * Second)
+	s.RunUntil(s.Now().Add(1 * Second))
 	if n != 10 {
 		t.Fatalf("ticks = %d, want 10", n)
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -156,9 +157,11 @@ func buildDynamics(sched *sim.Scheduler, link *netsim.Link, d *DynamicsSpec, see
 
 // ParseBandwidthTrace parses the repository's bandwidth-trace format into
 // a step schedule: one "<seconds> <mbps>" pair per line, '#' starting a
-// comment, blank lines ignored. Offsets must be non-negative and strictly
-// increasing; rates must be positive. The checked-in cellular trace under
-// internal/topo/scenarios/testdata is the reference instance.
+// comment, blank lines ignored. Offsets must be non-negative, strictly
+// increasing and within sim.Duration's range; rates must be at least 1 bps
+// and within int64's range in bps; NaN and infinities are rejected. The
+// checked-in cellular trace under internal/topo/scenarios/testdata is the
+// reference instance.
 func ParseBandwidthTrace(data []byte) ([]netsim.RateStep, error) {
 	var steps []netsim.RateStep
 	sc := bufio.NewScanner(bytes.NewReader(data))
@@ -176,19 +179,25 @@ func ParseBandwidthTrace(data []byte) ([]netsim.RateStep, error) {
 		if len(fields) != 2 {
 			return nil, fmt.Errorf("trace line %d: want \"<seconds> <mbps>\", got %q", lineno, line)
 		}
+		// The range tests are written so that NaN fails them, and so that
+		// what passes converts to an integer without overflow: a time must
+		// fit sim.Duration and a rate must be at least 1 bps (a zero Rate is
+		// RateStep's "keep the current rate").
 		secs, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil || secs < 0 {
+		ns := secs * float64(sim.Second)
+		if err != nil || !(ns >= 0 && ns < math.MaxInt64) {
 			return nil, fmt.Errorf("trace line %d: bad time %q", lineno, fields[0])
 		}
 		mbps, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil || mbps <= 0 {
+		bps := mbps * 1e6
+		if err != nil || !(bps >= 1 && bps < math.MaxInt64) {
 			return nil, fmt.Errorf("trace line %d: bad rate %q", lineno, fields[1])
 		}
-		at := sim.Duration(secs * float64(sim.Second))
+		at := sim.Duration(ns)
 		if n := len(steps); n > 0 && at <= steps[n-1].At {
 			return nil, fmt.Errorf("trace line %d: time %v not after %v", lineno, at, steps[n-1].At)
 		}
-		steps = append(steps, netsim.RateStep{At: at, Rate: int64(mbps * 1e6)})
+		steps = append(steps, netsim.RateStep{At: at, Rate: int64(bps)})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("trace: %w", err)

@@ -234,11 +234,44 @@ func TestParseBandwidthTrace(t *testing.T) {
 		"bad rate":       "0 -3\n",
 		"zero rate":      "0 0\n",
 		"non-increasing": "1 16\n1 12\n",
+		"NaN time":       "NaN 5\n",
+		"Inf time":       "+Inf 5\n",
+		"overflow time":  "1e300 5\n",
+		"NaN rate":       "0 NaN\n",
+		"Inf rate":       "0 Inf\n",
+		"overflow rate":  "0 1e30\n",
+		"sub-bps rate":   "0 1e-7\n",
 	} {
 		if _, err := topo.ParseBandwidthTrace([]byte(in)); err == nil {
 			t.Errorf("%s: no error", name)
 		}
 	}
+}
+
+// FuzzParseBandwidthTrace: the parser never panics, and whatever it accepts
+// is a schedule a modulator can run — offsets non-negative and strictly
+// increasing, every rate at least 1 bps (0 would mean "keep the rate").
+func FuzzParseBandwidthTrace(f *testing.F) {
+	f.Add([]byte("# t mbps\n0 16.0\n1.5 2.4 # dip\n3 24\n"))
+	f.Add([]byte("NaN 5\n"))
+	f.Add([]byte("0 1e-7\n1e300 Inf\n"))
+	f.Add([]byte("9223372036.854775 9223372036854.775\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		steps, err := topo.ParseBandwidthTrace(data)
+		if err != nil {
+			return
+		}
+		if len(steps) == 0 {
+			t.Fatal("no error and no steps")
+		}
+		last := sim.Duration(-1)
+		for i, st := range steps {
+			if st.At <= last || st.Rate < 1 {
+				t.Fatalf("step %d = %+v after offset %v", i, st, last)
+			}
+			last = st.At
+		}
+	})
 }
 
 // TestBernoulliLossHelper: the independent-loss convenience produces a

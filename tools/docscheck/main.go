@@ -5,13 +5,7 @@
 //   - a Go package has no package doc comment on any of its files
 //     (test-only packages are exempt),
 //   - a markdown file at the repo root or in examples/ contains an
-//     intra-repository link to a file that does not exist,
-//   - a BENCH_*.json benchmark-trajectory snapshot at the repo root does
-//     not validate against the internal/perf schema, the numbered points
-//     do not run BENCH_0 … BENCH_n without a gap, the CI bench-gate
-//     baseline (BENCH_baseline.json) is missing, or the baseline does not
-//     gate the allocation-deterministic benchmarks strictly (zero
-//     allocs/op tolerance; near-exact for BenchmarkFleetSecond), or
+//     intra-repository link to a file that does not exist, or
 //   - the generated scenario-catalog table in EXPERIMENTS.md is stale:
 //     the block between its BEGIN/END markers must be byte-identical to
 //     what the topo scenario registry renders right now.
@@ -40,7 +34,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/perf"
 	"repro/internal/topo"
 
 	// Populate the scenario registry the catalog is generated from.
@@ -65,7 +58,6 @@ func main() {
 	var problems []string
 	problems = append(problems, checkPackageDocs(".")...)
 	problems = append(problems, checkMarkdownLinks(".")...)
-	problems = append(problems, checkBenchSnapshots(".")...)
 	problems = append(problems, checkCatalog(experimentsFile)...)
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -74,7 +66,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: package docs, markdown links, BENCH snapshots and scenario catalog OK")
+	fmt.Println("docscheck: package docs, markdown links and scenario catalog OK")
 }
 
 // The generated scenario catalog lives in EXPERIMENTS.md between these
@@ -153,104 +145,6 @@ func rewriteCatalog(path string) error {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	return os.WriteFile(path, []byte(before+renderCatalog()+after), 0o644)
-}
-
-// analysisBenches are the micro-benchmarks whose allocation counts are
-// fully deterministic — the analysis pipeline (no scheduler, no rng), the
-// ratectl and reliable-transfer steady states (allocation-free by
-// contract: cached world, precreated callbacks, pooled packets, warm
-// ledger storage), the fleet merge path (in-place
-// histogram/moment/reservoir merges once the aggregate reservoir hits its
-// bound) and the port's deep-queue drain (the batched serialization chain
-// and delivery ring reuse their timers and ring storage, so a steady-state
-// drain allocates nothing) and the node walk (dense tables, pooled
-// packets) — so the bench-gate baseline must carry them
-// with a ZERO allocs/op tolerance. Any allocation regression in those
-// layers fails CI.
-var analysisBenches = []string{
-	"BenchmarkAnalyzeBatch",
-	"BenchmarkAnalyzeStreaming",
-	"BenchmarkRatectlSecond",
-	"BenchmarkRFTTransferSecond",
-	"BenchmarkOveruseDetector",
-	"BenchmarkFleetMerge",
-	"BenchmarkPortDrain",
-	"BenchmarkNodeForward",
-}
-
-// nearExactBenches must be present in the baseline with -benchmem data and
-// a stamped allocs/op tolerance, but not necessarily zero: their world
-// construction builds Go maps whose overflow-bucket allocations depend on
-// per-map hash seeds, so allocs/op is reproducible only to a fraction of a
-// percent.
-var nearExactBenches = []string{
-	"BenchmarkFleetSecond",
-}
-
-// benchPoint matches a numbered trajectory snapshot, as opposed to the
-// named ones (BENCH_baseline.json, a local BENCH_ci.json).
-var benchPoint = regexp.MustCompile(`^BENCH_\d+\.json$`)
-
-// checkBenchSnapshots validates the benchmark-trajectory files: every
-// BENCH_*.json at the repository root must parse against the perf schema;
-// the numbered trajectory points must run BENCH_0 … BENCH_n without a gap
-// (a point recorded under the wrong label, or deleted, breaks the series
-// EXPERIMENTS.md narrates); the CI bench-gate's baseline must exist (the
-// gate job would otherwise fail much later, on every PR); and the baseline
-// must gate the analysis benches strictly.
-func checkBenchSnapshots(root string) []string {
-	var out []string
-	matches, _ := filepath.Glob(filepath.Join(root, "BENCH_*.json"))
-	sort.Strings(matches)
-	snaps := map[string]*perf.Snapshot{}
-	points := 0
-	for _, path := range matches {
-		s, err := perf.ReadFile(path)
-		if err != nil {
-			out = append(out, fmt.Sprintf("%s: invalid bench snapshot: %v", path, err))
-			continue
-		}
-		snaps[filepath.Base(path)] = s
-		if benchPoint.MatchString(filepath.Base(path)) {
-			points++
-		}
-	}
-	if points == 0 {
-		out = append(out, "BENCH_0.json missing: the benchmark trajectory must be checked in")
-	}
-	for n := 0; n < points; n++ {
-		if name := fmt.Sprintf("BENCH_%d.json", n); snaps[name] == nil {
-			out = append(out, fmt.Sprintf("%s missing: %d trajectory points are checked in, so their labels must run 0…%d", name, points, points-1))
-		}
-	}
-	base, ok := snaps["BENCH_baseline.json"]
-	if !ok {
-		out = append(out, "BENCH_baseline.json missing: the CI bench-gate has no baseline to diff against")
-		return out
-	}
-	for _, name := range analysisBenches {
-		b := base.Lookup(name)
-		switch {
-		case b == nil:
-			out = append(out, fmt.Sprintf("BENCH_baseline.json: %s missing from the bench-gate smoke set", name))
-		case b.AllocsPerOp == nil:
-			out = append(out, fmt.Sprintf("BENCH_baseline.json: %s recorded without -benchmem allocs/op", name))
-		case b.AllocsTolerancePct == nil || *b.AllocsTolerancePct != 0:
-			out = append(out, fmt.Sprintf("BENCH_baseline.json: %s needs a stamped zero allocs/op tolerance (benchjson -stamp-strict-allocs)", name))
-		}
-	}
-	for _, name := range nearExactBenches {
-		b := base.Lookup(name)
-		switch {
-		case b == nil:
-			out = append(out, fmt.Sprintf("BENCH_baseline.json: %s missing from the bench-gate smoke set", name))
-		case b.AllocsPerOp == nil:
-			out = append(out, fmt.Sprintf("BENCH_baseline.json: %s recorded without -benchmem allocs/op", name))
-		case b.AllocsTolerancePct == nil:
-			out = append(out, fmt.Sprintf("BENCH_baseline.json: %s needs a stamped allocs/op tolerance (benchjson -stamp-allocs-tol)", name))
-		}
-	}
-	return out
 }
 
 // checkPackageDocs requires every non-test package to carry a package doc
