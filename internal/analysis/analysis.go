@@ -9,6 +9,7 @@ package analysis
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -138,18 +139,26 @@ func Analyze(times []sim.Time, rtt sim.Duration, cfg Config) (*Report, error) {
 	r.FracBelow025 = fracBelow(r.Intervals, 0.25)
 	r.FracBelow1 = fracBelow(r.Intervals, 1.0)
 	r.IndexOfDispersion = stats.IndexOfDispersion(norm, cfg.DispersionWindow)
-	r.CoV = cov(r.Intervals)
+	r.CoV = cov(r.Intervals, mean)
 	r.KSDistance = stats.KSExponential(r.Intervals)
-	r.RejectsPoisson = stats.RejectsExponential(r.Intervals)
+	r.RejectsPoisson = r.KSDistance > stats.KSCriticalValue(len(r.Intervals), 0.05)
 	return r, nil
 }
 
-func cov(xs []float64) float64 {
-	s := stats.Summarize(xs)
-	if s.Mean == 0 {
+// cov is the sample standard deviation of xs over their mean (the
+// caller's stats.Mean(xs)). The sum of squared deviations runs in input
+// order: reports are compared bit for bit, so the order is part of the
+// result.
+func cov(xs []float64, mean float64) float64 {
+	if mean == 0 || len(xs) < 2 {
 		return 0
 	}
-	return s.Std / s.Mean
+	var ss float64
+	for _, x := range xs {
+		d := x - mean
+		ss += d * d
+	}
+	return math.Sqrt(ss/float64(len(xs)-1)) / mean
 }
 
 // fracBelow counts exactly (the histogram's bin interpolation is too
@@ -167,8 +176,13 @@ func fracBelow(xs []float64, limit float64) float64 {
 	return float64(n) / float64(len(xs))
 }
 
-// AnalyzeTrace is Analyze applied to a trace recorder.
+// AnalyzeTrace is Analyze applied to a trace recorder. A recorder that
+// discarded events in sink mode holds only a prefix of what it counted;
+// analyzing that prefix as the trace is an error.
 func AnalyzeTrace(rec *trace.Recorder, rtt sim.Duration, cfg Config) (*Report, error) {
+	if retained := len(rec.Events()); retained != rec.Len() {
+		return nil, fmt.Errorf("analysis: recorder retained %d of %d counted events", retained, rec.Len())
+	}
 	return Analyze(rec.Times(), rtt, cfg)
 }
 
@@ -211,9 +225,9 @@ func Merge(reports []*Report, cfg Config) (*Report, error) {
 	out.FracBelow001 = fracBelow(all, 0.01)
 	out.FracBelow025 = fracBelow(all, 0.25)
 	out.FracBelow1 = fracBelow(all, 1.0)
-	out.CoV = cov(all)
+	out.CoV = cov(all, mean)
 	out.KSDistance = stats.KSExponential(all)
-	out.RejectsPoisson = stats.RejectsExponential(all)
+	out.RejectsPoisson = out.KSDistance > stats.KSCriticalValue(len(all), 0.05)
 	return out, nil
 }
 

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -182,5 +183,19 @@ func TestConfigDefaults(t *testing.T) {
 	r, _ := Analyze(times, sim.Duration(1000), Config{})
 	if r.Hist.NumBins() != 100 {
 		t.Fatalf("bins = %d", r.Hist.NumBins())
+	}
+}
+
+// TestAnalyzeTraceRefusesTruncatedRecorder: a recorder that discarded
+// events in sink mode holds a prefix of the trace, not the trace.
+func TestAnalyzeTraceRefusesTruncatedRecorder(t *testing.T) {
+	rec := &trace.Recorder{}
+	rec.Add(trace.LossEvent{At: 1})
+	rec.Add(trace.LossEvent{At: 2})
+	rec.SetSink(func(trace.LossEvent) {}, false)
+	rec.Add(trace.LossEvent{At: 3})
+	_, err := AnalyzeTrace(rec, 100*sim.Millisecond, Config{})
+	if err == nil || !strings.Contains(err.Error(), "retained 2 of 3") {
+		t.Fatalf("AnalyzeTrace of a discarding recorder: %v", err)
 	}
 }

@@ -62,10 +62,3 @@ func KSCriticalValue(n int, alpha float64) float64 {
 	}
 	return c / math.Sqrt(float64(n))
 }
-
-// RejectsExponential reports whether the sample's KS distance exceeds the
-// alpha=0.05 critical value — i.e. whether the process is statistically
-// distinguishable from Poisson.
-func RejectsExponential(xs []float64) bool {
-	return KSExponential(xs) > KSCriticalValue(len(xs), 0.05)
-}

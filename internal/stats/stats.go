@@ -107,17 +107,17 @@ func IndexOfDispersion(times []float64, window float64) float64 {
 		}
 		counts[idx]++
 	}
-	s := Summarize(counts)
-	if s.Mean == 0 {
+	mean := Mean(counts)
+	if mean == 0 {
 		return 0
 	}
 	// Population variance is conventional for IoD.
 	var ss float64
 	for _, c := range counts {
-		d := c - s.Mean
+		d := c - mean
 		ss += d * d
 	}
-	return (ss / float64(len(counts))) / s.Mean
+	return (ss / float64(len(counts))) / mean
 }
 
 // DispersionCounter is the streaming form of IndexOfDispersion: it counts

@@ -76,6 +76,9 @@ func (d *DynamicsSpec) validate() error {
 	}
 	switch {
 	case d.Steps != nil:
+		if len(d.Steps) == 0 {
+			return fmt.Errorf("dynamics step schedule is empty")
+		}
 		for i, s := range d.Steps {
 			if s.At < 0 || s.Rate < 0 || s.Delay < 0 {
 				return fmt.Errorf("dynamics step %d has negative At/Rate/Delay", i)

@@ -42,6 +42,7 @@ func TestDynamicsValidation(t *testing.T) {
 			Steps:     []netsim.RateStep{{At: 0, Rate: 1}},
 			Oscillate: &topo.OscillateSpec{Min: 1, Max: 2, Period: sim.Second, Interval: sim.Second},
 		}, nil, "exactly one"},
+		{"no steps", &topo.DynamicsSpec{Steps: []netsim.RateStep{}}, nil, "schedule is empty"},
 		{"unsorted steps", &topo.DynamicsSpec{
 			Steps: []netsim.RateStep{{At: sim.Second}, {At: sim.Second}},
 		}, nil, "not after"},

@@ -5,9 +5,11 @@
 package trace
 
 import (
-	"encoding/csv"
+	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"io/fs"
 	"sort"
 	"strconv"
 
@@ -141,65 +143,161 @@ func (r *Recorder) Intervals() []sim.Duration {
 	return out
 }
 
-// csv columns: at_ns, flow, seq, size
-var csvHeader = []string{"at_ns", "flow", "seq", "size"}
+// csvHeader is the first non-blank line of a trace file; the columns are
+// LossEvent's fields in order.
+const csvHeader = "at_ns,flow,seq,size"
 
-// WriteCSV streams the trace to w with a header row.
+// maxCSVRow bounds one formatted row: four int64s of at most 20 bytes, three
+// commas and a newline.
+const maxCSVRow = 4*20 + 4
+
+// WriteCSV streams the trace to w: the header line, then one
+// "at_ns,flow,seq,size" line of decimal integers per event. A recorder
+// that discarded events in sink mode holds only a prefix of what it
+// counted, so writing it is an error, not a short file.
 func (r *Recorder) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return fmt.Errorf("trace: write header: %w", err)
+	if len(r.events) != r.n {
+		return fmt.Errorf("trace: write csv: recorder retained %d of %d counted events", len(r.events), r.n)
 	}
-	row := make([]string, 4)
+	// Rows are formatted in place in the writer's free space; its write
+	// error is sticky, so only Flush is checked.
+	bw := bufio.NewWriter(w)
+	bw.WriteString(csvHeader + "\n")
 	for _, e := range r.events {
-		row[0] = strconv.FormatInt(int64(e.At), 10)
-		row[1] = strconv.Itoa(e.Flow)
-		row[2] = strconv.FormatInt(e.Seq, 10)
-		row[3] = strconv.Itoa(e.Size)
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("trace: write row: %w", err)
+		if bw.Available() < maxCSVRow {
+			if err := bw.Flush(); err != nil {
+				return fmt.Errorf("trace: write csv: %w", err)
+			}
 		}
+		row := strconv.AppendInt(bw.AvailableBuffer(), int64(e.At), 10)
+		row = strconv.AppendInt(append(row, ','), int64(e.Flow), 10)
+		row = strconv.AppendInt(append(row, ','), e.Seq, 10)
+		row = strconv.AppendInt(append(row, ','), int64(e.Size), 10)
+		bw.Write(append(row, '\n'))
 	}
-	cw.Flush()
-	return cw.Error()
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("trace: write csv: %w", err)
+	}
+	return nil
 }
 
-// ReadCSV parses a trace written by WriteCSV.
+// ReadCSV parses a trace written by WriteCSV. The grammar is line-based:
+// the header line "at_ns,flow,seq,size", then one row of four
+// comma-separated decimal integers (optional sign, int64 range; flow and
+// size must fit an int) per event. Lines end in LF or CRLF, the last one
+// may end at EOF, and blank lines are skipped. Nothing else is CSV here:
+// quoted fields, spaces and extra or missing columns are errors, reported
+// with the 1-based number of the offending data row.
 func ReadCSV(rd io.Reader) (*Recorder, error) {
-	cr := csv.NewReader(rd)
-	cr.FieldsPerRecord = len(csvHeader)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("trace: read csv: %w", err)
+	remaining := remainingBytes(rd)
+	br := bufio.NewReader(rd)
+	r := &Recorder{}
+	header, row := false, 0
+	for {
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			return nil, fmt.Errorf("trace: read csv: line after row %d longer than %d bytes", row, br.Size())
+		}
+		if err != nil && err != io.EOF {
+			return nil, fmt.Errorf("trace: read csv: %w", err)
+		}
+		line = bytes.TrimSuffix(line, []byte("\n"))
+		line = bytes.TrimSuffix(line, []byte("\r"))
+		switch {
+		case len(line) == 0:
+		case !header:
+			if string(line) != csvHeader {
+				return nil, fmt.Errorf("trace: missing header, got %q", line)
+			}
+			header = true
+		default:
+			row++
+			if row == 1 {
+				// Rows lengthen as timestamps and sequence numbers grow, so
+				// the first row bounds the count from above: the event
+				// buffer is sized once and append never re-copies it.
+				r.events = make([]LossEvent, 0, remaining/(len(line)+1))
+			}
+			e, bad := parseCSVRow(line)
+			if bad != "" {
+				return nil, fmt.Errorf("trace: row %d: bad %s in %q", row, bad, line)
+			}
+			r.Add(e)
+		}
+		if err == io.EOF {
+			break
+		}
 	}
-	if len(rows) == 0 {
+	if !header {
 		return nil, fmt.Errorf("trace: empty file")
 	}
-	if rows[0][0] != csvHeader[0] {
-		return nil, fmt.Errorf("trace: missing header, got %q", rows[0][0])
-	}
-	// The row count is known, so the event buffer is sized exactly once.
-	r := &Recorder{events: make([]LossEvent, 0, len(rows)-1)}
-	for i, row := range rows[1:] {
-		at, err := strconv.ParseInt(row[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d: bad at_ns %q", i+1, row[0])
-		}
-		flow, err := strconv.Atoi(row[1])
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d: bad flow %q", i+1, row[1])
-		}
-		seq, err := strconv.ParseInt(row[2], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d: bad seq %q", i+1, row[2])
-		}
-		size, err := strconv.Atoi(row[3])
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d: bad size %q", i+1, row[3])
-		}
-		r.Add(LossEvent{At: sim.Time(at), Flow: flow, Seq: seq, Size: size})
-	}
 	return r, nil
+}
+
+// remainingBytes reports how many bytes rd has left when it can say — an
+// in-memory reader's Len, a file's size — and 0 otherwise.
+func remainingBytes(rd io.Reader) int {
+	switch v := rd.(type) {
+	case interface{ Len() int }:
+		return v.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := v.Stat(); err == nil {
+			return int(fi.Size())
+		}
+	}
+	return 0
+}
+
+// parseCSVRow decodes one "at_ns,flow,seq,size" line; bad names what is
+// wrong with a line it refuses and is empty otherwise.
+func parseCSVRow(line []byte) (e LossEvent, bad string) {
+	var v [4]int64
+	for i, name := range [4]string{"at_ns", "flow", "seq", "size"} {
+		field := line
+		if i < 3 {
+			c := bytes.IndexByte(line, ',')
+			if c < 0 {
+				return e, "column count"
+			}
+			field, line = line[:c], line[c+1:]
+		}
+		var ok bool
+		if v[i], ok = parseInt(field); !ok {
+			return e, name
+		}
+	}
+	if int64(int(v[1])) != v[1] {
+		return e, "flow"
+	}
+	if int64(int(v[3])) != v[3] {
+		return e, "size"
+	}
+	return LossEvent{At: sim.Time(v[0]), Flow: int(v[1]), Seq: v[2], Size: int(v[3])}, ""
+}
+
+// parseInt is strconv.ParseInt(s, 10, 64) without the string: an optional
+// sign and up to 18 digits cannot overflow and are decoded in place;
+// anything else is strconv's to accept or refuse.
+func parseInt(s []byte) (int64, bool) {
+	digits := s
+	if len(digits) > 0 && (digits[0] == '-' || digits[0] == '+') {
+		digits = digits[1:]
+	}
+	if len(digits) == 0 || len(digits) > 18 {
+		n, err := strconv.ParseInt(string(s), 10, 64)
+		return n, err == nil
+	}
+	var n int64
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int64(c-'0')
+	}
+	if s[0] == '-' {
+		n = -n
+	}
+	return n, true
 }
 
 // ThroughputSample is one bin of a flow-throughput time series (Figure 7's
