@@ -15,168 +15,14 @@ import (
 	"repro/internal/trace"
 )
 
-// The micro-benchmarks in this file isolate the simulator's per-packet hot
-// paths — scheduler timer churn, port enqueue/dequeue, the RED decision
-// path, and a full dumbbell world — so a developer can localize a
-// regression instead of only seeing it smeared across a whole figure run.
-// All of them ReportAllocs: the engine's contract is an allocation-free
-// steady state. The benchmarks whose steady state is contractually 0
-// allocs/op are written as a steadyX(tb) constructor — build and warm the
-// world, return one op — that the Benchmark loops over and
-// TestSteadyStateZeroAllocs (steady_state_test.go) gates in tier-1.
-
-// BenchmarkSchedulerChurn models the TCP retransmission-timer pattern that
-// dominates scheduler load: every "ACK" cancels a pending timer and arms a
-// new one (lazy deletion leaves a tombstone each time), with the timer
-// itself almost never firing.
-func BenchmarkSchedulerChurn(b *testing.B) {
-	b.ReportAllocs()
-	const acks = 100000
-	for i := 0; i < b.N; i++ {
-		s := sim.NewScheduler()
-		timeout := func() {}
-		var rto sim.Timer
-		n := 0
-		var ack func()
-		ack = func() {
-			if rto.Pending() {
-				s.Cancel(rto)
-			}
-			rto = s.After(200*sim.Millisecond, timeout)
-			n++
-			if n < acks {
-				s.After(10*sim.Microsecond, ack)
-			}
-		}
-		s.After(0, ack)
-		s.Run()
-		if n != acks {
-			b.Fatalf("ran %d acks", n)
-		}
-	}
-}
-
-// BenchmarkSchedulerWheelChurn drives the timing wheel across both
-// levels: every step arms a short timer that lands in the level-0 wheel
-// and fires, re-arms a medium timer on the level-1 wheel (cancelling the
-// previous one through the slot swap-remove path), and advances simulated
-// time across level-1 slot boundaries so cascade runs too. Together with
-// BenchmarkSchedulerChurn (heap-dominated near-horizon churn) it pins
-// both halves of the scheduler front-end.
-func BenchmarkSchedulerWheelChurn(b *testing.B) {
-	b.ReportAllocs()
-	const steps = 100000
-	for i := 0; i < b.N; i++ {
-		s := sim.NewScheduler()
-		noop := func() {}
-		var far sim.Timer
-		n := 0
-		var step func()
-		step = func() {
-			if far.Pending() {
-				s.Cancel(far)
-			}
-			far = s.After(50*sim.Millisecond, noop) // level-1 horizon
-			s.After(300*sim.Microsecond, noop)      // level-0 horizon, fires
-			n++
-			if n < steps {
-				s.After(20*sim.Microsecond, step)
-			}
-		}
-		s.After(0, step)
-		s.Run()
-		if n != steps {
-			b.Fatalf("ran %d steps", n)
-		}
-	}
-}
-
-// BenchmarkWorldInstantiate measures the compiled-topology lifecycle on a
-// 16-pair dumbbell: the Program is compiled once, and each op stamps out
-// one world (Instantiate) then rewinds it seven times with fresh seeds
-// (Reset) — the one-build-many-resets shape replication sweeps produce.
-// The reset path is the one that must stay near allocation-free.
-func BenchmarkWorldInstantiate(b *testing.B) {
-	b.ReportAllocs()
-	const pairs = 16
-	delays := make([]sim.Duration, pairs)
-	for i := range delays {
-		delays[i] = 5 * sim.Millisecond
-	}
-	spec := topo.DumbbellSpec(netsim.DumbbellConfig{
-		BottleneckRate:  100_000_000,
-		BottleneckDelay: sim.Millisecond,
-		AccessRate:      1_000_000_000,
-		AccessDelays:    delays,
-		Buffer:          64,
-	})
-	prog, err := topo.Compile(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sched := sim.NewScheduler()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sched.Reset()
-		net, err := prog.Instantiate(sched, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for r := 0; r < 7; r++ {
-			sched.Reset()
-			if err := net.Reset(spec, int64(r+1)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if net.NumFlows() != pairs {
-			b.Fatalf("world has %d flows, want %d", net.NumFlows(), pairs)
-		}
-	}
-}
-
-// BenchmarkLinkEnqueueDequeue drives one overloaded DropTail port: bursts
-// arrive faster than the link drains, so the benchmark exercises enqueue,
-// serialization scheduling, delivery and the drop-recycle path together.
-func BenchmarkLinkEnqueueDequeue(b *testing.B) {
-	b.ReportAllocs()
-	const total = 100000
-	for i := 0; i < b.N; i++ {
-		sched := sim.NewScheduler()
-		pool := netsim.NewPacketPool()
-		delivered := 0
-		sink := netsim.HandlerFunc(func(p *netsim.Packet) {
-			delivered++
-			pool.Put(p)
-		})
-		port := netsim.NewPort(sched, netsim.NewDropTail(64),
-			netsim.NewLink(1_000_000_000, sim.Microsecond, sink))
-		port.Pool = pool
-
-		sent := 0
-		var feed func()
-		feed = func() {
-			// 12 packets per 100 µs of 1000 B ≈ 960 Mbps offered on a
-			// 1 Gbps link, plus bursts: most forward, some drop.
-			for j := 0; j < 12 && sent < total; j++ {
-				p := pool.Get()
-				p.Size = 1000
-				sent++
-				port.Handle(p)
-			}
-			if sent < total {
-				sched.After(100*sim.Microsecond, feed)
-			}
-		}
-		sched.After(0, feed)
-		sched.Run()
-		if uint64(total) != port.Forwarded()+port.Dropped {
-			b.Fatalf("sent %d, forwarded %d + dropped %d", total, port.Forwarded(), port.Dropped)
-		}
-		if delivered == 0 {
-			b.Fatal("nothing delivered")
-		}
-	}
-}
+// The micro-benchmarks in this file isolate one layer or one world — a port
+// drain, the node walk, the measurement pipeline, the GCC and RFT
+// transports, a dumbbell and a wireless second — and ReportAllocs: the
+// engine's contract is an allocation-free steady state. The benchmarks
+// whose steady state is contractually 0 allocs/op are written as a
+// steadyX(tb) constructor — build and warm the world, return one op — that
+// the Benchmark loops over and TestSteadyStateZeroAllocs
+// (steady_state_test.go) gates in tier-1.
 
 // BenchmarkPortDrain measures the port's deep-queue drain in isolation:
 // one op fills a 4096-packet DropTail backlog in a single burst, then runs
@@ -292,46 +138,9 @@ func steadyNodeForward(tb testing.TB) func() {
 	return run
 }
 
-// BenchmarkREDDropPath isolates the RED decision arithmetic (EWMA update,
-// uniformized drop probability, idle aging) at an operating point inside
-// the [minTh, maxTh) probabilistic band, where the math is hottest.
-func BenchmarkREDDropPath(b *testing.B) {
-	b.ReportAllocs()
-	const offered = 200000
-	for i := 0; i < b.N; i++ {
-		rng := sim.NewRand(benchSeed)
-		q := netsim.NewRED(netsim.REDConfig{
-			Limit: 64, MinTh: 8, MaxTh: 32, MaxP: 0.1,
-			PacketsPerSecond: 12500,
-		}, rng)
-		pool := netsim.NewPacketPool()
-		drops := 0
-		now := 0.0
-		for k := 0; k < offered; k++ {
-			p := pool.Get()
-			p.Size = 1000
-			if !q.EnqueueAt(p, now) {
-				drops++
-				pool.Put(p)
-			}
-			// Drain slower than we offer so the average sits in the band.
-			if k%3 != 0 {
-				if d := q.Dequeue(); d != nil {
-					pool.Put(d)
-				}
-			}
-			now += 80e-6
-		}
-		if drops == 0 {
-			b.Fatal("RED never dropped at overload")
-		}
-	}
-}
-
-// syntheticLossTrace builds one bursty loss trace for the analysis
-// benchmarks: clusters of back-to-back drops separated by multi-RTT gaps,
-// the shape every scenario produces. Deterministic, so batch and
-// streaming analyze identical input.
+// syntheticLossTrace builds one bursty loss trace: clusters of
+// back-to-back drops separated by multi-RTT gaps, the shape every scenario
+// produces.
 func syntheticLossTrace(n int) ([]sim.Time, sim.Duration) {
 	const rtt = 50 * sim.Millisecond
 	out := make([]sim.Time, 0, n)
@@ -346,27 +155,7 @@ func syntheticLossTrace(n int) ([]sim.Time, sim.Duration) {
 	return out, rtt
 }
 
-// BenchmarkAnalyzeBatch measures the seed measurement pipeline: a
-// recorder retains the trace, then the batch Analyze pass materializes
-// intervals, normalized times, sort copies and PMF slices. Its allocs/op
-// is the cost the streaming engine removes.
-func BenchmarkAnalyzeBatch(b *testing.B) {
-	b.ReportAllocs()
-	times, rtt := syntheticLossTrace(20000)
-	for i := 0; i < b.N; i++ {
-		rec := &trace.Recorder{}
-		for k, at := range times {
-			rec.Add(trace.LossEvent{At: at, Flow: k % 16, Seq: int64(k)})
-		}
-		rep, err := analysis.AnalyzeTrace(rec, rtt, analysis.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rep.CoV, "cov")
-	}
-}
-
-// BenchmarkAnalyzeStreaming measures the online pipeline on the identical
+// BenchmarkAnalyzeStreaming measures the online pipeline on a synthetic
 // trace: a sink-mode recorder feeds the analyzer event by event and the
 // scratch (histogram, reservoir, PMF and sort buffers) is reused across
 // iterations exactly as a sweep worker reuses it across replications —
@@ -572,8 +361,8 @@ func warmReports(run func()) {
 // world: per op the arena rewinds the scheduler, Network.Reset reseeds the
 // compiled topology and GCCFlow.ResetPair rewinds the transports. The spec
 // deliberately has no Dynamics and no Loss — those reseed paths allocate
-// (modulator rebuild, loss-hook rebind) and belong to WorldInstantiate;
-// here the point is the ratectl contract: a steady-state second of pacing,
+// (modulator rebuild, loss-hook rebind); the point here is the ratectl
+// contract: a steady-state second of pacing,
 // grouping, estimation and feedback at 0 allocs/op.
 func BenchmarkRatectlSecond(b *testing.B) { benchSteady(b, steadyRatectlSecond) }
 

@@ -1,14 +1,10 @@
-// Package repro's root benchmark harness regenerates every table and
-// figure of the paper (see EXPERIMENTS.md's per-artifact index) at reduced
-// scale, reporting the headline quantity of each artifact as a custom
-// benchmark metric so the paper-vs-measured comparison in EXPERIMENTS.md
-// can be refreshed with:
-//
-//	go test -bench=. -benchmem
-//
-// These are developer tools: the engine's wall clock and allocation volume
-// are measured by the one benchmark in bench/ (see bench/README.md), and the
-// steady-state 0 allocs/op contracts are gated by TestSteadyStateZeroAllocs.
+// Package repro's root benchmarks run each paper artifact and ablation at
+// reduced scale and report its headline quantity as a custom metric. They
+// are developer tools: `paperexp` regenerates the artifacts (see
+// EXPERIMENTS.md's per-artifact index), the one benchmark in bench/
+// measures the engine's wall clock and allocation volume (see
+// bench/README.md), and TestSteadyStateZeroAllocs gates the steady-state
+// 0 allocs/op contracts.
 package repro_test
 
 import (
@@ -274,66 +270,6 @@ func BenchmarkAblationGEDwell(b *testing.B) {
 			} else {
 				b.ReportMetric(mean, "burstlen_longdwell")
 			}
-		}
-	}
-}
-
-// --- Parallel sweep harness ---
-
-// sweepFig2Cfg is the shared workload for the sweep benchmarks: four
-// replications of a reduced Figure 2 scenario.
-var sweepFig2Cfg = core.Fig2Config{
-	Seed: 1, Flows: 16, Duration: 15 * sim.Second, Warmup: 3 * sim.Second,
-}
-
-// BenchmarkSweepFigure2Sequential replays four Figure 2 replications on a
-// single worker — the seed repo's inline loop, expressed through
-// internal/exp.
-func BenchmarkSweepFigure2Sequential(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sweep, err := core.SweepFigure2(sweepFig2Cfg,
-			core.SweepOptions{Replications: 4, Workers: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(sweep.Summary.FracBelow001.Mean, "frac001_mean")
-	}
-}
-
-// BenchmarkSweepFigure2Parallel runs the identical sweep across GOMAXPROCS
-// workers. The results are bit-identical to the sequential run (the
-// replications are independently seeded worlds); only wall-clock changes —
-// compare ns/op against BenchmarkSweepFigure2Sequential to see the
-// speedup on multi-core hardware.
-func BenchmarkSweepFigure2Parallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sweep, err := core.SweepFigure2(sweepFig2Cfg,
-			core.SweepOptions{Replications: 4, Workers: 0})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(sweep.Summary.FracBelow001.Mean, "frac001_mean")
-	}
-}
-
-// BenchmarkSchedulerThroughput measures raw engine performance: events
-// executed per benchmark op (cost accounting for all scenario benches).
-func BenchmarkSchedulerThroughput(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := sim.NewScheduler()
-		n := 0
-		var tick func()
-		tick = func() {
-			n++
-			if n < 100000 {
-				s.After(sim.Microsecond, tick)
-			}
-		}
-		s.After(sim.Microsecond, tick)
-		s.Run()
-		if n != 100000 {
-			b.Fatal("wrong event count")
 		}
 	}
 }

@@ -36,22 +36,10 @@ import (
 type Aggregate struct {
 	cfg    Config
 	worlds int
-	n      int     // Σ per-world loss events
-	count  int64   // Σ per-world intervals
-	sum    float64 // Σ per-world interval sums (arrival order)
-	b001   int
-	b025   int
-	b1     int
+	n      int // Σ per-world loss events
 	rttSum sim.Duration
-
-	hist *stats.Histogram
-	mom  stats.Moments
-	disp stats.DispersionStats
-	res  stats.Reservoir
-
-	pmf    []float64 // Poisson reference scratch
-	ksSort []float64 // KS sort scratch
-	out    Report    // finalized in place, reused across Reset
+	disp   stats.DispersionStats
+	tally  // the absorbed worlds' intervals, merged in absorb order
 }
 
 // NewAggregate builds an empty cross-world accumulator. The config plays
@@ -67,24 +55,11 @@ func NewAggregate(cfg Config) *Aggregate {
 // buffers, mirroring Streaming.Reset.
 func (g *Aggregate) Reset(cfg Config) {
 	cfg.fillDefaults()
-	if cfg.KSReservoir == 0 {
-		cfg.KSReservoir = DefaultKSReservoir
-	}
 	g.cfg = cfg
 	g.worlds, g.n = 0, 0
-	g.count, g.sum = 0, 0
-	g.b001, g.b025, g.b1 = 0, 0, 0
 	g.rttSum = 0
-
-	nbins := int(cfg.MaxInterval/cfg.BinWidth + 0.5)
-	if g.hist != nil && g.hist.NumBins() == nbins && g.hist.BinWidth == cfg.BinWidth {
-		g.hist.Reset()
-	} else {
-		g.hist = stats.NewHistogram(cfg.BinWidth, nbins)
-	}
-	g.mom.Reset()
 	g.disp = stats.DispersionStats{}
-	g.res.Reset(cfg.KSReservoir)
+	g.tally.reset(cfg)
 }
 
 // Worlds reports how many analyzers were absorbed.
@@ -105,7 +80,6 @@ func (g *Aggregate) Absorb(s *Streaming) error {
 	}
 	g.worlds++
 	g.n += s.n
-	g.count += s.mom.N
 	g.sum += s.sum
 	g.b001 += s.b001
 	g.b025 += s.b025
@@ -131,32 +105,14 @@ func (g *Aggregate) KSExact() bool { return g.res.Exact() }
 // by the aggregate and recycled by the next Reset; retain with Clone. It
 // errors when fewer than two worlds' losses produced no interval at all.
 func (g *Aggregate) Finalize() (*Report, error) {
-	if g.count < 1 {
+	if g.mom.N < 1 {
 		return nil, fmt.Errorf("analysis: aggregate has no intervals (absorbed %d worlds, %d losses)", g.worlds, g.n)
 	}
-	mean := g.sum / float64(g.count)
-
-	g.out = Report{N: g.n, Hist: g.hist}
+	g.out = Report{N: g.n, IndexOfDispersion: g.disp.Value()}
 	if g.worlds > 0 {
 		g.out.RTT = g.rttSum / sim.Duration(g.worlds)
 	}
-	g.out.Intervals = g.res.Items()
-	if mean > 0 {
-		g.out.Lambda = 1 / mean
-	}
-	g.pmf = g.hist.AppendExponentialPMF(g.pmf[:0], g.out.Lambda)
-	g.out.PoissonPMF = g.pmf
-	g.out.FracBelow001 = float64(g.b001) / float64(g.count)
-	g.out.FracBelow025 = float64(g.b025) / float64(g.count)
-	g.out.FracBelow1 = float64(g.b1) / float64(g.count)
-	g.out.IndexOfDispersion = g.disp.Value()
-	if g.count > 1 && mean != 0 {
-		std := sampleStd(g.mom.M2, int(g.count))
-		g.out.CoV = std / mean
-	}
-	g.out.KSDistance, g.ksSort = stats.KSExponentialInto(g.res.Items(), g.ksSort)
-	g.out.RejectsPoisson = g.out.KSDistance > stats.KSCriticalValue(len(g.res.Items()), 0.05)
-	return &g.out, nil
+	return g.finalize(), nil
 }
 
 // BurstAgg pools per-world BurstStats exactly: the per-world means are

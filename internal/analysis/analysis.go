@@ -41,6 +41,9 @@ func (c *Config) fillDefaults() {
 	if c.DispersionWindow == 0 {
 		c.DispersionWindow = 1.0
 	}
+	if c.KSReservoir == 0 {
+		c.KSReservoir = DefaultKSReservoir
+	}
 }
 
 // Report is the full burstiness analysis of one loss trace.
@@ -125,24 +128,38 @@ func Analyze(times []sim.Time, rtt sim.Duration, cfg Config) (*Report, error) {
 		prev = times[i]
 	}
 
+	r.IndexOfDispersion = stats.IndexOfDispersion(norm, cfg.DispersionWindow)
+	r.fillFromIntervals(cfg)
+	return r, nil
+}
+
+// fillFromIntervals sets every report field that is a function of
+// r.Intervals alone: the histogram, the matched Poisson reference, the
+// headline fractions, CoV, the KS distance and the verdict. Analyze and
+// Merge share it; the index of dispersion needs loss times, not
+// intervals, so Analyze computes it itself.
+func (r *Report) fillFromIntervals(cfg Config) {
 	nbins := int(cfg.MaxInterval/cfg.BinWidth + 0.5)
 	r.Hist = stats.NewHistogram(cfg.BinWidth, nbins)
 	r.Hist.AddAll(r.Intervals)
-
 	mean := stats.Mean(r.Intervals)
 	if mean > 0 {
 		r.Lambda = 1 / mean
 	}
 	r.PoissonPMF = r.Hist.ExponentialPMF(r.Lambda)
-
 	r.FracBelow001 = fracBelow(r.Intervals, 0.01)
 	r.FracBelow025 = fracBelow(r.Intervals, 0.25)
 	r.FracBelow1 = fracBelow(r.Intervals, 1.0)
-	r.IndexOfDispersion = stats.IndexOfDispersion(norm, cfg.DispersionWindow)
 	r.CoV = cov(r.Intervals, mean)
 	r.KSDistance = stats.KSExponential(r.Intervals)
-	r.RejectsPoisson = r.KSDistance > stats.KSCriticalValue(len(r.Intervals), 0.05)
-	return r, nil
+	r.RejectsPoisson = rejectsPoisson(r.KSDistance, len(r.Intervals))
+}
+
+// rejectsPoisson is the report's verdict: whether a KS distance d over n
+// intervals rejects the rate-matched exponential at α = 0.05. Batch,
+// streaming and aggregate reports all decide here.
+func rejectsPoisson(d float64, n int) bool {
+	return d > stats.KSCriticalValue(n, 0.05)
 }
 
 // cov is the sample standard deviation of xs over their mean (the
@@ -214,20 +231,7 @@ func Merge(reports []*Report, cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("analysis: nothing to merge")
 	}
 	out := &Report{N: n, Intervals: all}
-	nbins := int(cfg.MaxInterval/cfg.BinWidth + 0.5)
-	out.Hist = stats.NewHistogram(cfg.BinWidth, nbins)
-	out.Hist.AddAll(all)
-	mean := stats.Mean(all)
-	if mean > 0 {
-		out.Lambda = 1 / mean
-	}
-	out.PoissonPMF = out.Hist.ExponentialPMF(out.Lambda)
-	out.FracBelow001 = fracBelow(all, 0.01)
-	out.FracBelow025 = fracBelow(all, 0.25)
-	out.FracBelow1 = fracBelow(all, 1.0)
-	out.CoV = cov(all, mean)
-	out.KSDistance = stats.KSExponential(all)
-	out.RejectsPoisson = out.KSDistance > stats.KSCriticalValue(len(all), 0.05)
+	out.fillFromIntervals(cfg)
 	return out, nil
 }
 

@@ -47,19 +47,66 @@ type Streaming struct {
 
 	n    int      // loss events observed
 	last sim.Time // time of the previous event
-	sum  float64  // Σ intervals, in arrival order (batch-identical mean)
-	mom  stats.Moments
-	b001 int // intervals < 0.01 RTT
-	b025 int // intervals < 0.25 RTT
-	b1   int // intervals < 1 RTT
-
-	hist *stats.Histogram
 	disp stats.DispersionCounter
+	tally
+}
+
+// tally is the interval state Streaming and Aggregate share: Streaming
+// fills it one interval at a time, Aggregate by merging analyzers, and
+// both finalize it the same way.
+type tally struct {
+	sum  float64       // Σ intervals, in arrival order (batch-identical mean)
+	mom  stats.Moments // mom.N counts the intervals
+	b001 int           // intervals < 0.01 RTT
+	b025 int           // intervals < 0.25 RTT
+	b1   int           // intervals < 1 RTT
+	hist *stats.Histogram
 	res  stats.Reservoir // retained intervals for the KS test
 
 	pmf    []float64 // Poisson reference scratch
 	ksSort []float64 // KS sort scratch
 	out    Report    // finalized in place, reused across Reset
+}
+
+// reset empties the tally for cfg (defaults filled), keeping every
+// scratch buffer. The reservoir's fixed seed keeps sampling a pure
+// function of the interval stream, so sweeps and fleets stay
+// worker-count invariant.
+func (t *tally) reset(cfg Config) {
+	t.sum = 0
+	t.mom.Reset()
+	t.b001, t.b025, t.b1 = 0, 0, 0
+	nbins := int(cfg.MaxInterval/cfg.BinWidth + 0.5)
+	if t.hist != nil && t.hist.NumBins() == nbins && t.hist.BinWidth == cfg.BinWidth {
+		t.hist.Reset()
+	} else {
+		t.hist = stats.NewHistogram(cfg.BinWidth, nbins)
+	}
+	t.res.Reset(cfg.KSReservoir)
+}
+
+// finalize fills every interval statistic of t.out — the caller has set
+// N, RTT and IndexOfDispersion — and returns it. There is at least one
+// interval.
+func (t *tally) finalize() *Report {
+	count := int(t.mom.N)
+	mean := t.sum / float64(count)
+	t.out.Hist = t.hist
+	t.out.Intervals = t.res.Items()
+	if mean > 0 {
+		t.out.Lambda = 1 / mean
+	}
+	t.pmf = t.hist.AppendExponentialPMF(t.pmf[:0], t.out.Lambda)
+	t.out.PoissonPMF = t.pmf
+	t.out.FracBelow001 = float64(t.b001) / float64(count)
+	t.out.FracBelow025 = float64(t.b025) / float64(count)
+	t.out.FracBelow1 = float64(t.b1) / float64(count)
+	if count > 1 && mean != 0 {
+		t.out.CoV = sampleStd(t.mom.M2, count) / mean
+	}
+	t.out.KSDistance, t.ksSort = stats.KSExponentialInto(t.res.Items(), t.ksSort)
+	t.out.RejectsPoisson = rejectsPoisson(t.out.KSDistance, len(t.res.Items()))
+	return &t.out
 }
 
 // NewStreaming builds an online analyzer for losses on a path with the
@@ -80,30 +127,14 @@ func (s *Streaming) Reset(rtt sim.Duration, cfg Config) error {
 		return fmt.Errorf("analysis: RTT must be positive, got %v", rtt)
 	}
 	cfg.fillDefaults()
-	if cfg.KSReservoir == 0 {
-		cfg.KSReservoir = DefaultKSReservoir
-	}
 	s.cfg = cfg
 	s.rtt = rtt
 	s.rttF = float64(rtt)
 
 	s.n = 0
 	s.last = 0
-	s.sum = 0
-	s.mom.Reset()
-	s.b001, s.b025, s.b1 = 0, 0, 0
-
-	nbins := int(cfg.MaxInterval/cfg.BinWidth + 0.5)
-	if s.hist != nil && s.hist.NumBins() == nbins && s.hist.BinWidth == cfg.BinWidth {
-		s.hist.Reset()
-	} else {
-		s.hist = stats.NewHistogram(cfg.BinWidth, nbins)
-	}
 	s.disp.Reset(cfg.DispersionWindow)
-
-	// The reservoir's fixed seed keeps sampling a pure function of the
-	// event stream, so sweeps stay worker-count invariant.
-	s.res.Reset(cfg.KSReservoir)
+	s.tally.reset(cfg)
 	return nil
 }
 
@@ -160,27 +191,8 @@ func (s *Streaming) Finalize() (*Report, error) {
 	if s.n < 2 {
 		return nil, fmt.Errorf("analysis: need ≥2 losses, got %d", s.n)
 	}
-	count := s.n - 1 // intervals
-	mean := s.sum / float64(count)
-
-	s.out = Report{N: s.n, RTT: s.rtt, Hist: s.hist}
-	s.out.Intervals = s.res.Items()
-	if mean > 0 {
-		s.out.Lambda = 1 / mean
-	}
-	s.pmf = s.hist.AppendExponentialPMF(s.pmf[:0], s.out.Lambda)
-	s.out.PoissonPMF = s.pmf
-	s.out.FracBelow001 = float64(s.b001) / float64(count)
-	s.out.FracBelow025 = float64(s.b025) / float64(count)
-	s.out.FracBelow1 = float64(s.b1) / float64(count)
-	s.out.IndexOfDispersion = s.disp.Value()
-	if count > 1 && mean != 0 {
-		std := sampleStd(s.mom.M2, count)
-		s.out.CoV = std / mean
-	}
-	s.out.KSDistance, s.ksSort = stats.KSExponentialInto(s.res.Items(), s.ksSort)
-	s.out.RejectsPoisson = s.out.KSDistance > stats.KSCriticalValue(len(s.res.Items()), 0.05)
-	return &s.out, nil
+	s.out = Report{N: s.n, RTT: s.rtt, IndexOfDispersion: s.disp.Value()}
+	return s.finalize(), nil
 }
 
 // sampleStd is the unbiased sample standard deviation from a Welford M2

@@ -76,10 +76,7 @@ func runTFRCCompetition(cfg TFRCCompConfig, a *exp.Arena) (*TFRCCompResult, erro
 	for i := range delays {
 		delays[i] = cfg.RTT / 2
 	}
-	buffer := int(cfg.BufferBDPFrac * float64(netsim.BDP(cfg.BottleneckRate, cfg.RTT, cfg.PktSize)))
-	if buffer < 8 {
-		buffer = 8
-	}
+	buffer := bdpBuffer(cfg.BufferBDPFrac, cfg.BottleneckRate, cfg.RTT, cfg.PktSize)
 	d := w.Dumbbell(netsim.DumbbellConfig{
 		BottleneckRate:  cfg.BottleneckRate,
 		BottleneckDelay: 0,
@@ -244,10 +241,7 @@ func runECNCoverage(cfg ECNCoverageConfig, mode ECNMode, a *exp.Arena) (*ECNCove
 		frac := 0.8 + 0.4*float64(i)/float64(maxI(cfg.Flows-1, 1))
 		delays[i] = sim.Duration(frac * float64(cfg.RTT) / 2)
 	}
-	buffer := int(0.5 * float64(netsim.BDP(cfg.BottleneckRate, cfg.RTT, cfg.PktSize)))
-	if buffer < 8 {
-		buffer = 8
-	}
+	buffer := bdpBuffer(0.5, cfg.BottleneckRate, cfg.RTT, cfg.PktSize)
 
 	var queue netsim.Queue
 	switch mode {

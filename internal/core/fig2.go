@@ -77,6 +77,17 @@ func (c *Fig2Config) fillDefaults() {
 // the registered scenarios share it.
 type ScenarioResult = topo.ScenarioResult
 
+// bdpBuffer sizes a bottleneck buffer: frac of the path's bandwidth-delay
+// product in packets, at least 8. Every dumbbell runner in this package
+// sizes its buffer here.
+func bdpBuffer(frac float64, rate int64, rtt sim.Duration, pktSize int) int {
+	buffer := int(frac * float64(netsim.BDP(rate, rtt, pktSize)))
+	if buffer < 8 {
+		buffer = 8
+	}
+	return buffer
+}
+
 // RunFigure2 executes the NS-2-style scenario on a fresh arena and
 // analyzes the bottleneck drop trace, which is retained in the result;
 // sweeps go through runFigure2 with a per-worker arena instead.
@@ -99,10 +110,7 @@ func runFigure2(cfg Fig2Config, a *exp.Arena) (*ScenarioResult, error) {
 	}
 	meanRTT /= sim.Duration(cfg.Flows)
 
-	buffer := int(cfg.BufferBDPFrac * float64(netsim.BDP(cfg.BottleneckRate, meanRTT, cfg.PktSize)))
-	if buffer < 8 {
-		buffer = 8
-	}
+	buffer := bdpBuffer(cfg.BufferBDPFrac, cfg.BottleneckRate, meanRTT, cfg.PktSize)
 
 	var queue netsim.Queue
 	if cfg.RED {

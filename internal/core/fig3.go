@@ -103,10 +103,7 @@ func runFigure3(cfg Fig3Config, a *exp.Arena) (*ScenarioResult, error) {
 	}
 	meanRTT /= sim.Duration(nFlows)
 
-	buffer := int(cfg.BufferBDPFrac * float64(netsim.BDP(cfg.BottleneckRate, meanRTT, cfg.PktSize)))
-	if buffer < 8 {
-		buffer = 8
-	}
+	buffer := bdpBuffer(cfg.BufferBDPFrac, cfg.BottleneckRate, meanRTT, cfg.PktSize)
 
 	d := w.Dumbbell(netsim.DumbbellConfig{
 		BottleneckRate:  cfg.BottleneckRate,

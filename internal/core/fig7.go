@@ -94,10 +94,7 @@ func runFigure7(cfg Fig7Config, a *exp.Arena) (*Fig7Result, error) {
 	for i := range delays {
 		delays[i] = cfg.RTT / 2
 	}
-	buffer := int(cfg.BufferBDPFrac * float64(netsim.BDP(cfg.BottleneckRate, cfg.RTT, cfg.PktSize)))
-	if buffer < 8 {
-		buffer = 8
-	}
+	buffer := bdpBuffer(cfg.BufferBDPFrac, cfg.BottleneckRate, cfg.RTT, cfg.PktSize)
 	d := w.Dumbbell(netsim.DumbbellConfig{
 		BottleneckRate:  cfg.BottleneckRate,
 		BottleneckDelay: 0,

@@ -5,7 +5,11 @@
 //   - a Go package has no package doc comment on any of its files
 //     (test-only packages are exempt),
 //   - a markdown file at the repo root or in examples/ contains an
-//     intra-repository link to a file that does not exist, or
+//     intra-repository link to a file that does not exist,
+//   - a tracked markdown file cites a Test, Benchmark, Fuzz or Example
+//     function that no _test.go file defines (CHANGES.md, ROADMAP.md and
+//     any document with a `- [ ]` task list are history and plans, and
+//     may name what is gone or not yet written), or
 //   - the generated scenario-catalog table in EXPERIMENTS.md is stale:
 //     the block between its BEGIN/END markers must be byte-identical to
 //     what the topo scenario registry renders right now.
@@ -26,9 +30,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -59,6 +65,7 @@ func main() {
 	problems = append(problems, checkPackageDocs(".")...)
 	problems = append(problems, checkMarkdownLinks(".")...)
 	problems = append(problems, checkCatalog(experimentsFile)...)
+	problems = append(problems, checkTestNames(".")...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, "docscheck:", p)
@@ -66,7 +73,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: package docs, markdown links and scenario catalog OK")
+	fmt.Println("docscheck: package docs, markdown links, test names and scenario catalog OK")
 }
 
 // The generated scenario catalog lives in EXPERIMENTS.md between these
@@ -231,6 +238,97 @@ func checkMarkdownLinks(root string) []string {
 			resolved := filepath.Join(filepath.Dir(file), target)
 			if _, err := os.Stat(resolved); err != nil {
 				out = append(out, fmt.Sprintf("%s: broken link %q", file, target))
+			}
+		}
+	}
+	return out
+}
+
+// testName matches a Go test, benchmark, fuzz target or example name as a
+// whole word. `Test*` and other wildcards do not match.
+var testName = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz|Example)[A-Z0-9_]\w*`)
+
+// historyDocs may cite test names that no longer (or do not yet) exist.
+var historyDocs = map[string]bool{"CHANGES.md": true, "ROADMAP.md": true}
+
+// taskList matches a markdown task-list item; a document carrying one is
+// a plan and, like historyDocs, may cite names not yet written.
+var taskList = regexp.MustCompile(`(?m)^\s*[-*] \[[ xX]\] `)
+
+// checkTestNames fails on every test name a tracked markdown file cites
+// that no _test.go file under root defines, so deleting a test or a
+// benchmark cannot leave a dangling reference in the docs.
+func checkTestNames(root string) []string {
+	cmd := exec.Command("git", "ls-files", "-z", "--", "*.md")
+	cmd.Dir = root
+	list, err := cmd.Output()
+	if err != nil {
+		return []string{fmt.Sprintf("listing tracked markdown files: %v", err)}
+	}
+	docs := map[string]string{}
+	for _, file := range strings.FieldsFunc(string(list), func(r rune) bool { return r == 0 }) {
+		data, err := os.ReadFile(filepath.Join(root, file))
+		if err != nil {
+			return []string{fmt.Sprintf("%s: %v", file, err)}
+		}
+		docs[file] = string(data)
+	}
+	defined, err := definedTestNames(root)
+	if err != nil {
+		return []string{fmt.Sprintf("test scan aborted: %v", err)}
+	}
+	return danglingTestNames(docs, defined)
+}
+
+// definedTestNames collects the top-level Test, Benchmark, Fuzz and
+// Example functions of every _test.go file under root.
+func definedTestNames(root string) (map[string]bool, error) {
+	defined := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == ".git" || name == "vendor" || name == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && testName.MatchString(fn.Name.Name) {
+				defined[fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	return defined, err
+}
+
+// danglingTestNames reports, per file and line, each cited test name
+// missing from defined. docs maps a repo-relative path to its contents.
+func danglingTestNames(docs map[string]string, defined map[string]bool) []string {
+	files := make([]string, 0, len(docs))
+	for file, text := range docs {
+		if !historyDocs[file] && !taskList.MatchString(text) {
+			files = append(files, file)
+		}
+	}
+	sort.Strings(files)
+	var out []string
+	for _, file := range files {
+		for i, line := range strings.Split(docs[file], "\n") {
+			for _, name := range testName.FindAllString(line, -1) {
+				if !defined[name] {
+					out = append(out, fmt.Sprintf("%s:%d: cites %s, which no _test.go defines", file, i+1, name))
+				}
 			}
 		}
 	}
