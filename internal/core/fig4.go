@@ -85,9 +85,10 @@ func RunFigure4(cfg Fig4Config) (*Fig4Result, error) {
 
 	pairs := mesh.RandomPairs(pick, cfg.Paths)
 
-	// The mesh is immutable after construction, so sharing it across the
-	// workers is safe; every mutable piece of a measurement is created in
-	// the worker or reset out of its arena.
+	// The mesh holds no state a path derivation writes — each worker
+	// derives its path's parameters on demand from the seed — so sharing
+	// it across the workers is safe; every mutable piece of a measurement
+	// is created in the worker or reset out of its arena.
 	results := exp.Sweep(exp.Options{Seed: cfg.Seed, Workers: cfg.Workers}, pairs,
 		func(r exp.Run[[2]int], a *exp.Arena) (pathOutcome, error) {
 			sched := a.Scheduler()

@@ -32,30 +32,21 @@ func (c *MeshConfig) fillDefaults() {
 	}
 }
 
-// Mesh is the full 650-path synthetic testbed.
+// Mesh is the synthetic testbed over the paper's 26 sites. It holds only
+// the sites and the configuration: each of the 650 directed paths is
+// derived on demand, a pure function of the seed and the site pair, so a
+// mesh costs nothing for the paths nobody asks for and is safe to share
+// across goroutines.
 type Mesh struct {
 	Sites []Site
 	cfg   MeshConfig
-	// paths[src][dst], nil on the diagonal.
-	params [][]PathParams
 }
 
-// NewMesh derives the complete directed mesh over the paper's 26 sites.
+// NewMesh returns the mesh over the paper's 26 sites; paths are derived
+// when asked for.
 func NewMesh(cfg MeshConfig) *Mesh {
 	cfg.fillDefaults()
-	sites := Sites()
-	m := &Mesh{Sites: sites, cfg: cfg}
-	m.params = make([][]PathParams, len(sites))
-	for i := range sites {
-		m.params[i] = make([]PathParams, len(sites))
-		for j := range sites {
-			if i == j {
-				continue
-			}
-			m.params[i][j] = m.derivePath(i, j)
-		}
-	}
-	return m
+	return &Mesh{Sites: Sites(), cfg: cfg}
 }
 
 // derivePath computes deterministic per-path parameters from the seed and
@@ -107,7 +98,7 @@ func (m *Mesh) PathParams(i, j int) PathParams {
 	if i == j {
 		panic("planetlab: no self path")
 	}
-	return m.params[i][j]
+	return m.derivePath(i, j)
 }
 
 // NewPathProcess instantiates the live loss process for path i→j with an
@@ -152,13 +143,14 @@ func (m *Mesh) RandomPairs(rng *rand.Rand, n int) [][2]int {
 	return pairs
 }
 
-// AllRTTs lists every directed path's RTT, for distribution checks.
+// AllRTTs derives every directed path and lists its RTT, for distribution
+// checks.
 func (m *Mesh) AllRTTs() []sim.Duration {
 	var out []sim.Duration
 	for i := range m.Sites {
 		for j := range m.Sites {
 			if i != j {
-				out = append(out, m.params[i][j].RTT)
+				out = append(out, m.derivePath(i, j).RTT)
 			}
 		}
 	}

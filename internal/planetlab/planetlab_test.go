@@ -1,6 +1,8 @@
 package planetlab
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -292,5 +294,55 @@ func TestRandomPairsDistinctAndCapped(t *testing.T) {
 	all := m.RandomPairs(rand.New(rand.NewSource(8)), 100000)
 	if len(all) != len(m.Sites)*(len(m.Sites)-1) {
 		t.Fatalf("capped pairs = %d", len(all))
+	}
+}
+
+// TestMeshPinned pins every field of all 650 derived paths for two seeds,
+// bit for bit, so a change to how the mesh is built cannot move a path.
+// It also bounds what building a mesh and reading a handful of its paths
+// allocates: a mesh derives the paths it is asked for, and an eager table
+// of all 650 (an rng source each) cannot come back unnoticed.
+func TestMeshPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed int64
+		want uint64
+	}{{1, 0x4fc988f99a7e21d4}, {7, 0xb44698e3cf221f1e}} {
+		m := NewMesh(MeshConfig{Seed: c.seed})
+		h := fnv.New64a()
+		var buf [8]byte
+		fold := func(v uint64) {
+			binary.LittleEndian.PutUint64(buf[:], v)
+			h.Write(buf[:])
+		}
+		for i := range m.Sites {
+			for j := range m.Sites {
+				if i == j {
+					continue
+				}
+				p := m.PathParams(i, j)
+				fold(uint64(p.SrcSite))
+				fold(uint64(p.DstSite))
+				fold(uint64(p.RTT))
+				fold(math.Float64bits(p.EpisodeRate))
+				fold(uint64(p.MeanEpisode))
+				fold(math.Float64bits(p.LossInEpisode))
+				fold(math.Float64bits(p.Background))
+				fold(uint64(p.JitterMax))
+			}
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("seed %d: mesh hash %#016x, want %#016x", c.seed, got, c.want)
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		m := NewMesh(MeshConfig{Seed: 1})
+		for k := 0; k < 8; k++ {
+			m.PathParams(k, k+1)
+		}
+	})
+	// The mesh, its site list, and one rng source per derived path; an
+	// eager table costs 679.
+	if allocs > 2+8 {
+		t.Fatalf("NewMesh + 8 PathParams: %v allocs, want ≤ 10", allocs)
 	}
 }

@@ -73,9 +73,10 @@ func (r *refSched) remove(i int) refEvent {
 
 // fuzzDeltas are the delays a fuzz program picks from: the same instant,
 // inside the current 65 µs tick (heap-resident once the tick is flushed),
-// the level-0 and level-1 wheel horizons, and past both (heap again).
+// the level-0 and level-1 wheel horizons, and past both (heap again); the
+// last is a Figure 4 probe's long delivery delay.
 var fuzzDeltas = [...]Duration{0, 1, 100, Microsecond, 10 * Microsecond, 70 * Microsecond,
-	Millisecond, 20 * Millisecond, Second, 5 * Second}
+	Millisecond, 20 * Millisecond, Second, 5 * Second, 50 * Millisecond}
 
 // fuzzOffsets are how far an asserted genealogy steps back per generation.
 var fuzzOffsets = [...]Duration{0, 1, Microsecond, 100 * Microsecond}
@@ -269,8 +270,9 @@ func (z *schedFuzz) reset() {
 
 // check compares everything observable — Pending and every handle ever
 // issued — and then the scheduler's structural invariants: one entry per
-// event, no freelisted event behind an entry, and a heap ordered by the
-// full key as read through the events right now.
+// event, no freelisted event behind an entry, a level-0 occupancy map and
+// count that match the slots, and a heap ordered by the full key as read
+// through the events right now.
 func (z *schedFuzz) check() {
 	s, t := z.s, z.t
 	if s.Pending() != len(z.ref.evs) {
@@ -315,6 +317,16 @@ func (z *schedFuzz) check() {
 	if live != s.Pending() {
 		t.Fatalf("%d live entries, Pending() = %d", live, s.Pending())
 	}
+	stored0 := 0
+	for i := range s.slots0 {
+		stored0 += len(s.slots0[i])
+		if set := s.occ0[i/64]>>(i%64)&1 == 1; set != (len(s.slots0[i]) > 0) {
+			t.Fatalf("level-0 slot %d holds %d entries, occupancy bit %v", i, len(s.slots0[i]), set)
+		}
+	}
+	if stored0 != s.count0 {
+		t.Fatalf("level-0 slots hold %d entries, count0 = %d", stored0, s.count0)
+	}
 	for e := s.free; e != nil; e = e.next {
 		if owned[e] {
 			t.Fatal("freelisted event is still referenced by an entry")
@@ -337,9 +349,15 @@ func (z *schedFuzz) check() {
 // one-entry-per-event invariants the narrow entry depends on.
 func FuzzScheduler(f *testing.F) {
 	const (
-		d1us  = 3 // indices into fuzzDeltas
-		d10us = 4
-		d1ms  = 6
+		d100ns = 2 // indices into fuzzDeltas
+		d1us   = 3
+		d10us  = 4
+		d70us  = 5
+		d1ms   = 6
+		d20ms  = 7
+		d1s    = 8
+		d5s    = 9
+		d50ms  = 10
 	)
 	// Heap-resident cancel-then-reuse: run to 1 ms so the current tick is
 	// flushed and everything armed inside it goes to the heap; arm, cancel,
@@ -381,6 +399,59 @@ func FuzzScheduler(f *testing.F) {
 		fzStep, 0, 0, 1,
 		fzRearm, 6, 0,
 	})
+	// The probe shape: a 1 ms timer re-arming itself from its own callback,
+	// each firing also arming a 20 or 50 ms delivery, so the wheel cursor
+	// jumps ~15 empty level-0 slots between firings and deliveries tie with
+	// probes at the same nanosecond. Every firing reads its op count first,
+	// so the bytes follow the firing order: at each millisecond the due
+	// deliveries (armed earlier) fire before the probe.
+	const probes = 40
+	probe := []byte{fzAfter, d1ms, 0, fzRunUntil, d1s, 0}
+	for ms := 1; ms <= probes+50; ms++ {
+		for _, k := range []int{ms - 20, ms - 50} {
+			if k >= 1 && k <= probes && (k%2 == 0) == (ms-k == 20) {
+				probe = append(probe, 0) // a delivery fires, arming nothing
+			}
+		}
+		if ms <= probes {
+			d := byte(d50ms)
+			if ms%2 == 0 {
+				d = d20ms
+			}
+			probe = append(probe, 2, fzRearm, d1ms, 0, fzAfterArg, d, 0)
+		}
+	}
+	f.Add(probe)
+	// A heap head due mid-gap: an event armed 5 s out overflows to the
+	// heap; the clock idles up to 1 ms before it, and an event armed then
+	// lands two ticks past it in level 0. The cursor's jumps must stop at
+	// the level-1 boundary, then at the head's tick + 1, for the head to
+	// fire first.
+	midGap := []byte{fzAfter, d5s, 0, fzRunUntil, d70us, 0}
+	for _, step := range []struct{ d, n byte }{{d1s, 4}, {d20ms, 49}, {d1ms, 19}} {
+		for k := byte(0); k < step.n; k++ {
+			midGap = append(midGap, fzRunUntil, step.d, 0)
+		}
+	}
+	midGap = append(midGap, fzAfter, d1ms, 0, fzAtAsOf, d1ms, 0x05, fzRunUntil, d20ms, 0, 0, 0, 0)
+	f.Add(midGap)
+	// A gap across a level-1 boundary: at 16 ms the cursor sits in slot
+	// 244, and an event 1 ms out lands in slot 3 of the ring's next pass;
+	// the cursor must cascade at the boundary, then reach slot 3. A cancel
+	// empties a slot on the way, and a Reset abandons a level-0 resident.
+	wrap := []byte{}
+	for k := 0; k < 16; k++ {
+		wrap = append(wrap, fzRunUntil, d1ms, 0)
+	}
+	wrap = append(wrap,
+		fzAfter, d1ms, 0,
+		fzAfter, d100ns, 0,
+		fzAfter, d70us, 0,
+		fzCancel, 2, 0,
+		fzRunUntil, d20ms, 0, 0, 0,
+		fzAfter, d1ms, 0,
+		fzReset, 0, 0)
+	f.Add(wrap)
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 3*256 {
 			prog = prog[:3*256]

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // event is the scheduler-owned state behind a Timer handle. Events are
 // recycled through a per-scheduler freelist: the generation counter is
@@ -175,10 +178,13 @@ type Scheduler struct {
 	// Timing wheel state. cur0 is the next unflushed level-0 tick
 	// (absolute, = time >> tick0Bits); cur1 the next uncascaded level-1
 	// tick. count0/count1 track stored entries per level, so emptiness
-	// checks are O(1). Slot slices keep their capacity across flushes and
-	// Resets.
+	// checks are O(1). occ0 is the level-0 occupancy map: bit i is set iff
+	// slots0[i] holds entries, which lets advance jump over a run of empty
+	// slots in a few word scans instead of visiting each. Slot slices keep
+	// their capacity across flushes and Resets.
 	cur0, cur1     int64
 	count0, count1 int
+	occ0           [wheelSlots / 64]uint64
 	wheelInit      bool
 	slots0         [wheelSlots][]entry
 	slots1         [wheelSlots][]entry
@@ -252,6 +258,7 @@ func (s *Scheduler) Reset() {
 		s.releaseAll(s.slots1[i])
 		s.slots1[i] = s.slots1[i][:0]
 	}
+	s.occ0 = [wheelSlots / 64]uint64{}
 	s.cur0 = 0
 	s.cur1 = 0
 	s.count0 = 0
@@ -432,6 +439,7 @@ func (s *Scheduler) place(en entry) {
 		en.e.wslot = uint8(i)
 		en.e.wpos = int32(len(s.slots0[i]))
 		s.slots0[i] = append(s.slots0[i], en)
+		s.occ0[i>>6] |= 1 << (i & 63)
 		s.count0++
 		return
 	}
@@ -458,6 +466,9 @@ func (s *Scheduler) wheelRemove(e *event) {
 	if e.wlevel == 1 {
 		sl = &s.slots0[e.wslot]
 		s.count0--
+		if len(*sl) == 1 {
+			s.occ0[e.wslot>>6] &^= 1 << (e.wslot & 63)
+		}
 	} else {
 		sl = &s.slots1[e.wslot]
 		s.count1--
@@ -478,6 +489,15 @@ func (s *Scheduler) wheelRemove(e *event) {
 // (if any) provably precedes every wheel entry — i.e. it is earlier than
 // the first unflushed tick — or the wheels drain. All firing happens from
 // the heap, so this is the only place wheel entries change residence.
+//
+// The cursor moves in jumps, never one empty slot at a time: from an empty
+// level-0 slot it goes straight to the earliest of the next occupied
+// level-0 tick, the next level-1 boundary (where a cascade is due) and the
+// tick after the heap head's (where the head precedes every unflushed
+// tick). Those are exactly the places a slot-by-slot walk would stop, so
+// cur0 — and with it which entries place sends to the heap, which heap
+// comparisons happen and what AmbiguousTies counts — is what the walk
+// would leave.
 func (s *Scheduler) advance() {
 	for s.count0+s.count1 > 0 {
 		if len(s.queue) > 0 && s.queue[0].t < Time(s.cur0<<tick0Bits) {
@@ -489,25 +509,53 @@ func (s *Scheduler) advance() {
 		}
 		if s.count0 == 0 {
 			// Nothing left at level 0: jump straight to the next
-			// level-1 boundary instead of walking empty slots.
+			// level-1 boundary.
 			s.cur0 = s.cur1 << wheelBits
 			continue
 		}
-		sl := s.slots0[s.cur0&wheelMask]
-		if n := len(sl); n > 0 {
-			// Every entry is live (Cancel removes eagerly); hand each to
-			// the heap, which owns ordering from here on.
-			for i := range sl {
-				en := sl[i]
-				sl[i] = entry{}
-				en.e.wlevel = 0
-				s.push(en)
+		i := s.cur0 & wheelMask
+		if s.occ0[i>>6]&(1<<(i&63)) == 0 {
+			next := s.next0()
+			if len(s.queue) > 0 {
+				next = min(next, int64(s.queue[0].t)>>tick0Bits+1)
 			}
-			s.slots0[s.cur0&wheelMask] = sl[:0]
-			s.count0 -= n
+			s.cur0 = next
+			continue
 		}
+		// Every entry is live (Cancel removes eagerly); hand each to the
+		// heap, which owns ordering from here on.
+		sl := s.slots0[i]
+		for j := range sl {
+			en := sl[j]
+			sl[j] = entry{}
+			en.e.wlevel = 0
+			s.push(en)
+		}
+		s.slots0[i] = sl[:0]
+		s.occ0[i>>6] &^= 1 << (i & 63)
+		s.count0 -= len(sl)
 		s.cur0++
 	}
+}
+
+// next0 returns the first tick in [cur0, cur1<<wheelBits) whose level-0
+// slot holds entries, or cur1<<wheelBits when none does. That bound is the
+// end of cur0's pass round the ring (advance cascades whenever cur0 reaches
+// cur1<<wheelBits, so cur1 = cur0>>wheelBits + 1 here), which is why the
+// scan runs from cur0's slot to the last slot and never wraps: a slot
+// before cur0's holds a tick of the next pass, and the cascade at the
+// boundary comes first.
+func (s *Scheduler) next0() int64 {
+	i := int(s.cur0 & wheelMask)
+	w := i >> 6
+	word := s.occ0[w] &^ (1<<(i&63) - 1)
+	for word == 0 {
+		if w++; w == len(s.occ0) {
+			return s.cur1 << wheelBits
+		}
+		word = s.occ0[w]
+	}
+	return s.cur0 + int64(w<<6+bits.TrailingZeros64(word)-i)
 }
 
 // cascade drains the next level-1 slot into the level-0 slots that now

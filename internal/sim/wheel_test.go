@@ -156,6 +156,26 @@ func TestWheelRebaseAfterIdle(t *testing.T) {
 	}
 }
 
+// The cursor's jump over empty level-0 slots must stop at the tick after a
+// heap head's, as a slot-by-slot walk would, even when the next occupied
+// slot lies beyond it. Firing order alone cannot tell: a cursor that
+// overshoots still fires the head first, but it changes which later events
+// go to the heap, and with them the comparisons AmbiguousTies counts.
+func TestWheelJumpStopsAtHeapHead(t *testing.T) {
+	s := NewScheduler()
+	head := Time(5 * Second)
+	s.At(head, func() {}) // beyond the level-1 horizon: heap-resident
+	s.RunUntil(head - Time(Millisecond) + Time(70*Microsecond))
+	s.After(Millisecond, func() {}) // two ticks past the head, in level 0
+	s.Step()
+	if s.Now() != head {
+		t.Fatalf("first firing at %v, want the heap head at %v", s.Now(), head)
+	}
+	if want := int64(head)>>tick0Bits + 1; s.cur0 != want {
+		t.Fatalf("cursor at tick %d after the head fired, want %d", s.cur0, want)
+	}
+}
+
 // Property: a wheel-fronted scheduler fires any random workload — delays
 // spanning both wheel horizons and the heap overflow, with random
 // cancellations — in exactly the order the (time, sequence) contract
@@ -212,6 +232,78 @@ func TestWheelOrderEquivalenceProperty(t *testing.T) {
 			if got[i] != live[i] {
 				t.Fatalf("trial %d: event %d = %+v, want %+v", trial, i, got[i], live[i])
 			}
+		}
+	}
+}
+
+// relFiring is one fired event of idlePrefixProgram: its time relative to the
+// program's start and its id.
+type relFiring struct {
+	t  Duration
+	id int
+}
+
+// idlePrefixProgram arms a fixed program at s.Now() and runs it to
+// completion, returning the firings relative to that start. A 1 ms probe
+// timer re-arms itself 300 times (each gap ~15 empty level-0 slots, the
+// whole run past a level-1 boundary many times); every tenth firing arms a
+// pair of deliveries due at the same nanosecond 20 ms out; an AtAsOf
+// stand-in ties with a delivery, ordered by its asserted genealogy; one
+// delivery is cancelled before it is due; and an event 4.5 s out starts in
+// the heap, past the level-1 horizon.
+func idlePrefixProgram(s *Scheduler) []relFiring {
+	start := s.Now()
+	var got []relFiring
+	rec := func(id int) func() {
+		return func() { got = append(got, relFiring{s.Now().Sub(start), id}) }
+	}
+	var doomed Timer
+	probes := 0
+	var probe func()
+	probe = func() {
+		got = append(got, relFiring{s.Now().Sub(start), 0})
+		if probes%10 == 0 {
+			s.After(20*Millisecond, rec(1000+probes))
+			s.After(20*Millisecond, rec(2000+probes))
+		}
+		if probes == 40 {
+			s.Cancel(doomed)
+		}
+		if probes++; probes < 300 {
+			s.Rearm(s.Now().Add(Millisecond))
+		}
+	}
+	s.After(Millisecond, probe)
+	// Due with the deliveries probe 50 arms, but asserted as armed 10 µs
+	// before them, so it fires first whatever the residency.
+	at := start.Add(71 * Millisecond)
+	s.AtAsOf(at, at.Add(-20*Millisecond-10*Microsecond), start, start, rec(3))
+	doomed = s.At(start.Add(55*Millisecond), rec(4))
+	s.After(4500*Millisecond, rec(5))
+	s.Run()
+	return got
+}
+
+// TestIdlePrefixShift replays one program on a fresh scheduler and on one
+// first run idle to T = 5 s + 12,345 ns — past the level-1 horizon and not
+// on a tick boundary, so the wheel re-bases and every event lands in
+// different slots and ticks. The firing sequences, relative to each run's
+// start, must be equal: shifting a world in time shifts its trace.
+func TestIdlePrefixShift(t *testing.T) {
+	const T = Time(5*Second + 12345)
+	want := idlePrefixProgram(NewScheduler())
+	shifted := NewScheduler()
+	shifted.RunUntil(T)
+	got := idlePrefixProgram(shifted)
+	if len(want) != 300+60+2 {
+		t.Fatalf("fresh run fired %d events, want %d", len(want), 300+60+2)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("shifted run fired %d events, fresh %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("firing %d: shifted (t−T, id) = %v, fresh %v", i, got[i], want[i])
 		}
 	}
 }
