@@ -72,12 +72,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Each path is an independent simulated world: measure them in
 	// parallel, print them in selection order.
 	results := exp.Sweep(exp.Options{Seed: *seed, Workers: *workers}, pairs,
-		func(r exp.Run[[2]int], _ *exp.Arena) (string, error) {
+		func(r exp.Run[[2]int], a *exp.Arena) (string, error) {
 			i, j := r.Config[0], r.Config[1]
-			sched := sim.NewScheduler()
 			path := mesh.NewPathProcess(i, j)
-			m := probe.MeasurePath(sched, path, probe.RunConfig{
-				Flow:     1,
+			m := probe.MeasurePath(a.Scheduler(), path, probe.RunConfig{
 				Interval: sim.Dur(*interval),
 				Duration: sim.Dur(*duration),
 			})

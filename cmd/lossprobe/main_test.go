@@ -58,6 +58,18 @@ func TestRunSinglePathAndList(t *testing.T) {
 	}
 }
 
+// TestRunLongInterval: an interval of minutes is a valid probe schedule.
+func TestRunLongInterval(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-interval", "500s", "-duration", "1h", "-paths", "1"}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
+	}
+	if got := len(strings.Split(strings.TrimSpace(stdout.String()), "\n")); got != 2 {
+		t.Fatalf("rows = %d:\n%s", got, stdout.String())
+	}
+}
+
 // TestRunRejectsBadFlags pins the shared internal/cli contract: unknown
 // flags AND invalid values both diagnose to stderr and exit 2.
 func TestRunRejectsBadFlags(t *testing.T) {

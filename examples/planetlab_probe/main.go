@@ -30,10 +30,7 @@ func main() {
 		i, j := mesh.RandomPair(pick)
 		sched := sim.NewScheduler()
 		path := mesh.NewPathProcess(i, j)
-		m := probe.MeasurePath(sched, path, probe.RunConfig{
-			Flow:     1,
-			Duration: 60 * sim.Second,
-		})
+		m := probe.MeasurePath(sched, path, probe.RunConfig{Duration: 60 * sim.Second})
 		status := "rejected"
 		if m.Valid {
 			status = "ok"

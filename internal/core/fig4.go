@@ -73,11 +73,10 @@ type pathOutcome struct {
 // RunFigure4 executes the campaign. Path selection is sequential (it
 // consumes one picking rng), but the per-path measurements — each its own
 // simulated world with its own scheduler and rng stream — fan out across
-// the exp worker pool, each reusing its worker's arena: the probe packets
-// come from the arena's pool (a 5-minute run sends ~300k probes per
-// size), the scheduler's event freelist survives from path to path, and
-// the loss times stream through the arena's analyzer. The aggregate is
-// identical for any worker count.
+// the exp worker pool, each reusing its worker's arena: the scheduler's
+// event freelist survives from path to path (a 5-minute run fires ~600k
+// events per size), and the loss times stream through the arena's
+// analyzer. The aggregate is identical for any worker count.
 func RunFigure4(cfg Fig4Config) (*Fig4Result, error) {
 	cfg.fillDefaults()
 	mesh := planetlab.NewMesh(planetlab.MeshConfig{Seed: cfg.Seed})
@@ -94,10 +93,8 @@ func RunFigure4(cfg Fig4Config) (*Fig4Result, error) {
 			sched := a.Scheduler()
 			path := mesh.NewPathProcess(r.Config[0], r.Config[1])
 			m := probe.MeasurePath(sched, path, probe.RunConfig{
-				Flow:     1,
 				Interval: cfg.ProbeInterval,
 				Duration: cfg.Duration,
-				Pool:     a.Pool(),
 			})
 			out := pathOutcome{valid: m.Valid, events: sched.Fired()}
 			if !m.Valid || len(m.Small.LossSendTimes) < cfg.MinLosses {

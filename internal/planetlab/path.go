@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -134,44 +133,4 @@ func (p *Path) OneWayDelay() sim.Duration {
 		d += sim.Duration(p.rng.Int63n(int64(p.Params.JitterMax)))
 	}
 	return d
-}
-
-// Channel adapts a Path into a netsim.Handler: packets offered to it are
-// either dropped (per the loss process, with the drop observable via
-// OnDrop) or delivered to dst after the one-way delay.
-type Channel struct {
-	Sched  *sim.Scheduler
-	Path   *Path
-	Dst    netsim.Handler
-	OnDrop func(pkt *netsim.Packet, at sim.Time)
-
-	// Pool, if set, receives dropped packets for reuse — the channel is
-	// the component that terminates a lost packet's life, mirroring
-	// netsim.Port's drop recycling. Delivered packets are owned by Dst.
-	Pool *netsim.PacketPool
-
-	deliver func(any) // created once; probing sends millions of packets
-}
-
-// NewChannel wires a path process between a source and dst.
-func NewChannel(sched *sim.Scheduler, path *Path, dst netsim.Handler) *Channel {
-	if sched == nil || path == nil || dst == nil {
-		panic("planetlab: NewChannel requires scheduler, path and destination")
-	}
-	c := &Channel{Sched: sched, Path: path, Dst: dst}
-	c.deliver = func(a any) { c.Dst.Handle(a.(*netsim.Packet)) }
-	return c
-}
-
-// Handle implements netsim.Handler.
-func (c *Channel) Handle(pkt *netsim.Packet) {
-	now := c.Sched.Now()
-	if !c.Path.Transmit(now) {
-		if c.OnDrop != nil {
-			c.OnDrop(pkt, now)
-		}
-		c.Pool.Put(pkt)
-		return
-	}
-	c.Sched.AfterArg(c.Path.OneWayDelay(), c.deliver, pkt)
 }

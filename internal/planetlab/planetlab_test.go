@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -224,35 +223,16 @@ func TestPathValidation(t *testing.T) {
 	}()
 }
 
-func TestChannelDeliversWithDelay(t *testing.T) {
-	s := sim.NewScheduler()
-	params := PathParams{RTT: 100 * sim.Millisecond} // lossless
-	path := NewPath(params, sim.NewRand(6))
-	var arrivals []sim.Time
-	dst := netsim.HandlerFunc(func(p *netsim.Packet) { arrivals = append(arrivals, s.Now()) })
-	ch := NewChannel(s, path, dst)
-	ch.Handle(&netsim.Packet{ID: 1, Size: 100})
-	s.Run()
-	if len(arrivals) != 1 {
-		t.Fatalf("delivered %d", len(arrivals))
+func TestPathOneWayDelay(t *testing.T) {
+	p := NewPath(PathParams{RTT: 100 * sim.Millisecond}, sim.NewRand(6))
+	if d := p.OneWayDelay(); d != 50*sim.Millisecond {
+		t.Fatalf("delay = %v, want RTT/2 without jitter", d)
 	}
-	if arrivals[0] != sim.Time(50*sim.Millisecond) {
-		t.Fatalf("delay = %v, want RTT/2", arrivals[0])
-	}
-}
-
-func TestChannelReportsDrops(t *testing.T) {
-	s := sim.NewScheduler()
-	path := NewPath(PathParams{RTT: 10 * sim.Millisecond, Background: 1}, sim.NewRand(7))
-	delivered, dropped := 0, 0
-	ch := NewChannel(s, path, netsim.HandlerFunc(func(p *netsim.Packet) { delivered++ }))
-	ch.OnDrop = func(p *netsim.Packet, at sim.Time) { dropped++ }
-	for i := 0; i < 10; i++ {
-		ch.Handle(&netsim.Packet{ID: uint64(i), Size: 100})
-	}
-	s.Run()
-	if delivered != 0 || dropped != 10 {
-		t.Fatalf("delivered=%d dropped=%d", delivered, dropped)
+	p = NewPath(PathParams{RTT: 100 * sim.Millisecond, JitterMax: 2 * sim.Millisecond}, sim.NewRand(6))
+	for i := 0; i < 1000; i++ {
+		if d := p.OneWayDelay(); d < 50*sim.Millisecond || d >= 52*sim.Millisecond {
+			t.Fatalf("delay = %v, want RTT/2 plus jitter in [0, 2ms)", d)
+		}
 	}
 }
 

@@ -1,34 +1,31 @@
 // Package probe implements the paper's Internet measurement instrument: a
-// constant-bit-rate prober that sends fixed-size packets over a path,
-// infers losses from gaps in the received sequence numbers (exact for a
-// deterministic CBR schedule), and validates each measurement by running
+// constant-rate prober that sends one probe per interval over a path,
+// infers losses from the probes that never arrive (their send times are
+// exact on the fixed schedule), and validates each measurement by running
 // twice — once with 48-byte and once with 400-byte packets — accepting the
 // measurement only when the two traces exhibit similar loss patterns
 // (the paper's §3.1 protocol).
+//
+// A probe is not a packet here. Each one is a send event that asks the
+// path whether it survives and, if it does, a delivery event after the
+// path's one-way delay that marks its slot in the run's receipt table.
+// planetlab.Path ignores packet size, so in this model the 48 B and 400 B
+// runs differ only in when they sample the path, not in how the path
+// treats them.
 package probe
 
 import (
 	"fmt"
 
-	"repro/internal/netsim"
 	"repro/internal/planetlab"
-	"repro/internal/ratectl"
 	"repro/internal/sim"
 )
 
 // RunConfig parameterizes one probing run.
 type RunConfig struct {
-	Flow     int
 	PktSize  int          // bytes (the paper used 48 and 400)
 	Interval sim.Duration // inter-probe gap (default 1 ms)
 	Duration sim.Duration // measurement length (default 5 min, like the paper)
-
-	// Pool, when set, recycles probe packets through the world's freelist:
-	// the CBR source draws from it, the path channel returns dropped
-	// probes, and the receive collector returns delivered ones. A 5-minute
-	// run sends ~300k probes, so this is what makes a probing world
-	// allocation-free in steady state. Nil keeps the allocating behavior.
-	Pool *netsim.PacketPool
 }
 
 func (c *RunConfig) fillDefaults() {
@@ -51,8 +48,8 @@ type Result struct {
 	Received int64
 
 	// LossSendTimes are the (exactly reconstructed) send times of the lost
-	// probes, in order. With a CBR schedule the send time of missing seq k
-	// is start + k·interval.
+	// probes, in order: the send time of missing probe k is
+	// start + k·interval.
 	LossSendTimes []sim.Time
 
 	// PathRTT is carried through for RTT normalization in analysis.
@@ -98,53 +95,64 @@ func (r Result) BackToBackFraction() float64 {
 // Run probes the given path once. The path process continues from wherever
 // it is (the paper's two validation runs sample the same path at different
 // times). The scheduler is advanced past the run.
+//
+// Probe k leaves at start + k·Interval for every such instant before
+// start + Duration; the first leaves inline, the rest from a send event
+// that re-arms itself. The send due at or after the stop time fires and
+// arms nothing. Deliveries get one RTT plus a second to land; one still
+// queued then counts as lost.
 func Run(sched *sim.Scheduler, path *planetlab.Path, cfg RunConfig) Result {
 	if sched == nil || path == nil {
 		panic("probe: Run requires scheduler and path")
 	}
 	cfg.fillDefaults()
-
-	// CBR sequence numbers are dense from zero, so a grow-on-demand slice
-	// replaces the per-probe map the seed used (a 5-minute run inserted
-	// ~300k map entries); the collector also terminates each delivered
-	// probe's life by recycling it.
-	var received []bool
-	collector := netsim.HandlerFunc(func(p *netsim.Packet) {
-		for int(p.Seq) >= len(received) {
-			received = append(received, false)
-		}
-		received[p.Seq] = true
-		cfg.Pool.Put(p)
-	})
-	ch := planetlab.NewChannel(sched, path, collector)
-	ch.Pool = cfg.Pool
+	if cfg.Interval < 0 || cfg.Duration < 0 {
+		panic("probe: Run needs a positive interval and duration")
+	}
+	if cfg.PktSize < 0 {
+		panic("probe: Run needs a positive packet size")
+	}
 
 	start := sched.Now()
-	cbr := ratectl.NewCBR(sched, ch, ratectl.CBRConfig{
-		Flow:    cfg.Flow,
-		PktSize: cfg.PktSize,
-		// Rate such that the packet interval equals cfg.Interval.
-		Rate:     int64(cfg.PktSize) * 8 * int64(sim.Second) / int64(cfg.Interval),
-		Duration: cfg.Duration,
-		Pool:     cfg.Pool,
-	})
-	cbr.Start()
-	// Drain in-flight deliveries after the last probe.
-	sched.RunUntil(start.Add(cfg.Duration + path.Params.RTT + sim.Second))
-	cbr.Stop()
+	stop := start.Add(cfg.Duration)
+	// One slot per probe the schedule can send; a delivery event carries a
+	// pointer to its probe's slot, so neither callback allocates.
+	received := make([]bool, (cfg.Duration+cfg.Interval-1)/cfg.Interval)
+	deliver := func(slot any) { *slot.(*bool) = true }
+	var (
+		sent int64
+		next sim.Timer
+		send func()
+	)
+	send = func() {
+		now := sched.Now()
+		if now >= stop {
+			return
+		}
+		if path.Transmit(now) {
+			sched.AfterArg(path.OneWayDelay(), deliver, &received[sent])
+		}
+		sent++
+		next = sched.After(cfg.Interval, send)
+	}
+	send()
+	sched.RunUntil(stop.Add(path.Params.RTT + sim.Second))
+	// An interval longer than the drain leaves the stop-time send queued;
+	// it must not fire in the scheduler's next run.
+	sched.Cancel(next)
 
 	res := Result{
 		PktSize:  cfg.PktSize,
-		Interval: cbr.Interval(),
-		Sent:     cbr.Seq(),
+		Interval: cfg.Interval,
+		Sent:     sent,
 		PathRTT:  path.Params.RTT,
 	}
-	for seq := int64(0); seq < res.Sent; seq++ {
-		if int(seq) < len(received) && received[seq] {
+	for seq, ok := range received[:sent] {
+		if ok {
 			res.Received++
 		} else {
 			res.LossSendTimes = append(res.LossSendTimes,
-				start.Add(sim.Duration(seq)*cbr.Interval()))
+				start.Add(sim.Duration(seq)*cfg.Interval))
 		}
 	}
 	return res
@@ -206,7 +214,6 @@ func MeasurePath(sched *sim.Scheduler, path *planetlab.Path, cfg RunConfig) Meas
 	a := Run(sched, path, small)
 	large := cfg
 	large.PktSize = 400
-	large.Flow = cfg.Flow + 1
 	b := Run(sched, path, large)
 	return Measurement{Small: a, Large: b, Valid: Validate(a, b) == nil}
 }

@@ -26,7 +26,7 @@ func burstyPath(seed int64) *planetlab.Path {
 
 func TestRunLosslessPath(t *testing.T) {
 	s := sim.NewScheduler()
-	res := Run(s, losslessPath(), RunConfig{Flow: 1, Duration: 10 * sim.Second})
+	res := Run(s, losslessPath(), RunConfig{Duration: 10 * sim.Second})
 	if res.Sent == 0 || res.Received != res.Sent {
 		t.Fatalf("sent=%d received=%d", res.Sent, res.Received)
 	}
@@ -44,7 +44,7 @@ func TestRunLosslessPath(t *testing.T) {
 
 func TestRunDetectsBurstyLosses(t *testing.T) {
 	s := sim.NewScheduler()
-	res := Run(s, burstyPath(2), RunConfig{Flow: 1, Duration: 60 * sim.Second})
+	res := Run(s, burstyPath(2), RunConfig{Duration: 60 * sim.Second})
 	if len(res.LossSendTimes) < 50 {
 		t.Fatalf("only %d losses detected", len(res.LossSendTimes))
 	}
@@ -70,18 +70,113 @@ func TestRunDetectsBurstyLosses(t *testing.T) {
 func TestRunSequentialRunsAdvanceTime(t *testing.T) {
 	s := sim.NewScheduler()
 	p := losslessPath()
-	Run(s, p, RunConfig{Flow: 1, Duration: 5 * sim.Second})
+	Run(s, p, RunConfig{Duration: 5 * sim.Second})
 	t0 := s.Now()
-	Run(s, p, RunConfig{Flow: 2, Duration: 5 * sim.Second})
+	Run(s, p, RunConfig{Duration: 5 * sim.Second})
 	if s.Now() <= t0 {
 		t.Fatal("second run did not advance time")
+	}
+}
+
+// allLostPath loses every probe, so a run's loss send times are its whole
+// send schedule.
+func allLostPath() *planetlab.Path {
+	return planetlab.NewPath(planetlab.PathParams{
+		RTT: 10 * sim.Millisecond, Background: 1,
+	}, sim.NewRand(7))
+}
+
+// TestRunEvenSpacing: probe k leaves at exactly start + k·interval, at the
+// configured interval for every packet size.
+func TestRunEvenSpacing(t *testing.T) {
+	for _, interval := range []sim.Duration{sim.Millisecond, 3 * sim.Millisecond, 7 * sim.Millisecond} {
+		for _, size := range []int{48, 400} {
+			s := sim.NewScheduler()
+			s.RunUntil(sim.Time(5 * sim.Millisecond)) // a run need not start at zero
+			start := s.Now()
+			res := Run(s, allLostPath(), RunConfig{PktSize: size, Interval: interval, Duration: sim.Second})
+			if res.Interval != interval {
+				t.Errorf("%v at %d B: interval %v", interval, size, res.Interval)
+			}
+			want := int64((sim.Second + interval - 1) / interval)
+			if res.Sent != want || int64(len(res.LossSendTimes)) != want {
+				t.Errorf("%v at %d B: sent %d, losses %d, want %d of each",
+					interval, size, res.Sent, len(res.LossSendTimes), want)
+				continue
+			}
+			for k, ts := range res.LossSendTimes {
+				if ts != start.Add(sim.Duration(k)*interval) {
+					t.Fatalf("%v at %d B: probe %d sent at %v, want %v", interval, size,
+						k, ts, start.Add(sim.Duration(k)*interval))
+				}
+			}
+		}
+	}
+}
+
+// TestRunDurationStops: 10 ms interval, 55 ms run: probes at 0..50 ms; the
+// send due at 60 ms sees the stop time and arms nothing.
+func TestRunDurationStops(t *testing.T) {
+	s := sim.NewScheduler()
+	res := Run(s, allLostPath(), RunConfig{Interval: 10 * sim.Millisecond, Duration: 55 * sim.Millisecond})
+	if res.Sent != 6 || s.Fired() != 6 || s.Pending() != 0 {
+		t.Fatalf("sent %d, fired %d, pending %d; want 6, 6 (five sends and the stop), 0",
+			res.Sent, s.Fired(), s.Pending())
+	}
+}
+
+// TestRunReportsDrops: on a path that loses everything, every probe is
+// reported lost and no delivery is armed.
+func TestRunReportsDrops(t *testing.T) {
+	s := sim.NewScheduler()
+	path := allLostPath()
+	res := Run(s, path, RunConfig{Interval: 10 * sim.Millisecond, Duration: 100 * sim.Millisecond})
+	if res.Sent != 10 || res.Received != 0 || len(res.LossSendTimes) != 10 || path.Losses != 10 {
+		t.Fatalf("sent %d received %d losses %d path losses %d, want 10 sent, all lost",
+			res.Sent, res.Received, len(res.LossSendTimes), path.Losses)
+	}
+	if s.Fired() != 10 || s.Pending() != 0 {
+		t.Fatalf("fired %d pending %d, want 10 (nine sends and the stop), 0", s.Fired(), s.Pending())
+	}
+}
+
+// TestRunCancelsPendingSend: with an interval longer than the drain, the
+// send due after the stop time is still queued when the run returns. Run
+// cancels it, so the scheduler's next run does not fire it.
+func TestRunCancelsPendingSend(t *testing.T) {
+	s := sim.NewScheduler()
+	res := Run(s, losslessPath(), RunConfig{Interval: 4 * sim.Second, Duration: 30 * sim.Second})
+	// Probes at 0, 4, …, 28 s; the next send would be due at 32 s, after
+	// the 31.05 s horizon.
+	if res.Sent != 8 || res.Received != 8 {
+		t.Fatalf("sent %d received %d, want 8/8", res.Sent, res.Received)
+	}
+	if s.Pending() != 0 || s.Fired() != 7+8 {
+		t.Fatalf("pending %d fired %d, want 0 and 15 (7 sends, 8 deliveries)", s.Pending(), s.Fired())
+	}
+}
+
+// TestRunLateDeliveriesCountAsLost: a delivery still queued at the horizon
+// stays queued and its probe counts as lost.
+func TestRunLateDeliveriesCountAsLost(t *testing.T) {
+	s := sim.NewScheduler()
+	path := planetlab.NewPath(planetlab.PathParams{
+		RTT: 20 * sim.Millisecond, JitterMax: 3 * sim.Second,
+	}, sim.NewRand(5))
+	res := Run(s, path, RunConfig{Duration: 5 * sim.Second})
+	if path.Losses != 0 || res.Received >= res.Sent {
+		t.Fatalf("path lost %d, received %d of %d; want late probes counted as lost",
+			path.Losses, res.Received, res.Sent)
+	}
+	if s.Pending() != int(res.Sent-res.Received) {
+		t.Fatalf("%d events pending, want the %d late deliveries", s.Pending(), res.Sent-res.Received)
 	}
 }
 
 func TestValidateAcceptsSimilarRuns(t *testing.T) {
 	s := sim.NewScheduler()
 	p := burstyPath(3)
-	m := MeasurePath(s, p, RunConfig{Flow: 1, Duration: 120 * sim.Second})
+	m := MeasurePath(s, p, RunConfig{Duration: 120 * sim.Second})
 	if !m.Valid {
 		t.Fatalf("similar dual runs rejected: A p=%v b2b=%v, B p=%v b2b=%v",
 			m.Small.LossRate(), m.Small.BackToBackFraction(),
@@ -148,10 +243,36 @@ func TestResultLossRateEmpty(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
+	for name, f := range map[string]func(){
+		"nil scheduler":     func() { Run(nil, losslessPath(), RunConfig{}) },
+		"nil path":          func() { Run(sim.NewScheduler(), nil, RunConfig{}) },
+		"negative interval": func() { Run(sim.NewScheduler(), losslessPath(), RunConfig{Interval: -1}) },
+		"negative duration": func() { Run(sim.NewScheduler(), losslessPath(), RunConfig{Duration: -1}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// TestRunPacketSizeValidation: a negative packet size is refused; zero takes
+// the 48 B default.
+func TestRunPacketSizeValidation(t *testing.T) {
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("negative packet size: no panic")
+			}
+		}()
+		Run(sim.NewScheduler(), losslessPath(), RunConfig{PktSize: -1})
 	}()
-	Run(nil, nil, RunConfig{})
+	res := Run(sim.NewScheduler(), losslessPath(), RunConfig{Duration: 10 * sim.Millisecond})
+	if res.PktSize != 48 {
+		t.Errorf("zero packet size ran at %d B, want 48", res.PktSize)
+	}
 }

@@ -8,93 +8,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestCBREvenSpacing(t *testing.T) {
-	s := sim.NewScheduler()
-	var times []sim.Time
-	out := netsim.HandlerFunc(func(p *netsim.Packet) { times = append(times, s.Now()) })
-	// 400-byte packets at 320 kbps → 3200 bits / 320000 bps = 10 ms.
-	c := NewCBR(s, out, CBRConfig{Flow: 1, PktSize: 400, Rate: 320_000})
-	if c.Interval() != 10*sim.Millisecond {
-		t.Fatalf("interval = %v", c.Interval())
-	}
-	c.Start()
-	s.RunUntil(sim.Time(100 * sim.Millisecond))
-	c.Stop()
-	if len(times) != 11 { // t=0,10,...,100
-		t.Fatalf("sent %d packets", len(times))
-	}
-	for i := 1; i < len(times); i++ {
-		if times[i].Sub(times[i-1]) != 10*sim.Millisecond {
-			t.Fatalf("gap %d = %v", i, times[i].Sub(times[i-1]))
-		}
-	}
-	if c.Sent != 11 || c.Seq() != 11 {
-		t.Fatalf("sent=%d seq=%d", c.Sent, c.Seq())
-	}
-}
-
-func TestCBRDurationStops(t *testing.T) {
-	s := sim.NewScheduler()
-	n := 0
-	out := netsim.HandlerFunc(func(p *netsim.Packet) { n++ })
-	c := NewCBR(s, out, CBRConfig{Flow: 1, PktSize: 100, Rate: 80_000,
-		Duration: 55 * sim.Millisecond}) // 10 ms interval
-	c.Start()
-	s.Run()
-	// t=0..50 ms inclusive: 6 packets; emission at 60 ms sees stopAt passed.
-	if n != 6 {
-		t.Fatalf("sent %d packets, want 6", n)
-	}
-}
-
-func TestCBRSequenceNumbersIncrease(t *testing.T) {
-	s := sim.NewScheduler()
-	var seqs []int64
-	out := netsim.HandlerFunc(func(p *netsim.Packet) { seqs = append(seqs, p.Seq) })
-	c := NewCBR(s, out, CBRConfig{Flow: 1, PktSize: 100, Rate: 8_000_000})
-	c.Start()
-	s.RunUntil(sim.Time(sim.Millisecond))
-	c.Stop()
-	for i, q := range seqs {
-		if q != int64(i) {
-			t.Fatalf("seq[%d] = %d", i, q)
-		}
-	}
-}
-
-func TestCBRDoubleStartIsIdempotent(t *testing.T) {
-	s := sim.NewScheduler()
-	n := 0
-	out := netsim.HandlerFunc(func(p *netsim.Packet) { n++ })
-	c := NewCBR(s, out, CBRConfig{Flow: 1, PktSize: 100, Rate: 80_000})
-	c.Start()
-	c.Start()
-	s.RunUntil(sim.Time(5 * sim.Millisecond))
-	c.Stop()
-	if n != 1 {
-		t.Fatalf("double start duplicated emission: %d", n)
-	}
-}
-
-func TestCBRValidation(t *testing.T) {
-	s := sim.NewScheduler()
-	out := netsim.HandlerFunc(func(p *netsim.Packet) {})
-	for _, f := range []func(){
-		func() { NewCBR(nil, out, CBRConfig{PktSize: 1, Rate: 1}) },
-		func() { NewCBR(s, out, CBRConfig{PktSize: 0, Rate: 1}) },
-		func() { NewCBR(s, out, CBRConfig{PktSize: 1, Rate: 0}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("no panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestThroughputEquation(t *testing.T) {
 	// Known shape: higher loss ⇒ lower rate; scales ~1/sqrt(p) for small p.
 	s, r := 1000.0, 0.1

@@ -1,3 +1,7 @@
+// Package ratectl implements the rate-based transports of the paper and its
+// extensions: TFRC (RFC 3448), the equation-based congestion control whose
+// unfair competition against window-based TCP the paper explains, and a
+// GCC-style delay-based controller.
 package ratectl
 
 import (
