@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 
@@ -30,9 +31,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		flows    = fs.Int("flows", 16, "TCP flows (ns2)")
 		perClass = fs.Int("flows-per-class", 4, "flows per RTT class (dummynet)")
 		duration = fs.Duration("duration", 60*time.Second, "simulated duration")
-		warmup   = fs.Duration("warmup", 10*time.Second, "warmup excluded from the trace")
-		buffer   = fs.Float64("buffer-bdp", 0.5, "bottleneck buffer as a fraction of BDP (paper sweeps 1/8..2)")
-		noise    = fs.Float64("noise", 0.10, "on-off noise load as a fraction of capacity")
+		warmup   = fs.Duration("warmup", 10*time.Second, "warmup excluded from the trace, in (0, duration)")
+		buffer   = fs.Float64("buffer-bdp", 0.5, "bottleneck buffer as a fraction of BDP, > 0 (paper sweeps 1/8..2)")
+		noise    = fs.Float64("noise", 0.10, "on-off noise load as a fraction of capacity, in (0, 1]")
 		seed     = fs.Int64("seed", 1, "experiment seed")
 		out      = fs.String("o", "-", "output file for the CSV trace ('-' = stdout)")
 		summary  = fs.Bool("summary", true, "print the burstiness summary to stderr")
@@ -52,8 +53,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *duration <= 0 {
 		return cli.Usagef(stderr, "lossim", "-duration must be positive, got %v", *duration)
 	}
-	if *warmup < 0 || *warmup >= *duration {
-		return cli.Usagef(stderr, "lossim", "-warmup %v must lie in [0, duration)", *warmup)
+	// Zero would read as "use the default" further down, so the ranges
+	// exclude it rather than let a 0 silently become 10 s, 0.1 or 0.5.
+	if *warmup <= 0 || *warmup >= *duration {
+		return cli.Usagef(stderr, "lossim", "-warmup %v must lie in (0, duration)", *warmup)
+	}
+	if !(*noise > 0 && *noise <= 1) {
+		return cli.Usagef(stderr, "lossim", "-noise %v must lie in (0, 1]", *noise)
+	}
+	if !(*buffer > 0) || math.IsInf(*buffer, 1) {
+		return cli.Usagef(stderr, "lossim", "-buffer-bdp %v must be positive and finite", *buffer)
 	}
 
 	var w io.Writer = stdout

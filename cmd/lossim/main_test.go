@@ -62,6 +62,16 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"zero per-class", []string{"-flows-per-class", "-3"}, "-flows-per-class"},
 		{"negative duration", []string{"-duration", "-5s"}, "-duration"},
 		{"warmup past duration", []string{"-duration", "5s", "-warmup", "5s"}, "-warmup"},
+		// A zero would otherwise be replaced by the figure's default.
+		{"zero warmup", []string{"-warmup", "0"}, "-warmup"},
+		{"negative warmup", []string{"-warmup", "-1s"}, "-warmup"},
+		{"zero noise", []string{"-noise", "0"}, "-noise"},
+		{"negative noise", []string{"-noise", "-0.5"}, "-noise"},
+		{"noise above capacity", []string{"-noise", "3"}, "-noise"},
+		{"NaN noise", []string{"-noise", "NaN"}, "-noise"},
+		{"zero buffer", []string{"-buffer-bdp", "0"}, "-buffer-bdp"},
+		{"negative buffer", []string{"-buffer-bdp", "-1"}, "-buffer-bdp"},
+		{"infinite buffer", []string{"-buffer-bdp", "+Inf"}, "-buffer-bdp"},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer
@@ -72,6 +82,19 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		if !strings.Contains(stderr.String(), tc.want) {
 			t.Errorf("%s: stderr %q missing %q", tc.name, stderr.String(), tc.want)
 		}
+	}
+}
+
+// TestRunAcceptsRangeEdges runs at the inclusive edge of each range the
+// flag help states: the smallest warm-up and the full-capacity noise load.
+func TestRunAcceptsRangeEdges(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{
+		"-flows", "4", "-duration", "4s", "-warmup", "1ns", "-noise", "1",
+		"-buffer-bdp", "0.125", "-summary=false",
+	}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
 	}
 }
 

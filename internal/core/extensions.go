@@ -3,48 +3,42 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/analysis"
 	"repro/internal/exp"
 	"repro/internal/netsim"
-	"repro/internal/ratectl"
 	"repro/internal/sim"
-	"repro/internal/tcp"
 	"repro/internal/topo"
+	"repro/internal/topo/scenarios"
+	"repro/internal/trace"
 )
 
 // TFRCCompConfig sets up the TFRC-vs-NewReno competition the paper cites
 // (Rhee & Xu): equal numbers of TFRC and TCP NewReno flows share a
-// DropTail bottleneck; because TFRC's packets are evenly spaced, it
-// detects more of the bursty loss events and loses throughput.
+// 100 Mbps DropTail bottleneck with a half-BDP buffer at a 50 ms RTT;
+// because TFRC's packets are evenly spaced, it detects more of the bursty
+// loss events and loses throughput.
 type TFRCCompConfig struct {
-	Seed           int64
-	FlowsPerClass  int          // default 8
-	BottleneckRate int64        // default 100 Mbps
-	RTT            sim.Duration // default 50 ms
-	PktSize        int          // default 1000
-	Duration       sim.Duration // default 60 s
-	BufferBDPFrac  float64      // default 0.5
+	Seed          int64
+	FlowsPerClass int          // default 8
+	Duration      sim.Duration // default 60 s
 }
 
 func (c *TFRCCompConfig) fillDefaults() {
 	if c.FlowsPerClass == 0 {
 		c.FlowsPerClass = 8
 	}
-	if c.BottleneckRate == 0 {
-		c.BottleneckRate = 100_000_000
-	}
-	if c.RTT == 0 {
-		c.RTT = 50 * sim.Millisecond
-	}
-	if c.PktSize == 0 {
-		c.PktSize = 1000
-	}
 	if c.Duration == 0 {
 		c.Duration = 60 * sim.Second
 	}
-	if c.BufferBDPFrac == 0 {
-		c.BufferBDPFrac = 0.5
-	}
 }
+
+// extensionRTT is the base RTT of the TFRC and ECN extension worlds, and
+// pktSize the TFRC competition's segment size, which its byte counts
+// read.
+const (
+	extensionRTT = 50 * sim.Millisecond
+	pktSize      = 1000
+)
 
 // TFRCCompResult compares the two aggregates.
 type TFRCCompResult struct {
@@ -65,76 +59,23 @@ func RunTFRCCompetition(cfg TFRCCompConfig) (*TFRCCompResult, error) {
 }
 
 // runTFRCCompetition builds and runs one competition world on the arena
-// (nil: a fresh one).
+// (nil: a fresh one): NewReno on the first FlowsPerClass pairs, TFRC on
+// the rest.
 func runTFRCCompetition(cfg TFRCCompConfig, a *exp.Arena) (*TFRCCompResult, error) {
 	cfg.fillDefaults()
-	w := topo.NewWorld(a, 0)
-	sched, pool := w.Sched, w.Pool
-
 	n := cfg.FlowsPerClass
-	delays := make([]sim.Duration, 2*n)
-	for i := range delays {
-		delays[i] = cfg.RTT / 2
-	}
-	buffer := netsim.BDPBuffer(cfg.BufferBDPFrac, cfg.BottleneckRate, cfg.RTT, cfg.PktSize)
-	d := w.Dumbbell(netsim.DumbbellConfig{
-		BottleneckRate:  cfg.BottleneckRate,
-		BottleneckDelay: 0,
-		AccessRate:      1_000_000_000,
-		AccessDelays:    delays,
-		Buffer:          buffer,
-	})
+	b := scenarios.BuildDumbbell(scenarios.Competition(n, extensionRTT, scenarios.TFRC),
+		topo.ScenarioConfig{Seed: cfg.Seed, Duration: cfg.Duration, PktSize: pktSize}, a)
+	b.Run()
 
-	// TCP NewReno flows on pairs [0,n). The TFRC pairs allocate plainly
-	// (their equation-paced rate is low); the ports still recycle whatever
-	// they drop, regardless of where a packet was allocated.
-	var tcps []*tcp.Flow
-	for i := 0; i < n; i++ {
-		tcps = append(tcps, tcp.NewPairFlow(sched, d.SenderNode(i), d.ReceiverNode(i), i+1, tcp.Config{
-			PktSize:    cfg.PktSize,
-			InitialRTT: cfg.RTT,
-			Pool:       pool,
-		}))
-	}
-	// TFRC flows on pairs [n,2n).
-	type tfrcPair struct {
-		snd *ratectl.TFRCSender
-		rcv *ratectl.TFRCReceiver
-	}
-	var tfrcs []tfrcPair
-	for i := n; i < 2*n; i++ {
-		flowID := i + 1
-		tcfg := ratectl.TFRCConfig{
-			Flow:       flowID,
-			Src:        netsim.SenderAddr(i),
-			Dst:        netsim.ReceiverAddr(i),
-			PktSize:    cfg.PktSize,
-			InitialRTT: cfg.RTT,
-		}
-		snd := ratectl.NewTFRCSender(sched, d.SenderNode(i), tcfg)
-		rcv := ratectl.NewTFRCReceiver(sched, d.ReceiverNode(i), tcfg)
-		d.ReceiverNode(i).Bind(flowID, rcv)
-		d.SenderNode(i).Bind(flowID, snd)
-		tfrcs = append(tfrcs, tfrcPair{snd, rcv})
-	}
-
-	for i := 0; i < n; i++ {
-		off := sim.Duration(i) * 100 * sim.Millisecond / sim.Duration(n)
-		i := i
-		sched.At(sim.Time(off), tcps[i].Sender.Start)
-		sched.At(sim.Time(off+50*sim.Millisecond/sim.Duration(n)), tfrcs[i].snd.Start)
-	}
-
-	sched.RunUntil(sim.Time(cfg.Duration))
-
-	res := &TFRCCompResult{Events: sched.Fired()}
-	for _, f := range tcps {
-		res.NewRenoBytes += uint64(f.Receiver.CumAck()) * uint64(cfg.PktSize)
+	res := &TFRCCompResult{Events: b.Sched.Fired()}
+	for _, f := range b.TCP {
+		res.NewRenoBytes += uint64(f.Receiver.CumAck()) * pktSize
 	}
 	var lossSum float64
-	for _, p := range tfrcs {
-		res.TFRCBytes += p.rcv.Received * uint64(cfg.PktSize)
-		lossSum += p.snd.LastLossRate
+	for i, rcv := range b.TFRCReceivers {
+		res.TFRCBytes += rcv.Received * pktSize
+		lossSum += b.TFRCSenders[i].LastLossRate
 	}
 	res.TFRCLossRate = lossSum / float64(n)
 	if res.NewRenoBytes == 0 {
@@ -148,28 +89,17 @@ func runTFRCCompetition(cfg TFRCCompConfig, a *exp.Arena) (*TFRCCompResult, erro
 // distributed across flows under three bottleneck configurations:
 // DropTail drops (the bursty baseline), standard RED+ECN marks, and the
 // paper's proposed persistent RED+ECN that marks every flow for one RTT
-// after a congestion decision (reference [22]).
+// after a congestion decision (reference [22]). The bottleneck is
+// 100 Mbps with a half-BDP buffer at a 50 ms RTT.
 type ECNCoverageConfig struct {
-	Seed           int64
-	Flows          int          // default 16
-	BottleneckRate int64        // default 100 Mbps
-	RTT            sim.Duration // default 50 ms
-	PktSize        int          // default 1000
-	Duration       sim.Duration // default 30 s
+	Seed     int64
+	Flows    int          // default 16
+	Duration sim.Duration // default 30 s
 }
 
 func (c *ECNCoverageConfig) fillDefaults() {
 	if c.Flows == 0 {
 		c.Flows = 16
-	}
-	if c.BottleneckRate == 0 {
-		c.BottleneckRate = 100_000_000
-	}
-	if c.RTT == 0 {
-		c.RTT = 50 * sim.Millisecond
-	}
-	if c.PktSize == 0 {
-		c.PktSize = 1000
 	}
 	if c.Duration == 0 {
 		c.Duration = 30 * sim.Second
@@ -230,120 +160,69 @@ func RunECNCoverage(cfg ECNCoverageConfig, mode ECNMode) (*ECNCoverageResult, er
 // fresh one).
 func runECNCoverage(cfg ECNCoverageConfig, mode ECNMode, a *exp.Arena) (*ECNCoverageResult, error) {
 	cfg.fillDefaults()
-	w := topo.NewWorld(a, 0)
-	sched, pool := w.Sched, w.Pool
-	rng := sim.NewRand(sim.SubSeed(cfg.Seed, int64(100+mode)))
 
 	// Spread RTTs ±20% around the nominal so flows are not artificially
-	// phase-locked (the paper's scenarios always have RTT diversity).
+	// phase-locked (the paper's scenarios always have RTT diversity). The
+	// world is still sized at, and every flow starts from, the nominal RTT.
 	delays := make([]sim.Duration, cfg.Flows)
 	for i := range delays {
-		frac := 0.8 + 0.4*float64(i)/float64(maxI(cfg.Flows-1, 1))
-		delays[i] = sim.Duration(frac * float64(cfg.RTT) / 2)
+		frac := 0.8 + 0.4*float64(i)/float64(max(cfg.Flows-1, 1))
+		delays[i] = sim.Duration(frac * float64(extensionRTT) / 2)
 	}
-	buffer := netsim.BDPBuffer(0.5, cfg.BottleneckRate, cfg.RTT, cfg.PktSize)
-
-	var queue netsim.Queue
-	switch mode {
-	case ModeDropTail:
-		queue = nil // default DropTail
-	case ModeRedECN, ModePersistentECN:
-		rc := netsim.REDConfig{
-			Limit:            buffer,
-			MinTh:            float64(buffer) / 6,
-			MaxTh:            float64(buffer) / 2,
-			MaxP:             0.1,
-			ECN:              true,
-			PacketsPerSecond: float64(cfg.BottleneckRate) / float64(cfg.PktSize*8),
-		}
+	p := scenarios.Dumbbell{
+		Delays:        delays,
+		RTT:           extensionRTT,
+		BufferBDPFrac: 0.5,
+		Spread:        100 * sim.Millisecond,
+	}
+	if mode != ModeDropTail {
+		var persist float64
 		if mode == ModePersistentECN {
-			rc.PersistMark = cfg.RTT.Seconds()
+			persist = extensionRTT.Seconds()
 		}
-		queue = netsim.NewRED(rc, rng)
+		p.Queue = redQueue(sim.SubSeed(cfg.Seed, int64(100+mode)), true, persist)
 	}
+	b := scenarios.BuildDumbbell(p, topo.ScenarioConfig{Seed: cfg.Seed, Duration: cfg.Duration}, a)
 
-	d := w.Dumbbell(netsim.DumbbellConfig{
-		BottleneckRate:  cfg.BottleneckRate,
-		BottleneckDelay: 0,
-		AccessRate:      1_000_000_000,
-		AccessDelays:    delays,
-		Buffer:          buffer,
-		Queue:           queue,
-	})
-
-	// Signal log: (time, flow) of every drop and every mark.
-	type signal struct {
-		at   sim.Time
-		flow int
+	// Signal log: every drop, and every CE mark as it reaches its
+	// receiver — the signal delivered to that flow.
+	var signals []trace.LossEvent
+	b.Bottleneck.OnDrop = func(p *netsim.Packet, at sim.Time) {
+		signals = append(signals, trace.LossEvent{At: at, Flow: p.Flow})
 	}
-	var signals []signal
-	d.Forward.OnDrop = func(p *netsim.Packet, at sim.Time) {
-		signals = append(signals, signal{at, p.Flow})
-	}
-
-	useECN := mode != ModeDropTail
-	flows := make([]*tcp.Flow, cfg.Flows)
-	for i := range flows {
-		flows[i] = tcp.NewPairFlow(sched, d.SenderNode(i), d.ReceiverNode(i), i+1, tcp.Config{
-			PktSize:    cfg.PktSize,
-			InitialRTT: cfg.RTT,
-			ECN:        useECN,
-			Pool:       pool,
-		})
-		// Record marks as signals at the receiver (a CE mark reaching the
-		// receiver is the signal delivered to that flow).
+	for i, f := range b.TCP {
 		flowID := i + 1
-		flows[i].Receiver.OnData = func(p *netsim.Packet, at sim.Time) {
+		f.Receiver.OnData = func(p *netsim.Packet, at sim.Time) {
 			if p.CE {
-				signals = append(signals, signal{at, flowID})
+				signals = append(signals, trace.LossEvent{At: at, Flow: flowID})
 			}
 		}
 	}
-	for i, f := range flows {
-		f.StartAt(sched, sim.Time(sim.Duration(i)*100*sim.Millisecond/sim.Duration(cfg.Flows)))
-	}
-
-	sched.RunUntil(sim.Time(cfg.Duration))
+	b.Run()
 
 	if len(signals) == 0 {
 		return nil, fmt.Errorf("core: ECN coverage run (%v) saw no congestion signals", mode)
 	}
 
-	// Group signals into bursts separated by ≥ RTT/2 of silence and count
-	// the distinct flows signaled within one RTT of each burst's start —
-	// the paper's question: does one congestion event inform every flow
-	// within an RTT?
-	res := &ECNCoverageResult{Mode: mode, Events: sched.Fired()}
-	gap := cfg.RTT / 2
-	var epochFlows map[int]struct{}
-	var last, epochStart sim.Time
+	// Group signals into bursts separated by more than RTT/2 of silence
+	// and count the distinct flows signaled within one RTT of each burst's
+	// start — the paper's question: does one congestion event inform
+	// every flow within an RTT? Signals arrive in time order.
+	res := &ECNCoverageResult{Mode: mode, Events: b.Sched.Fired()}
+	bursts := analysis.GroupBursts(signals, extensionRTT/2)
+	res.Epochs = len(bursts)
 	var totalFlows int
-	flush := func() {
-		if epochFlows != nil {
-			res.Epochs++
-			totalFlows += len(epochFlows)
+	for _, burst := range bursts {
+		k := 0
+		for k < len(burst) && burst[k].At.Sub(burst[0].At) <= extensionRTT {
+			k++
 		}
-		epochFlows = nil
+		totalFlows += analysis.DistinctFlows(burst[:k])
 	}
-	for _, s := range signals {
-		if epochFlows == nil || s.at.Sub(last) > gap {
-			flush()
-			epochFlows = map[int]struct{}{}
-			epochStart = s.at
-		}
-		if s.at.Sub(epochStart) <= cfg.RTT {
-			epochFlows[s.flow] = struct{}{}
-		}
-		last = s.at
-	}
-	flush()
-
-	if res.Epochs > 0 {
-		res.FlowsSignaledPerEpoch = float64(totalFlows) / float64(res.Epochs)
-		res.CoverageFraction = res.FlowsSignaledPerEpoch / float64(cfg.Flows)
-	}
+	res.FlowsSignaledPerEpoch = float64(totalFlows) / float64(res.Epochs)
+	res.CoverageFraction = res.FlowsSignaledPerEpoch / float64(cfg.Flows)
 	var sum, sumSq float64
-	for _, f := range flows {
+	for _, f := range b.TCP {
 		g := float64(f.Receiver.CumAck())
 		res.AggregatePkts += f.Receiver.CumAck()
 		sum += g
@@ -353,11 +232,4 @@ func runECNCoverage(cfg ECNCoverageConfig, mode ECNMode, a *exp.Arena) (*ECNCove
 		res.FairnessIndex = sum * sum / (float64(cfg.Flows) * sumSq)
 	}
 	return res, nil
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,36 +1,28 @@
 package core
 
 import (
-	"repro/internal/crosstraffic"
 	"repro/internal/exp"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/tcp"
 	"repro/internal/topo"
+	"repro/internal/topo/scenarios"
 )
 
 // Fig2Config reproduces the paper's NS-2 setup (Figure 1): a 100 Mbps
 // DropTail bottleneck shared by N TCP flows with access latencies drawn
 // uniformly from [2 ms, 200 ms], plus 50 two-way exponential on–off noise
-// flows averaging 10% of capacity.
+// flows averaging 10% of capacity, with 1000-byte segments and the flow
+// starts staggered over 2 s (see scenarios.NS2Dumbbell).
 type Fig2Config struct {
-	Seed           int64
-	Flows          int          // 2, 4, 8, 16 or 32 in the paper
-	BottleneckRate int64        // default 100 Mbps
-	AccessLow      sim.Duration // default 2 ms
-	AccessHigh     sim.Duration // default 200 ms
+	Seed  int64
+	Flows int // 2, 4, 8, 16 or 32 in the paper
 	// BufferBDPFrac sizes the bottleneck buffer as a fraction of the
 	// BDP at the mean RTT (paper sweeps 1/8 … 2; default 0.5).
 	BufferBDPFrac float64
-	NoiseFlows    int          // default 50
 	NoiseFraction float64      // default 0.10 of capacity
-	PktSize       int          // default 1000
 	Duration      sim.Duration // default 60 s
 	// Warmup discards drops before this time (slow-start transient).
 	Warmup sim.Duration // default 10 s
-	// StartSpread staggers flow starts uniformly over this window to
-	// avoid seeding artificial global synchronization (default 2 s).
-	StartSpread sim.Duration
 	// RED replaces the DropTail bottleneck with a RED queue (minTh =
 	// buffer/6, maxTh = buffer/2, maxP = 0.1) — the paper's suggested
 	// de-bursting remedy, used by the ablation bench.
@@ -41,35 +33,17 @@ func (c *Fig2Config) fillDefaults() {
 	if c.Flows == 0 {
 		c.Flows = 16
 	}
-	if c.BottleneckRate == 0 {
-		c.BottleneckRate = 100_000_000
-	}
-	if c.AccessLow == 0 {
-		c.AccessLow = 2 * sim.Millisecond
-	}
-	if c.AccessHigh == 0 {
-		c.AccessHigh = 200 * sim.Millisecond
-	}
 	if c.BufferBDPFrac == 0 {
 		c.BufferBDPFrac = 0.5
 	}
-	if c.NoiseFlows == 0 {
-		c.NoiseFlows = 50
-	}
 	if c.NoiseFraction == 0 {
 		c.NoiseFraction = 0.10
-	}
-	if c.PktSize == 0 {
-		c.PktSize = 1000
 	}
 	if c.Duration == 0 {
 		c.Duration = 60 * sim.Second
 	}
 	if c.Warmup == 0 {
 		c.Warmup = 10 * sim.Second
-	}
-	if c.StartSpread == 0 {
-		c.StartSpread = 2 * sim.Second
 	}
 }
 
@@ -85,73 +59,34 @@ func RunFigure2(cfg Fig2Config) (*ScenarioResult, error) {
 }
 
 // runFigure2 builds and runs one Figure-2 world on the arena (nil: a
-// fresh one, see topo.NewWorld).
+// fresh one, see topo.NewWorld): the registered dumbbell's world at the
+// config's flow count, buffer, noise load and queue.
 func runFigure2(cfg Fig2Config, a *exp.Arena) (*ScenarioResult, error) {
 	cfg.fillDefaults()
-	w := topo.NewWorld(a, cfg.Warmup)
-	sched, pool := w.Sched, w.Pool
-	rng := sim.NewRand(sim.SubSeed(cfg.Seed, 1))
-
-	delays := netsim.RandomAccessDelays(rng, cfg.Flows, cfg.AccessLow, cfg.AccessHigh)
-	var meanRTT sim.Duration
-	for _, d := range delays {
-		meanRTT += 2 * d
-	}
-	meanRTT /= sim.Duration(cfg.Flows)
-
-	buffer := netsim.BDPBuffer(cfg.BufferBDPFrac, cfg.BottleneckRate, meanRTT, cfg.PktSize)
-
-	var queue netsim.Queue
+	p := scenarios.NS2Dumbbell(cfg.Seed, cfg.Flows)
+	p.BufferBDPFrac, p.Noise = cfg.BufferBDPFrac, cfg.NoiseFraction
 	if cfg.RED {
-		queue = netsim.NewRED(netsim.REDConfig{
-			Limit: buffer,
-			MinTh: float64(buffer) / 6,
-			MaxTh: float64(buffer) / 2,
-			MaxP:  0.1,
-			PacketsPerSecond: float64(cfg.BottleneckRate) /
-				float64(cfg.PktSize*8),
-		}, sim.NewRand(sim.SubSeed(cfg.Seed, 4)))
+		p.Queue = redQueue(sim.SubSeed(cfg.Seed, 4), false, 0)
 	}
-	d := w.Dumbbell(netsim.DumbbellConfig{
-		BottleneckRate:  cfg.BottleneckRate,
-		BottleneckDelay: 0,
-		AccessRate:      1_000_000_000,
-		AccessDelays:    delays,
-		Buffer:          buffer,
-		Queue:           queue,
-	})
-	w.ObserveDrops(d.Forward)
+	return scenarios.BuildDumbbell(p, topo.ScenarioConfig{
+		Seed: cfg.Seed, Duration: cfg.Duration, Warmup: cfg.Warmup,
+	}, a).Finish("figure 2 scenario")
+}
 
-	flows := make([]*tcp.Flow, cfg.Flows)
-	for i := range flows {
-		flows[i] = tcp.NewPairFlow(sched, d.SenderNode(i), d.ReceiverNode(i), i+1, tcp.Config{
-			PktSize:         cfg.PktSize,
-			InitialRTT:      2 * delays[i],
-			InitialSSThresh: float64(buffer),
-			Pool:            pool,
-		})
+// redQueue builds the paper's RED bottleneck — thresholds at 1/6 and 1/2
+// of the buffer, maxP 0.1 — drawing from seed. With ecn it marks instead
+// of dropping, and a positive persist (seconds) keeps marking every flow
+// for that long after each decision.
+func redQueue(seed int64, ecn bool, persist float64) func(int, float64) netsim.Queue {
+	return func(limit int, pps float64) netsim.Queue {
+		return netsim.NewRED(netsim.REDConfig{
+			Limit:            limit,
+			MinTh:            float64(limit) / 6,
+			MaxTh:            float64(limit) / 2,
+			MaxP:             0.1,
+			ECN:              ecn,
+			PacketsPerSecond: pps,
+			PersistMark:      persist,
+		}, sim.NewRand(seed))
 	}
-	// Stagger starts to avoid a synthetic global synchronization at t=0.
-	for i, f := range flows {
-		f.StartAt(sched, sim.Time(sim.Duration(i)*cfg.StartSpread/sim.Duration(cfg.Flows)))
-	}
-
-	// Noise: two-way on–off UDP, absorbed (and recycled) by the routers'
-	// default sinks.
-	d.RightRouter.BindDefault(pool.Sink())
-	d.LeftRouter.BindDefault(pool.Sink())
-	fwdNoise := crosstraffic.NoiseSet(sched, d.Forward, cfg.NoiseFlows/2,
-		cfg.BottleneckRate, cfg.NoiseFraction/2, 100000,
-		netsim.SenderAddr(0), 2, sim.SubSeed(cfg.Seed, 2), pool)
-	revNoise := crosstraffic.NoiseSet(sched, d.Reverse, cfg.NoiseFlows-cfg.NoiseFlows/2,
-		cfg.BottleneckRate, cfg.NoiseFraction/2, 200000,
-		netsim.ReceiverAddr(0), 1, sim.SubSeed(cfg.Seed, 3), pool)
-	for _, nz := range fwdNoise {
-		nz.Start()
-	}
-	for _, nz := range revNoise {
-		nz.Start()
-	}
-
-	return w.Finish("figure 2 scenario", cfg.Duration, meanRTT)
 }

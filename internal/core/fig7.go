@@ -6,24 +6,20 @@ import (
 	"repro/internal/exp"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/tcp"
 	"repro/internal/topo"
+	"repro/internal/topo/scenarios"
 	"repro/internal/trace"
 )
 
 // Fig7Config reproduces the pacing-vs-NewReno competition: equal numbers
-// of TCP Pacing and TCP NewReno flows share one bottleneck; the paper used
-// 16+16 flows on a 100 Mbps, 50 ms-RTT path for 40 s and observed the
-// paced aggregate about 17% below the unpaced one.
+// of TCP Pacing and TCP NewReno flows share one 100 Mbps bottleneck with
+// a half-BDP buffer; the paper used 16+16 flows on a 50 ms-RTT path for
+// 40 s and observed the paced aggregate about 17% below the unpaced one.
 type Fig7Config struct {
-	Seed           int64
-	FlowsPerClass  int          // default 16 (per the paper)
-	BottleneckRate int64        // default 100 Mbps
-	RTT            sim.Duration // default 50 ms
-	PktSize        int          // default 1000
-	Duration       sim.Duration // default 40 s
-	Bin            sim.Duration // throughput bin (default 1 s)
-	BufferBDPFrac  float64      // default 0.5
+	Seed          int64
+	FlowsPerClass int          // default 16 (per the paper)
+	RTT           sim.Duration // default 50 ms
+	Duration      sim.Duration // default 40 s
 	// PaceQuantum is the paced flows' burst size per pacing tick
 	// (default 1 = per-packet pacing; the ablation bench sweeps it).
 	PaceQuantum int
@@ -33,23 +29,11 @@ func (c *Fig7Config) fillDefaults() {
 	if c.FlowsPerClass == 0 {
 		c.FlowsPerClass = 16
 	}
-	if c.BottleneckRate == 0 {
-		c.BottleneckRate = 100_000_000
-	}
 	if c.RTT == 0 {
 		c.RTT = 50 * sim.Millisecond
 	}
-	if c.PktSize == 0 {
-		c.PktSize = 1000
-	}
 	if c.Duration == 0 {
 		c.Duration = 40 * sim.Second
-	}
-	if c.Bin == 0 {
-		c.Bin = sim.Second
-	}
-	if c.BufferBDPFrac == 0 {
-		c.BufferBDPFrac = 0.5
 	}
 }
 
@@ -82,70 +66,38 @@ func RunFigure7(cfg Fig7Config) (*Fig7Result, error) {
 }
 
 // runFigure7 builds and runs one competition world on the arena (nil: a
-// fresh one). The throughput series stay per-run: they are retained in
-// the result.
+// fresh one): NewReno on the first FlowsPerClass pairs, pacing on the
+// rest. The 1 s throughput series stay per-run: they are retained in the
+// result.
 func runFigure7(cfg Fig7Config, a *exp.Arena) (*Fig7Result, error) {
 	cfg.fillDefaults()
-	w := topo.NewWorld(a, 0)
-	sched, pool := w.Sched, w.Pool
-
 	n := cfg.FlowsPerClass
-	delays := make([]sim.Duration, 2*n)
-	for i := range delays {
-		delays[i] = cfg.RTT / 2
-	}
-	buffer := netsim.BDPBuffer(cfg.BufferBDPFrac, cfg.BottleneckRate, cfg.RTT, cfg.PktSize)
-	d := w.Dumbbell(netsim.DumbbellConfig{
-		BottleneckRate:  cfg.BottleneckRate,
-		BottleneckDelay: 0,
-		AccessRate:      1_000_000_000,
-		AccessDelays:    delays,
-		Buffer:          buffer,
-	})
+	p := scenarios.Competition(n, cfg.RTT, scenarios.Paced)
+	p.PaceQuantum = cfg.PaceQuantum
+	b := scenarios.BuildDumbbell(p, topo.ScenarioConfig{Seed: cfg.Seed, Duration: cfg.Duration}, a)
 
-	pacedSeries := trace.NewThroughputSeries(cfg.Bin)
-	renoSeries := trace.NewThroughputSeries(cfg.Bin)
-
-	mk := func(pair, flowID int, paced bool, series *trace.ThroughputSeries) *tcp.Flow {
-		f := tcp.NewPairFlow(sched, d.SenderNode(pair), d.ReceiverNode(pair), flowID, tcp.Config{
-			PktSize:     cfg.PktSize,
-			Paced:       paced,
-			PaceQuantum: cfg.PaceQuantum,
-			InitialRTT:  cfg.RTT,
-			Pool:        pool,
-		})
+	reno, paced := trace.NewThroughputSeries(sim.Second), trace.NewThroughputSeries(sim.Second)
+	for i, f := range b.TCP {
+		series := reno
+		if i >= n {
+			series = paced
+		}
 		f.Receiver.OnData = func(p *netsim.Packet, at sim.Time) {
 			series.Add(at, int64(p.Size)*8)
 		}
-		return f
 	}
-
-	var paced, reno []*tcp.Flow
-	for i := 0; i < n; i++ {
-		reno = append(reno, mk(i, i+1, false, renoSeries))
-	}
-	for i := n; i < 2*n; i++ {
-		paced = append(paced, mk(i, i+1, true, pacedSeries))
-	}
-	// Interleave starts across the two classes within the first 100 ms.
-	for i := 0; i < n; i++ {
-		off := sim.Duration(i) * 100 * sim.Millisecond / sim.Duration(n)
-		reno[i].StartAt(sched, sim.Time(off))
-		paced[i].StartAt(sched, sim.Time(off+50*sim.Millisecond/sim.Duration(n)))
-	}
-
-	sched.RunUntil(sim.Time(cfg.Duration))
+	b.Run()
 
 	res := &Fig7Result{
-		PacedMbps:   pacedSeries.Mbps(),
-		NewRenoMbps: renoSeries.Mbps(),
-		Events:      sched.Fired(),
+		PacedMbps:   paced.Mbps(),
+		NewRenoMbps: reno.Mbps(),
+		Events:      b.Sched.Fired(),
 	}
-	for _, f := range paced {
+	for _, f := range b.TCP[n:] {
 		res.PacedTotalPkts += f.Receiver.CumAck()
 		res.PacedCongestionEvents += f.Sender.CongestionEvents
 	}
-	for _, f := range reno {
+	for _, f := range b.TCP[:n] {
 		res.NewRenoTotalPkts += f.Receiver.CumAck()
 		res.NewRenoCongestionEvents += f.Sender.CongestionEvents
 	}

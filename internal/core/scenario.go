@@ -43,12 +43,10 @@ func SweepScenario(name string, cfg topo.ScenarioConfig, opts SweepOptions) (*Sc
 	if err != nil {
 		return nil, err
 	}
-	opts.fillDefaults()
-	results := exp.Replicate(exp.Options{Seed: cfg.Seed, Workers: opts.Workers},
-		opts.Replications, func(i int, seed int64, a *exp.Arena) (*ScenarioResult, error) {
+	return collectScenarioSweep(cfg.Seed, replicate(cfg.Seed, opts,
+		func(seed int64, a *exp.Arena) (*ScenarioResult, error) {
 			c := cfg
-			c.Seed = replicationSeed(cfg.Seed, i, seed)
+			c.Seed = seed
 			return sc.RunIn(c, a)
-		})
-	return collectScenarioSweep(cfg.Seed, results)
+		}))
 }

@@ -30,6 +30,17 @@ func (o *SweepOptions) fillDefaults() {
 	}
 }
 
+// replicate runs opts.Replications replications of run, each on its
+// worker's arena: replication 0 replays seed, later replications receive
+// the SubSeed-derived streams of the exp runner.
+func replicate[T any](seed int64, opts SweepOptions, run func(seed int64, a *exp.Arena) (T, error)) []exp.Result[T] {
+	opts.fillDefaults()
+	return exp.Replicate(exp.Options{Seed: seed, Workers: opts.Workers}, opts.Replications,
+		func(i int, derived int64, a *exp.Arena) (T, error) {
+			return run(replicationSeed(seed, i, derived), a)
+		})
+}
+
 // replicationSeed maps a replication index to its seed: replication 0
 // replays the configured base seed, later replications use the
 // SubSeed-derived stream handed in by the runner.
@@ -68,27 +79,23 @@ type ScenarioSweep struct {
 // (ScenarioResult.Trace is nil; use RunFigure2 when the trace itself is
 // needed).
 func SweepFigure2(cfg Fig2Config, opts SweepOptions) (*ScenarioSweep, error) {
-	opts.fillDefaults()
-	results := exp.Replicate(exp.Options{Seed: cfg.Seed, Workers: opts.Workers},
-		opts.Replications, func(i int, seed int64, a *exp.Arena) (*ScenarioResult, error) {
+	return collectScenarioSweep(cfg.Seed, replicate(cfg.Seed, opts,
+		func(seed int64, a *exp.Arena) (*ScenarioResult, error) {
 			c := cfg
-			c.Seed = replicationSeed(cfg.Seed, i, seed)
+			c.Seed = seed
 			return runFigure2(c, a)
-		})
-	return collectScenarioSweep(cfg.Seed, results)
+		}))
 }
 
 // SweepFigure3 replicates the Dummynet scenario across derived seeds, on
 // per-worker arenas like SweepFigure2.
 func SweepFigure3(cfg Fig3Config, opts SweepOptions) (*ScenarioSweep, error) {
-	opts.fillDefaults()
-	results := exp.Replicate(exp.Options{Seed: cfg.Seed, Workers: opts.Workers},
-		opts.Replications, func(i int, seed int64, a *exp.Arena) (*ScenarioResult, error) {
+	return collectScenarioSweep(cfg.Seed, replicate(cfg.Seed, opts,
+		func(seed int64, a *exp.Arena) (*ScenarioResult, error) {
 			c := cfg
-			c.Seed = replicationSeed(cfg.Seed, i, seed)
+			c.Seed = seed
 			return runFigure3(c, a)
-		})
-	return collectScenarioSweep(cfg.Seed, results)
+		}))
 }
 
 func collectScenarioSweep(base int64, results []exp.Result[*ScenarioResult]) (*ScenarioSweep, error) {
@@ -113,67 +120,55 @@ func collectScenarioSweep(base int64, results []exp.Result[*ScenarioResult]) (*S
 	return s, nil
 }
 
-// Fig7Sweep is the outcome of replicated pacing-competition runs: the
-// per-replication results and the mean ± CI of the headline deficit.
-type Fig7Sweep struct {
-	Results []*Fig7Result
+// DeficitSweep is the outcome of replicated competition runs (Figure 7,
+// TFRC): the per-replication results and the mean ± CI of the headline
+// deficit.
+type DeficitSweep[T any] struct {
+	Results []T
 	Deficit exp.Estimate
 	// Events totals the simulated events across replications.
 	Events uint64
+}
+
+// collectDeficits gathers replicated competition results; read returns
+// one result's deficit and event count. Any failed replication fails the
+// sweep.
+func collectDeficits[T any](results []exp.Result[T], read func(T) (float64, uint64)) (*DeficitSweep[T], error) {
+	vals, err := exp.Values(results)
+	if err != nil {
+		return nil, err
+	}
+	s := &DeficitSweep[T]{Results: vals}
+	deficits := make([]float64, len(vals))
+	for i, v := range vals {
+		var events uint64
+		deficits[i], events = read(v)
+		s.Events += events
+	}
+	s.Deficit = exp.EstimateOf(deficits)
+	return s, nil
 }
 
 // SweepFigure7 replicates the pacing-vs-NewReno competition across derived
 // seeds, reusing each worker's arena across replications.
-func SweepFigure7(cfg Fig7Config, opts SweepOptions) (*Fig7Sweep, error) {
-	opts.fillDefaults()
-	results := exp.Replicate(exp.Options{Seed: cfg.Seed, Workers: opts.Workers},
-		opts.Replications, func(i int, seed int64, a *exp.Arena) (*Fig7Result, error) {
+func SweepFigure7(cfg Fig7Config, opts SweepOptions) (*DeficitSweep[*Fig7Result], error) {
+	return collectDeficits(replicate(cfg.Seed, opts,
+		func(seed int64, a *exp.Arena) (*Fig7Result, error) {
 			c := cfg
-			c.Seed = replicationSeed(cfg.Seed, i, seed)
+			c.Seed = seed
 			return runFigure7(c, a)
-		})
-	vals, err := exp.Values(results)
-	if err != nil {
-		return nil, err
-	}
-	deficits := make([]float64, len(vals))
-	var events uint64
-	for i, v := range vals {
-		deficits[i] = v.Deficit
-		events += v.Events
-	}
-	return &Fig7Sweep{Results: vals, Deficit: exp.EstimateOf(deficits), Events: events}, nil
-}
-
-// TFRCSweep is the outcome of replicated TFRC-competition runs.
-type TFRCSweep struct {
-	Results []*TFRCCompResult
-	Deficit exp.Estimate
-	// Events totals the simulated events across replications.
-	Events uint64
+		}), func(r *Fig7Result) (float64, uint64) { return r.Deficit, r.Events })
 }
 
 // SweepTFRCCompetition replicates the TFRC-vs-NewReno competition across
 // derived seeds with per-worker arena reuse, mirroring SweepFigure7.
-func SweepTFRCCompetition(cfg TFRCCompConfig, opts SweepOptions) (*TFRCSweep, error) {
-	opts.fillDefaults()
-	results := exp.Replicate(exp.Options{Seed: cfg.Seed, Workers: opts.Workers},
-		opts.Replications, func(i int, seed int64, a *exp.Arena) (*TFRCCompResult, error) {
+func SweepTFRCCompetition(cfg TFRCCompConfig, opts SweepOptions) (*DeficitSweep[*TFRCCompResult], error) {
+	return collectDeficits(replicate(cfg.Seed, opts,
+		func(seed int64, a *exp.Arena) (*TFRCCompResult, error) {
 			c := cfg
-			c.Seed = replicationSeed(cfg.Seed, i, seed)
+			c.Seed = seed
 			return runTFRCCompetition(c, a)
-		})
-	vals, err := exp.Values(results)
-	if err != nil {
-		return nil, err
-	}
-	deficits := make([]float64, len(vals))
-	var events uint64
-	for i, v := range vals {
-		deficits[i] = v.Deficit
-		events += v.Events
-	}
-	return &TFRCSweep{Results: vals, Deficit: exp.EstimateOf(deficits), Events: events}, nil
+		}), func(r *TFRCCompResult) (float64, uint64) { return r.Deficit, r.Events })
 }
 
 // RunECNComparison runs the ECN-coverage experiment for each mode

@@ -1,96 +1,13 @@
-// Package dummynet emulates the paper's second measurement environment: a
-// Dummynet router (Rizzo 1997) running on FreeBSD. Relative to the ideal
-// simulator it adds the two non-idealities the paper attributes to the
-// emulation testbed:
-//
-//  1. per-packet processing-time noise — a software router does not forward
-//     in exactly the serialization time;
-//  2. a coarse measurement clock — the FreeBSD kernel timestamps drops at
-//     1 ms resolution, so the recorded loss trace is quantized.
-//
-// The pipe itself (bandwidth + delay + FIFO queue) reuses the netsim port
-// machinery; this package wraps it with the noise and the quantizing drop
-// recorder.
+// Package dummynet models the measurement clock of the paper's second
+// environment: a Dummynet router (Rizzo 1997) on FreeBSD, whose kernel
+// timestamps drops from a HZ=1000 tick counter, so the recorded loss
+// trace is quantized to 1 ms. The environment's other non-ideality,
+// per-packet processing noise, is a netsim.Port's ProcNoise hook
+// (netsim.UniformNoise); the dumbbell runner in internal/topo/scenarios
+// applies both for Figure 3.
 package dummynet
 
-import (
-	"math/rand"
-
-	"repro/internal/netsim"
-	"repro/internal/sim"
-	"repro/internal/trace"
-)
-
-// PipeConfig describes a Dummynet pipe.
-type PipeConfig struct {
-	// Rate is the pipe bandwidth in bits/second.
-	Rate int64
-	// Delay is the pipe's one-way propagation delay.
-	Delay sim.Duration
-	// QueueLimit is the FIFO buffer in packets.
-	QueueLimit int
-	// ProcNoiseMax bounds the uniform per-packet processing noise
-	// (default 100 µs, a typical mid-2000s software-forwarding jitter).
-	ProcNoiseMax sim.Duration
-	// ClockResolution quantizes recorded drop timestamps (default 1 ms,
-	// the FreeBSD HZ=1000 tick of the paper's testbed).
-	ClockResolution sim.Duration
-}
-
-func (c *PipeConfig) fillDefaults() {
-	if c.ProcNoiseMax == 0 {
-		c.ProcNoiseMax = 100 * sim.Microsecond
-	}
-	if c.ClockResolution == 0 {
-		c.ClockResolution = sim.Millisecond
-	}
-}
-
-// Pipe is an emulated Dummynet pipe: a noisy port whose drop trace is
-// recorded at kernel-clock granularity.
-type Pipe struct {
-	Port *netsim.Port
-	// Trace holds the quantized drop records, exactly what the paper's
-	// instrumented Dummynet router logs.
-	Trace *trace.Recorder
-	// ExactTrace holds the unquantized drop times, for comparing the
-	// measurement artifact against ground truth.
-	ExactTrace *trace.Recorder
-
-	cfg PipeConfig
-}
-
-// NewPipe builds the pipe on sched, forwarding to dst.
-func NewPipe(sched *sim.Scheduler, cfg PipeConfig, dst netsim.Handler, rng *rand.Rand) *Pipe {
-	if rng == nil {
-		panic("dummynet: NewPipe requires a seeded rng")
-	}
-	if cfg.Rate <= 0 || cfg.QueueLimit <= 0 {
-		panic("dummynet: pipe needs positive rate and queue limit")
-	}
-	cfg.fillDefaults()
-	p := &Pipe{
-		Trace:      &trace.Recorder{},
-		ExactTrace: &trace.Recorder{},
-		cfg:        cfg,
-	}
-	port := netsim.NewPort(sched, netsim.NewDropTail(cfg.QueueLimit),
-		netsim.NewLink(cfg.Rate, cfg.Delay, dst))
-	port.ProcNoise = netsim.UniformNoise(rng, cfg.ProcNoiseMax)
-	port.OnDrop = func(pkt *netsim.Packet, at sim.Time) {
-		p.ExactTrace.Add(trace.LossEvent{At: at, Flow: pkt.Flow, Seq: pkt.Seq, Size: pkt.Size})
-		p.Trace.Add(trace.LossEvent{At: Quantize(at, cfg.ClockResolution),
-			Flow: pkt.Flow, Seq: pkt.Seq, Size: pkt.Size})
-	}
-	p.Port = port
-	return p
-}
-
-// Handle implements netsim.Handler by forwarding into the pipe.
-func (p *Pipe) Handle(pkt *netsim.Packet) { p.Port.Handle(pkt) }
-
-// Config returns the pipe's configuration after defaulting.
-func (p *Pipe) Config() PipeConfig { return p.cfg }
+import "repro/internal/sim"
 
 // Quantize rounds t down to the previous clock tick, the way a kernel
 // timestamp taken from a HZ counter does.

@@ -3,7 +3,6 @@ package dummynet
 import (
 	"testing"
 
-	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -26,99 +25,5 @@ func TestQuantize(t *testing.T) {
 	}
 	if Quantize(sim.Time(12345), 0) != sim.Time(12345) {
 		t.Fatal("zero resolution must be identity")
-	}
-}
-
-func TestPipeForwardsWithNoise(t *testing.T) {
-	s := sim.NewScheduler()
-	var arrivals []sim.Time
-	dst := netsim.HandlerFunc(func(p *netsim.Packet) { arrivals = append(arrivals, s.Now()) })
-	pipe := NewPipe(s, PipeConfig{
-		Rate: 1_000_000, Delay: 10 * sim.Millisecond, QueueLimit: 10,
-		ProcNoiseMax: 2 * sim.Millisecond,
-	}, dst, sim.NewRand(1))
-	for i := 0; i < 5; i++ {
-		pipe.Handle(&netsim.Packet{ID: uint64(i), Size: 1000, Kind: netsim.Data})
-	}
-	s.Run()
-	if len(arrivals) != 5 {
-		t.Fatalf("forwarded %d", len(arrivals))
-	}
-	// Base time for packet 0: 8 ms tx + 10 ms prop = 18 ms; noise ∈ [0,2ms).
-	if arrivals[0] < sim.Time(18*sim.Millisecond) ||
-		arrivals[0] >= sim.Time(20*sim.Millisecond) {
-		t.Fatalf("first arrival %v outside noisy window", arrivals[0])
-	}
-	// Noise must actually vary spacing: not all gaps identical.
-	allEqual := true
-	for i := 2; i < len(arrivals); i++ {
-		if arrivals[i].Sub(arrivals[i-1]) != arrivals[1].Sub(arrivals[0]) {
-			allEqual = false
-		}
-	}
-	if allEqual {
-		t.Fatal("processing noise had no effect")
-	}
-}
-
-func TestPipeDropTraceQuantized(t *testing.T) {
-	s := sim.NewScheduler()
-	dst := netsim.HandlerFunc(func(p *netsim.Packet) {})
-	pipe := NewPipe(s, PipeConfig{
-		Rate: 1_000_000, QueueLimit: 2,
-	}, dst, sim.NewRand(2))
-	// Overflow the queue at a non-tick time.
-	s.At(sim.Time(1700*sim.Microsecond), func() {
-		for i := 0; i < 10; i++ {
-			pipe.Handle(&netsim.Packet{ID: uint64(i), Size: 1000, Kind: netsim.Data, Seq: int64(i)})
-		}
-	})
-	s.Run()
-	if pipe.Trace.Len() == 0 {
-		t.Fatal("no drops recorded")
-	}
-	if pipe.Trace.Len() != pipe.ExactTrace.Len() {
-		t.Fatal("trace length mismatch")
-	}
-	for i, e := range pipe.Trace.Events() {
-		if int64(e.At)%int64(sim.Millisecond) != 0 {
-			t.Fatalf("drop %d at unquantized time %v", i, e.At)
-		}
-		exact := pipe.ExactTrace.Events()[i]
-		if e.At > exact.At || exact.At.Sub(e.At) >= sim.Millisecond {
-			t.Fatalf("quantization out of range: %v vs exact %v", e.At, exact.At)
-		}
-		if e.Flow != exact.Flow || e.Seq != exact.Seq {
-			t.Fatal("trace metadata mismatch")
-		}
-	}
-}
-
-func TestPipeDefaults(t *testing.T) {
-	s := sim.NewScheduler()
-	dst := netsim.HandlerFunc(func(p *netsim.Packet) {})
-	pipe := NewPipe(s, PipeConfig{Rate: 1_000_000, QueueLimit: 5}, dst, sim.NewRand(3))
-	cfg := pipe.Config()
-	if cfg.ProcNoiseMax != 100*sim.Microsecond || cfg.ClockResolution != sim.Millisecond {
-		t.Fatalf("defaults: %+v", cfg)
-	}
-}
-
-func TestPipeValidation(t *testing.T) {
-	s := sim.NewScheduler()
-	dst := netsim.HandlerFunc(func(p *netsim.Packet) {})
-	for _, f := range []func(){
-		func() { NewPipe(s, PipeConfig{Rate: 0, QueueLimit: 5}, dst, sim.NewRand(1)) },
-		func() { NewPipe(s, PipeConfig{Rate: 1, QueueLimit: 0}, dst, sim.NewRand(1)) },
-		func() { NewPipe(s, PipeConfig{Rate: 1, QueueLimit: 1}, dst, nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("no panic")
-				}
-			}()
-			f()
-		}()
 	}
 }

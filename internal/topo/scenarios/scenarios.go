@@ -213,52 +213,10 @@ func (w *world) noiseInto(net *topo.Network, port *netsim.Port, n int, capacity 
 	}
 }
 
-// runDumbbell is the paper's NS-2 setup expressed as a registered
-// scenario: the Figure-2 world built through the declarative spec path.
+// runDumbbell is the paper's NS-2 setup (Figure 2) as a registered
+// scenario: the nominal world of the one dumbbell runner.
 func runDumbbell(cfg topo.ScenarioConfig, a *exp.Arena) (*topo.ScenarioResult, error) {
-	cfg.FillDefaults()
-	const (
-		flows = 16
-		rate  = 100_000_000
-	)
-	w := newWorld(cfg, a)
-	rng := sim.NewRand(sim.SubSeed(cfg.Seed, 1))
-	delays := netsim.RandomAccessDelays(rng, flows, 2*sim.Millisecond, 200*sim.Millisecond)
-
-	var meanRTT sim.Duration
-	for _, d := range delays {
-		meanRTT += 2 * d
-	}
-	meanRTT /= flows
-	buffer := netsim.BDPBuffer(0.5, rate, meanRTT, cfg.PktSize)
-
-	// The dumbbell bypasses the Spec path, so its fleet jitter is applied
-	// directly: scaled bottleneck rate and access delays (and therefore
-	// the normalization RTT), nominal buffer like every other scenario.
-	srate := topo.ScaleRate(rate, w.rateScale)
-	sdelays := delays
-	if w.rttScale != 1 {
-		sdelays = make([]sim.Duration, len(delays))
-		for i, dl := range delays {
-			sdelays[i] = topo.ScaleDuration(dl, w.rttScale)
-		}
-	}
-	meanRTT = topo.ScaleDuration(meanRTT, w.rttScale)
-
-	d := w.Dumbbell(netsim.DumbbellConfig{
-		BottleneckRate: srate,
-		AccessRate:     1_000_000_000,
-		AccessDelays:   sdelays,
-		Buffer:         buffer,
-	})
-	w.ObserveDrops(d.Forward)
-	w.startFlows(d.Net, cfg, float64(buffer), 2*sim.Second)
-
-	w.absorb(d.Net, "L", "R")
-	w.noiseInto(d.Net, d.Forward, 25, rate, 0.05, 100000, netsim.SenderAddr(0), "R", sim.SubSeed(cfg.Seed, 2))
-	w.noiseInto(d.Net, d.Reverse, 25, rate, 0.05, 200000, netsim.ReceiverAddr(0), "L", sim.SubSeed(cfg.Seed, 3))
-
-	return w.finish("dumbbell", cfg, meanRTT)
+	return BuildDumbbell(NS2Dumbbell(cfg.Seed, 16), cfg, a).Finish("dumbbell")
 }
 
 // runParkingLot chains several congested hops in series — the classic
