@@ -9,6 +9,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -28,8 +29,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := cli.NewFlagSet("lossim", stderr)
 	var (
 		env      = fs.String("env", "ns2", "environment: ns2 (Figure 2) or dummynet (Figure 3)")
-		flows    = fs.Int("flows", 16, "TCP flows (ns2)")
-		perClass = fs.Int("flows-per-class", 4, "flows per RTT class (dummynet)")
+		flows    = fs.Int("flows", 16, "TCP flows (ns2 only)")
+		perClass = fs.Int("flows-per-class", 4, "flows per RTT class (dummynet only)")
 		duration = fs.Duration("duration", 60*time.Second, "simulated duration")
 		warmup   = fs.Duration("warmup", 10*time.Second, "warmup excluded from the trace, in (0, duration)")
 		buffer   = fs.Float64("buffer-bdp", 0.5, "bottleneck buffer as a fraction of BDP, > 0 (paper sweeps 1/8..2)")
@@ -43,6 +44,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *env != "ns2" && *env != "dummynet" {
 		return cli.Usagef(stderr, "lossim", "unknown -env %q (want ns2 or dummynet)", *env)
+	}
+	// Each environment reads only its own flow-count flag; the other one,
+	// set even to its default value, would be silently ignored.
+	other := "flows-per-class"
+	if *env == "dummynet" {
+		other = "flows"
+	}
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == other })
+	if set {
+		return cli.Usagef(stderr, "lossim", "-%s does not apply to -env %s", other, *env)
 	}
 	if *flows < 1 {
 		return cli.Usagef(stderr, "lossim", "-flows must be at least 1, got %d", *flows)

@@ -59,7 +59,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"unknown flag", []string{"-no-such-flag"}, "flag provided but not defined"},
 		{"unknown env", []string{"-env", "marsnet"}, "marsnet"},
 		{"zero flows", []string{"-flows", "0"}, "-flows"},
-		{"zero per-class", []string{"-flows-per-class", "-3"}, "-flows-per-class"},
+		{"zero per-class", []string{"-env", "dummynet", "-flows-per-class", "-3"}, "-flows-per-class"},
 		{"negative duration", []string{"-duration", "-5s"}, "-duration"},
 		{"warmup past duration", []string{"-duration", "5s", "-warmup", "5s"}, "-warmup"},
 		// A zero would otherwise be replaced by the figure's default.
@@ -72,6 +72,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"zero buffer", []string{"-buffer-bdp", "0"}, "-buffer-bdp"},
 		{"negative buffer", []string{"-buffer-bdp", "-1"}, "-buffer-bdp"},
 		{"infinite buffer", []string{"-buffer-bdp", "+Inf"}, "-buffer-bdp"},
+		// Each environment reads one flow-count flag; the other one is
+		// refused even at its default value rather than ignored.
+		{"flows under dummynet", []string{"-env", "dummynet", "-flows", "3"}, "-flows does not apply to -env dummynet"},
+		{"default flows under dummynet", []string{"-env", "dummynet", "-flows", "16"}, "-flows does not apply"},
+		{"per-class under ns2", []string{"-env", "ns2", "-flows-per-class", "1"}, "-flows-per-class does not apply to -env ns2"},
+		{"per-class under default env", []string{"-flows-per-class", "4"}, "-flows-per-class does not apply"},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer

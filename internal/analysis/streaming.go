@@ -63,9 +63,9 @@ type tally struct {
 	hist *stats.Histogram
 	res  stats.Reservoir // retained intervals for the KS test
 
-	pmf    []float64 // Poisson reference scratch
-	ksSort []float64 // KS sort scratch
-	out    Report    // finalized in place, reused across Reset
+	pmf []float64       // Poisson reference scratch
+	ks  stats.KSScratch // KS buckets and sort scratch
+	out Report          // finalized in place, reused across Reset
 }
 
 // reset empties the tally for cfg (defaults filled), keeping every
@@ -104,7 +104,7 @@ func (t *tally) finalize() *Report {
 	if count > 1 && mean != 0 {
 		t.out.CoV = sampleStd(t.mom.M2, count) / mean
 	}
-	t.out.KSDistance, t.ksSort = stats.KSExponentialInto(t.res.Items(), t.ksSort)
+	t.out.KSDistance = stats.KSExponentialInto(t.res.Items(), &t.ks)
 	t.out.RejectsPoisson = rejectsPoisson(t.out.KSDistance, len(t.res.Items()))
 	return &t.out
 }

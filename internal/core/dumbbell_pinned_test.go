@@ -85,12 +85,64 @@ func (f *folder) result(res *ScenarioResult, err error) error {
 // Seed 1 runs each figure's defaults; seed 7 also moves every knob a
 // caller can still set.
 func TestDumbbellFiguresPinned(t *testing.T) {
-	type run struct {
-		name string
-		fold func(f *folder, seed int64) error
-		want map[int64]uint64
+	for _, r := range dumbbellRuns() {
+		t.Run(r.name, func(t *testing.T) {
+			t.Parallel()
+			for _, seed := range []int64{1, 7} {
+				f := newFolder()
+				if err := r.fold(f, seed); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				if got := f.h.Sum64(); got != r.want[seed] {
+					t.Errorf("%s seed %d: hash %#016x, want %#016x", r.name, seed, got, r.want[seed])
+				}
+			}
+		})
 	}
-	runs := []run{
+	// Figure 2 at 16 flows is the registered dumbbell at its nominal
+	// parameters: the same trace, the same event and forwarding counts,
+	// the same scheduler ties and the same report bits.
+	t.Run("figure2-is-dumbbell", func(t *testing.T) {
+		t.Parallel()
+		for _, seed := range []int64{1, 7} {
+			fig, err := RunFigure2(Fig2Config{Seed: seed, Flows: 16,
+				Duration: 8 * sim.Second, Warmup: 2 * sim.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := RunScenario("dumbbell", topo.ScenarioConfig{Seed: seed,
+				Duration: 8 * sim.Second, Warmup: 2 * sim.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fig.Trace.Events(), sc.Trace.Events()) ||
+				fig.Events != sc.Events || fig.Forwarded != sc.Forwarded ||
+				fig.AmbiguousTies != sc.AmbiguousTies || fig.MeanRTT != sc.MeanRTT {
+				t.Fatalf("seed %d: figure 2 (%d drops, %d events, %d forwarded, %d ties) "+
+					"is not the dumbbell (%d, %d, %d, %d)", seed, fig.Drops, fig.Events,
+					fig.Forwarded, fig.AmbiguousTies, sc.Drops, sc.Events, sc.Forwarded, sc.AmbiguousTies)
+			}
+			a, b := newFolder(), newFolder()
+			a.scenario(fig)
+			b.scenario(sc)
+			if a.h.Sum64() != b.h.Sum64() {
+				t.Fatalf("seed %d: report bits differ", seed)
+			}
+		}
+	})
+}
+
+// dumbbellRun is one reduced-scale run of the dumbbell runner: fold hashes
+// its result at a seed, and want holds the pinned hashes. Seed 7 moves
+// every knob the run's config still has; any other seed runs the defaults.
+type dumbbellRun struct {
+	name string
+	fold func(f *folder, seed int64) error
+	want map[int64]uint64
+}
+
+func dumbbellRuns() []dumbbellRun {
+	return []dumbbellRun{
 		{"figure2", func(f *folder, seed int64) error {
 			cfg := Fig2Config{Seed: seed, Flows: 8, Duration: 8 * sim.Second, Warmup: 2 * sim.Second}
 			if seed == 7 {
@@ -156,49 +208,4 @@ func TestDumbbellFiguresPinned(t *testing.T) {
 			return nil
 		}, map[int64]uint64{1: 0xffecff52f0d1bd1a, 7: 0x32b3170162998bf9}},
 	}
-	for _, r := range runs {
-		t.Run(r.name, func(t *testing.T) {
-			t.Parallel()
-			for _, seed := range []int64{1, 7} {
-				f := newFolder()
-				if err := r.fold(f, seed); err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				if got := f.h.Sum64(); got != r.want[seed] {
-					t.Errorf("%s seed %d: hash %#016x, want %#016x", r.name, seed, got, r.want[seed])
-				}
-			}
-		})
-	}
-	// Figure 2 at 16 flows is the registered dumbbell at its nominal
-	// parameters: the same trace, the same event and forwarding counts,
-	// the same scheduler ties and the same report bits.
-	t.Run("figure2-is-dumbbell", func(t *testing.T) {
-		t.Parallel()
-		for _, seed := range []int64{1, 7} {
-			fig, err := RunFigure2(Fig2Config{Seed: seed, Flows: 16,
-				Duration: 8 * sim.Second, Warmup: 2 * sim.Second})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc, err := RunScenario("dumbbell", topo.ScenarioConfig{Seed: seed,
-				Duration: 8 * sim.Second, Warmup: 2 * sim.Second})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(fig.Trace.Events(), sc.Trace.Events()) ||
-				fig.Events != sc.Events || fig.Forwarded != sc.Forwarded ||
-				fig.AmbiguousTies != sc.AmbiguousTies || fig.MeanRTT != sc.MeanRTT {
-				t.Fatalf("seed %d: figure 2 (%d drops, %d events, %d forwarded, %d ties) "+
-					"is not the dumbbell (%d, %d, %d, %d)", seed, fig.Drops, fig.Events,
-					fig.Forwarded, fig.AmbiguousTies, sc.Drops, sc.Events, sc.Forwarded, sc.AmbiguousTies)
-			}
-			a, b := newFolder(), newFolder()
-			a.scenario(fig)
-			b.scenario(sc)
-			if a.h.Sum64() != b.h.Sum64() {
-				t.Fatalf("seed %d: report bits differ", seed)
-			}
-		}
-	})
 }

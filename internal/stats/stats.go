@@ -2,6 +2,27 @@
 // uses: fixed-bin histograms/PDFs (bin size 0.02 RTT in the paper),
 // Poisson/exponential references with matched rate, summary moments,
 // quantiles, and the index of dispersion used to quantify burstiness.
+//
+// KSExponential, the Kolmogorov–Smirnov distance D behind every report's
+// "Poisson is rejected" verdict, is the largest of |F(x_i) − i/n| and
+// |F(x_i) − (i+1)/n| over the sorted sample x_0 ≤ … ≤ x_{n−1}, and it is
+// computed without sorting the sample. Each x goes to bucket
+// ⌊x·k/(span·mean)⌋ clamped to [0, k−1], with k ≈ n/8: a multiply by a
+// positive constant, a truncation and a clamp, each monotone in IEEE
+// arithmetic, so bucket b holds exactly the ranks [lo_b, hi_b) of the
+// sorted sample, with its least element at rank lo_b and its greatest at
+// hi_b − 1. The candidates of those two elements are candidates of the
+// full scan, computed by the same expressions; their maximum is a lower
+// bound d on D. Every other candidate in bucket b is at most
+// max(F(max_b) − lo_b/n, hi_b/n − F(min_b)) + ε, where ε = 1e-9 covers
+// rounding and the ulp-level non-monotonicity of math.Exp. A bucket whose
+// bound is at most d cannot hold D, and neither can one whose elements are
+// all equal, since its candidates are monotone in the rank and peak at its
+// ends; only the other buckets are sorted and scanned. D is then the
+// maximum of a subset of the full scan's own float values that contains
+// their maximum, so it equals the full scan's result bit for bit. A NaN
+// bound (NaN or infinite mean) is never at most d, so its bucket is
+// scanned.
 package stats
 
 import (
