@@ -43,8 +43,5 @@ func steadyFleetMerge(tb testing.TB) func() {
 	for agg.KSExact() {
 		absorb()
 	}
-	if agg.N() == 0 {
-		tb.Fatal("aggregate absorbed nothing")
-	}
 	return absorb
 }

@@ -121,11 +121,14 @@ func steadyNodeForward(tb testing.TB) func() {
 			}
 		}
 	}
-	ports := net.Ports()
+	var ports []*netsim.Port
+	for _, l := range spec.Links {
+		ports = append(ports, net.Port(l.A, l.B), net.Port(l.B, l.A))
+	}
 	run := func() {
 		sched.Reset()
-		for _, pi := range ports {
-			pi.Port.Reset()
+		for _, p := range ports {
+			p.Reset()
 		}
 		delivered = 0
 		sched.At(0, offer)

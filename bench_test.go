@@ -30,8 +30,16 @@ func BenchmarkTable1Sites(b *testing.B) {
 		if len(mesh.Sites) != 26 {
 			b.Fatal("bad mesh")
 		}
-		if got := len(mesh.AllRTTs()); got != 650 {
-			b.Fatalf("paths = %d", got)
+		paths := 0
+		for i := range mesh.Sites {
+			for j := range mesh.Sites {
+				if i != j && mesh.PathParams(i, j).RTT > 0 {
+					paths++
+				}
+			}
+		}
+		if paths != 650 {
+			b.Fatalf("paths = %d", paths)
 		}
 	}
 }
@@ -132,10 +140,10 @@ func BenchmarkFigure8(b *testing.B) {
 				50 * sim.Millisecond, 200 * sim.Millisecond},
 			Runs: 3,
 		})
-		lo := res.Cell(2*sim.Millisecond, 32)
-		hi := res.Cell(200*sim.Millisecond, 4)
-		if lo == nil || hi == nil {
-			b.Fatal("missing cells")
+		// Cells are row-major: RTT, then the five flow counts.
+		lo, hi := res.Cells[0*5+4], res.Cells[3*5+1]
+		if lo.RTT != 2*sim.Millisecond || lo.Flows != 32 || hi.RTT != 200*sim.Millisecond || hi.Flows != 4 {
+			b.Fatal("cell order moved")
 		}
 		b.ReportMetric(lo.Mean, "norm_latency_2ms_32f")
 		b.ReportMetric(hi.Mean, "norm_latency_200ms_4f")
@@ -145,14 +153,14 @@ func BenchmarkFigure8(b *testing.B) {
 // BenchmarkTFRCCompetition regenerates the §4.1 TFRC-vs-TCP deficit.
 func BenchmarkTFRCCompetition(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunTFRCCompetition(core.TFRCCompConfig{
+		res, err := core.SweepTFRCCompetition(core.TFRCCompConfig{
 			Seed:     benchSeed,
 			Duration: 30 * sim.Second,
-		})
+		}, core.SweepOptions{Replications: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.Deficit, "deficit")
+		b.ReportMetric(res.Results[0].Deficit, "deficit")
 	}
 }
 
@@ -161,16 +169,12 @@ func BenchmarkTFRCCompetition(b *testing.B) {
 func BenchmarkECNCoverage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := core.ECNCoverageConfig{Seed: benchSeed, Duration: 15 * sim.Second}
-		dt, err := core.RunECNCoverage(cfg, core.ModeDropTail)
+		res, err := core.RunECNComparison(cfg, []core.ECNMode{core.ModeDropTail, core.ModePersistentECN}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		pe, err := core.RunECNCoverage(cfg, core.ModePersistentECN)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(dt.CoverageFraction, "coverage_droptail")
-		b.ReportMetric(pe.CoverageFraction, "coverage_persistent")
+		b.ReportMetric(res[0].CoverageFraction, "coverage_droptail")
+		b.ReportMetric(res[1].CoverageFraction, "coverage_persistent")
 	}
 }
 
@@ -256,14 +260,22 @@ func BenchmarkAblationGEDwell(b *testing.B) {
 			ge := lossmodel.NewGilbertElliott(lossmodel.GEParams{
 				PGB: 0.002, PBG: pbg, KGood: 0, KBad: 1,
 			}, rng)
-			seq := lossmodel.Generate(ge, 200000)
-			bursts := lossmodel.BurstLengths(seq)
-			var mean float64
-			for _, x := range bursts {
-				mean += float64(x)
+			lost, bursts, run := 0, 0, 0
+			for k := 0; k < 200000; k++ {
+				if ge.Lost() {
+					lost++
+					run++
+				} else if run > 0 {
+					bursts++
+					run = 0
+				}
 			}
-			if len(bursts) > 0 {
-				mean /= float64(len(bursts))
+			if run > 0 {
+				bursts++
+			}
+			var mean float64
+			if bursts > 0 {
+				mean = float64(lost) / float64(bursts)
 			}
 			if pbg == 0.5 {
 				b.ReportMetric(mean, "burstlen_shortdwell")

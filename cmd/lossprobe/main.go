@@ -11,6 +11,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -48,6 +49,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *duration <= 0 || *interval <= 0 {
 		return cli.Usagef(stderr, "lossprobe", "-duration and -interval must be positive")
 	}
+	// -src and -dst name one path together; either one alone would
+	// silently fall back to random paths.
+	srcSet, dstSet := false, false
+	fs.Visit(func(f *flag.Flag) {
+		srcSet = srcSet || f.Name == "src"
+		dstSet = dstSet || f.Name == "dst"
+	})
+	if srcSet != dstSet {
+		return cli.Usagef(stderr, "lossprobe", "-src and -dst must be given together")
+	}
 
 	mesh := planetlab.NewMesh(planetlab.MeshConfig{Seed: *seed})
 	if *list {
@@ -58,8 +69,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var pairs [][2]int
-	if *src >= 0 && *dst >= 0 {
-		if *src == *dst || *src >= len(mesh.Sites) || *dst >= len(mesh.Sites) {
+	if srcSet {
+		if *src < 0 || *dst < 0 || *src == *dst || *src >= len(mesh.Sites) || *dst >= len(mesh.Sites) {
 			return cli.Usagef(stderr, "lossprobe", "invalid site pair %d -> %d", *src, *dst)
 		}
 		pairs = [][2]int{{*src, *dst}}

@@ -81,6 +81,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"unknown flag", []string{"-no-such-flag"}, "flag provided but not defined"},
 		{"zero paths", []string{"-paths", "0"}, "-paths"},
 		{"zero duration", []string{"-duration", "0s"}, "-duration"},
+		{"src without dst", []string{"-src", "1"}, "-src and -dst"},
+		{"dst without src", []string{"-dst", "2"}, "-src and -dst"},
+		{"negative src", []string{"-src", "-1", "-dst", "2"}, "invalid site pair"},
+		{"negative dst", []string{"-src", "1", "-dst", "-3"}, "invalid site pair"},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer

@@ -29,9 +29,9 @@ func runScenarioWithPath(t *testing.T, name string, naive bool) *core.ScenarioRe
 	t.Helper()
 	defer func(old bool) { netsim.NaivePortPath = old }(netsim.NaivePortPath)
 	netsim.NaivePortPath = naive
-	res, err := core.RunScenario(name, diffConfig)
+	res, err := runScenario(name, diffConfig)
 	if err != nil {
-		t.Fatalf("RunScenario(%q, naive=%v): %v", name, naive, err)
+		t.Fatalf("scenario %q, naive=%v: %v", name, naive, err)
 	}
 	return res
 }

@@ -57,6 +57,16 @@ func renderGolden(name string, res *core.ScenarioResult) string {
 	return b.String()
 }
 
+// runScenario runs one registered scenario on a fresh arena, so the
+// result carries the raw trace.
+func runScenario(name string, cfg topo.ScenarioConfig) (*core.ScenarioResult, error) {
+	sc, ok := topo.Lookup(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown scenario %q", name)
+	}
+	return sc.RunIn(cfg, nil)
+}
+
 // TestScenarioLossGoldens pins the loss-interval sequence of every
 // registered scenario to a checked-in golden file. This is the repo's
 // cross-package determinism contract for the simulator core: scheduler,
@@ -72,9 +82,9 @@ func TestScenarioLossGoldens(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			res, err := core.RunScenario(name, goldenConfig)
+			res, err := runScenario(name, goldenConfig)
 			if err != nil {
-				t.Fatalf("RunScenario(%q): %v", name, err)
+				t.Fatalf("scenario %q: %v", name, err)
 			}
 			if want, ok := goldenAmbiguousTies[name]; !ok || res.AmbiguousTies != want {
 				t.Errorf("scenario %q: %d ambiguous ties, want %d (listed: %v)",

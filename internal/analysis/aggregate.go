@@ -62,12 +62,6 @@ func (g *Aggregate) Reset(cfg Config) {
 	g.tally.reset(cfg)
 }
 
-// Worlds reports how many analyzers were absorbed.
-func (g *Aggregate) Worlds() int { return g.worlds }
-
-// N reports the pooled loss-event count.
-func (g *Aggregate) N() int { return g.n }
-
 // Absorb merges one finished world's analyzer into the aggregate. The
 // analyzer is read, not mutated, and need only stay alive for the call —
 // fleets absorb an arena-owned analyzer right before the arena is
@@ -126,9 +120,6 @@ type BurstAgg struct {
 	sumSize  int
 	sumFlows int
 }
-
-// Reset forgets every absorbed world.
-func (b *BurstAgg) Reset() { *b = BurstAgg{} }
 
 // Add absorbs one world's burst summary.
 func (b *BurstAgg) Add(s BurstStats) {

@@ -147,9 +147,26 @@ func (r *Report) fillFromIntervals(cfg Config) {
 		r.Lambda = 1 / mean
 	}
 	r.PoissonPMF = r.Hist.ExponentialPMF(r.Lambda)
-	r.FracBelow001 = fracBelow(r.Intervals, 0.01)
-	r.FracBelow025 = fracBelow(r.Intervals, 0.25)
-	r.FracBelow1 = fracBelow(r.Intervals, 1.0)
+	// The headline fractions count exactly, in one pass (the histogram's
+	// bin interpolation is too coarse for the paper's 0.01-RTT numbers).
+	var n001, n025, n1 int
+	for _, x := range r.Intervals {
+		if x < 0.01 {
+			n001++
+		}
+		if x < 0.25 {
+			n025++
+		}
+		if x < 1.0 {
+			n1++
+		}
+	}
+	r.FracBelow001, r.FracBelow025, r.FracBelow1 = 0, 0, 0
+	if n := float64(len(r.Intervals)); n > 0 {
+		r.FracBelow001 = float64(n001) / n
+		r.FracBelow025 = float64(n025) / n
+		r.FracBelow1 = float64(n1) / n
+	}
 	r.CoV = cov(r.Intervals, mean)
 	r.KSDistance = stats.KSExponential(r.Intervals)
 	r.RejectsPoisson = rejectsPoisson(r.KSDistance, len(r.Intervals))
@@ -176,21 +193,6 @@ func cov(xs []float64, mean float64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss/float64(len(xs)-1)) / mean
-}
-
-// fracBelow counts exactly (the histogram's bin interpolation is too
-// coarse for the paper's 0.01-RTT headline numbers).
-func fracBelow(xs []float64, limit float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, x := range xs {
-		if x < limit {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
 }
 
 // AnalyzeTrace is Analyze applied to a trace recorder. A recorder that

@@ -138,9 +138,6 @@ func (s *Streaming) Reset(rtt sim.Duration, cfg Config) error {
 	return nil
 }
 
-// N reports how many loss events have been observed.
-func (s *Streaming) N() int { return s.n }
-
 // Observe feeds one loss event. Events must arrive in nondecreasing time
 // order — the order a single simulated world produces them in — and
 // nothing of the event is retained, which is what lets a sink-mode
@@ -177,10 +174,6 @@ func (s *Streaming) ObserveTime(t sim.Time) {
 	}
 	s.res.Observe(iv)
 }
-
-// KSExact reports whether the KS statistic will be computed from the full
-// interval stream (true until the reservoir overflows).
-func (s *Streaming) KSExact() bool { return s.res.Exact() }
 
 // Finalize computes the report for everything observed so far. The
 // returned Report and its slices (Intervals, Hist, PoissonPMF) are owned

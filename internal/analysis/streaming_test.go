@@ -74,9 +74,9 @@ func TestStreamingMatchesBatchRandom(t *testing.T) {
 		if len(rec.Events()) != 0 {
 			t.Fatalf("seed %d: sink-mode recorder retained %d events", seed, len(rec.Events()))
 		}
-		if rec.Len() != len(times) || s.N() != len(times) {
+		if rec.Len() != len(times) || s.n != len(times) {
 			t.Fatalf("seed %d: counts diverged: rec %d analyzer %d want %d",
-				seed, rec.Len(), s.N(), len(times))
+				seed, rec.Len(), s.n, len(times))
 		}
 
 		stream, err := s.Finalize()
@@ -140,7 +140,7 @@ func TestStreamingReservoirOverflow(t *testing.T) {
 		for _, at := range times {
 			s.ObserveTime(at)
 		}
-		if s.KSExact() {
+		if s.res.Exact() {
 			t.Fatal("reservoir did not overflow")
 		}
 		rep, err := s.Finalize()

@@ -96,12 +96,6 @@ func (r *Receiver) rewindTransfer() {
 	r.CompletedAt = 0
 }
 
-// Received reports the distinct-chunk count of the current transfer.
-func (r *Receiver) Received() int64 { return r.received }
-
-// Complete reports whether the current transfer has fully arrived.
-func (r *Receiver) Complete() bool { return r.complete }
-
 // Has reports whether the given chunk has arrived.
 func (r *Receiver) Has(seq int64) bool {
 	if seq < 0 || seq >= r.cfg.Chunks {

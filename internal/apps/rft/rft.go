@@ -247,18 +247,6 @@ func (s *Sender) rewindTransfer() {
 	s.CompletedAt = 0
 }
 
-// Rate reports the current sending rate in bytes/second.
-func (s *Sender) Rate() float64 { return s.rate }
-
-// RTT reports the current RTT estimate.
-func (s *Sender) RTT() sim.Duration { return s.rtt }
-
-// Done reports whether the current transfer has completed.
-func (s *Sender) Done() bool { return s.done }
-
-// Epoch reports the current transfer generation.
-func (s *Sender) Epoch() int64 { return s.epoch }
-
 // TransferBytes is the payload volume of one transfer.
 func (s *Sender) TransferBytes() int64 {
 	return s.cfg.Chunks * int64(s.cfg.ChunkSize)

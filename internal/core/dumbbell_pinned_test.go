@@ -110,8 +110,9 @@ func TestDumbbellFiguresPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc, err := RunScenario("dumbbell", topo.ScenarioConfig{Seed: seed,
-				Duration: 8 * sim.Second, Warmup: 2 * sim.Second})
+			dumbbell, _ := topo.Lookup("dumbbell")
+			sc, err := dumbbell.RunIn(topo.ScenarioConfig{Seed: seed,
+				Duration: 8 * sim.Second, Warmup: 2 * sim.Second}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +185,7 @@ func dumbbellRuns() []dumbbellRun {
 			if seed == 7 {
 				cfg.FlowsPerClass = 3
 			}
-			res, err := RunTFRCCompetition(cfg)
+			res, err := runTFRCCompetition(cfg, nil)
 			if err != nil {
 				return err
 			}
@@ -198,7 +199,7 @@ func dumbbellRuns() []dumbbellRun {
 				if seed == 7 {
 					cfg.Flows = 5
 				}
-				res, err := RunECNCoverage(cfg, mode)
+				res, err := runECNCoverage(cfg, mode, nil)
 				if err != nil {
 					return err
 				}

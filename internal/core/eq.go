@@ -51,18 +51,6 @@ type VisibilityResult struct {
 	EmpiricalWin  float64 // measured, clumped arrivals
 }
 
-// SimulateVisibility measures flow visibility empirically: N flows each
-// contribute K packets to one RTT's worth of arrivals at the bottleneck.
-// Rate-based arrivals interleave the flows (round-robin, the limit of
-// evenly spaced sending); window-based arrivals concatenate each flow's K
-// packets contiguously (the limit of back-to-back window bursts). A drop
-// burst of M consecutive packets lands at a uniformly random offset, and
-// we count how many distinct flows lose at least one packet, averaged
-// over trials.
-func SimulateVisibility(m, n, k, trials int, rng *rand.Rand) VisibilityResult {
-	return simulateVisibility(new(visScratch), m, n, k, trials, rng)
-}
-
 // visScratch holds the Monte Carlo's reusable buffers: the two
 // arrival-order owner arrays (pure functions of N and K, so every burst
 // size in a table sweep shares them) and an epoch-stamped distinct-flow
@@ -121,7 +109,7 @@ func (s *visScratch) countDistinct(owner []int, offset, m int) int {
 
 func simulateVisibility(s *visScratch, m, n, k, trials int, rng *rand.Rand) VisibilityResult {
 	if m <= 0 || n <= 0 || k <= 0 || trials <= 0 || rng == nil {
-		panic("core: SimulateVisibility requires positive parameters and rng")
+		panic("core: visibility simulation requires positive parameters and rng")
 	}
 	res := VisibilityResult{
 		M: m, N: n, K: k,

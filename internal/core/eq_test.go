@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 func TestEquations(t *testing.T) {
@@ -26,9 +24,8 @@ func TestEquations(t *testing.T) {
 }
 
 func TestVisibilityMatchesEquationsInIdealCase(t *testing.T) {
-	rng := sim.NewRand(1)
 	// M=8 drops, N=16 flows, K=10 packets per flow per RTT.
-	r := SimulateVisibility(8, 16, 10, 4000, rng)
+	r := VisibilityTable(16, 10, []int{8}, 4000, 1)[0]
 	// Rate-based: 8 consecutive interleaved arrivals touch 8 distinct
 	// flows (M < N): exact.
 	if r.EmpiricalRate != 8 {
@@ -49,9 +46,8 @@ func TestVisibilityMatchesEquationsInIdealCase(t *testing.T) {
 }
 
 func TestVisibilityBigBurstSaturates(t *testing.T) {
-	rng := sim.NewRand(2)
 	// Burst longer than everything: all flows see it both ways.
-	r := SimulateVisibility(1000, 8, 10, 200, rng)
+	r := VisibilityTable(8, 10, []int{1000}, 200, 2)[0]
 	if r.EmpiricalRate != 8 || r.EmpiricalWin != 8 {
 		t.Fatalf("saturated visibility: %v, %v", r.EmpiricalRate, r.EmpiricalWin)
 	}
@@ -84,7 +80,7 @@ func TestVisibilityPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	SimulateVisibility(0, 1, 1, 1, sim.NewRand(1))
+	VisibilityTable(1, 1, []int{0}, 1, 1)
 }
 
 func TestECNModeString(t *testing.T) {

@@ -52,12 +52,6 @@ type TFRCCompResult struct {
 	Events uint64
 }
 
-// RunTFRCCompetition executes the mixed TFRC/TCP experiment on a fresh
-// arena.
-func RunTFRCCompetition(cfg TFRCCompConfig) (*TFRCCompResult, error) {
-	return runTFRCCompetition(cfg, nil)
-}
-
 // runTFRCCompetition builds and runs one competition world on the arena
 // (nil: a fresh one): NewReno on the first FlowsPerClass pairs, TFRC on
 // the rest.
@@ -148,12 +142,6 @@ type ECNCoverageResult struct {
 	FairnessIndex float64
 	// Events is the number of simulated events the world executed.
 	Events uint64
-}
-
-// RunECNCoverage executes one coverage run for the given mode on a fresh
-// arena.
-func RunECNCoverage(cfg ECNCoverageConfig, mode ECNMode) (*ECNCoverageResult, error) {
-	return runECNCoverage(cfg, mode, nil)
 }
 
 // runECNCoverage builds and runs one coverage world on the arena (nil: a

@@ -71,16 +71,6 @@ type Fig8Result struct {
 	Events uint64
 }
 
-// Cell returns the cell for (rtt, flows), or nil.
-func (r *Fig8Result) Cell(rtt sim.Duration, flows int) *Fig8Cell {
-	for i := range r.Cells {
-		if r.Cells[i].RTT == rtt && r.Cells[i].Flows == flows {
-			return &r.Cells[i]
-		}
-	}
-	return nil
-}
-
 // RunFigure8 sweeps the latency surface. The grid cells are independent
 // experiments, so they fan out across the exp worker pool; the result
 // keeps the row-major (RTT, then flows) cell order of the sequential

@@ -359,10 +359,10 @@ func TestRunFigure8LatencySurface(t *testing.T) {
 	}
 	// Long-RTT transfers are relatively worse (paper: 11–50 s vs 5.39 s
 	// bound at 200 ms).
-	lo := res.Cell(10*sim.Millisecond, 2)
-	hi := res.Cell(200*sim.Millisecond, 2)
-	if lo == nil || hi == nil {
-		t.Fatal("missing cells")
+	// Cells are row-major: RTT, then flow count.
+	lo, hi := res.Cells[0], res.Cells[2]
+	if lo.RTT != 10*sim.Millisecond || lo.Flows != 2 || hi.RTT != 200*sim.Millisecond || hi.Flows != 2 {
+		t.Fatalf("cell order moved: %+v, %+v", lo, hi)
 	}
 	if hi.Mean <= lo.Mean {
 		t.Fatalf("long-RTT not worse: %v vs %v", hi.Mean, lo.Mean)
@@ -373,9 +373,6 @@ func TestRunFigure8LatencySurface(t *testing.T) {
 	}
 	if len(strings.Split(strings.TrimSpace(buf.String()), "\n")) != 5 {
 		t.Fatalf("fig8 render:\n%s", buf.String())
-	}
-	if res.Cell(sim.Duration(1), 99) != nil {
-		t.Fatal("bogus cell lookup should be nil")
 	}
 }
 
@@ -399,11 +396,11 @@ func TestRunFigure8WorkerInvariance(t *testing.T) {
 
 func TestRunTFRCCompetition(t *testing.T) {
 	t.Parallel()
-	res, err := RunTFRCCompetition(TFRCCompConfig{
+	res, err := runTFRCCompetition(TFRCCompConfig{
 		Seed:          6,
 		FlowsPerClass: 4,
 		Duration:      15 * sim.Second,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +446,7 @@ func TestRunECNCoverageOrdering(t *testing.T) {
 	}
 	// The comparison must match standalone runs exactly — it only
 	// parallelizes, never perturbs.
-	solo, err := RunECNCoverage(cfg, ModePersistentECN)
+	solo, err := runECNCoverage(cfg, ModePersistentECN, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

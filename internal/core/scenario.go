@@ -8,7 +8,7 @@ import (
 	"repro/internal/topo"
 
 	// Populate the scenario registry: every catalog entry becomes
-	// runnable through RunScenario and `paperexp -scenario`.
+	// runnable through SweepScenario and `paperexp -scenario`.
 	_ "repro/internal/topo/scenarios"
 )
 
@@ -21,16 +21,6 @@ func lookupScenario(name string) (topo.Scenario, error) {
 			name, strings.Join(topo.Names(), ", "))
 	}
 	return sc, nil
-}
-
-// RunScenario executes one registered topology scenario by name on a
-// fresh arena, so the result carries the raw trace.
-func RunScenario(name string, cfg topo.ScenarioConfig) (*ScenarioResult, error) {
-	sc, err := lookupScenario(name)
-	if err != nil {
-		return nil, err
-	}
-	return sc.RunIn(cfg, nil)
 }
 
 // SweepScenario replicates a registered scenario across derived seeds,

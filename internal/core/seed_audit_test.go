@@ -27,10 +27,9 @@ func TestSeedAudit(t *testing.T) {
 	}
 	var runs []audited
 	for _, sc := range topo.Scenarios() {
-		name := sc.Name
-		runs = append(runs, audited{"scenario/" + name, func(f *folder, seed int64) error {
-			return f.result(RunScenario(name, topo.ScenarioConfig{Seed: seed,
-				Duration: 4 * sim.Second, Warmup: sim.Second}))
+		runs = append(runs, audited{"scenario/" + sc.Name, func(f *folder, seed int64) error {
+			return f.result(sc.RunIn(topo.ScenarioConfig{Seed: seed,
+				Duration: 4 * sim.Second, Warmup: sim.Second}, nil))
 		}})
 	}
 	for _, r := range dumbbellRuns() {

@@ -177,9 +177,9 @@ func SweepTFRCCompetition(cfg TFRCCompConfig, opts SweepOptions) (*DeficitSweep[
 func RunECNComparison(cfg ECNCoverageConfig, modes []ECNMode, workers int) ([]*ECNCoverageResult, error) {
 	results := exp.Sweep(exp.Options{Seed: cfg.Seed, Workers: workers}, modes,
 		func(r exp.Run[ECNMode], a *exp.Arena) (*ECNCoverageResult, error) {
-			// RunECNCoverage derives its own per-mode stream from cfg.Seed,
+			// runECNCoverage derives its own per-mode stream from cfg.Seed,
 			// so the sweep seed is deliberately unused: results stay
-			// identical to sequential RunECNCoverage calls.
+			// identical to sequential runECNCoverage calls.
 			return runECNCoverage(cfg, r.Config, a)
 		})
 	return exp.Values(results)

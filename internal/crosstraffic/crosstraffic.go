@@ -27,16 +27,6 @@ type OnOffConfig struct {
 	Pool *netsim.PacketPool
 }
 
-// AvgRate reports the long-run average rate of the source in bits/second.
-func (c OnOffConfig) AvgRate() float64 {
-	on := c.MeanOn.Seconds()
-	off := c.MeanOff.Seconds()
-	if on+off == 0 {
-		return 0
-	}
-	return float64(c.PeakRate) * on / (on + off)
-}
-
 // OnOff is one exponential on–off source.
 type OnOff struct {
 	sched *sim.Scheduler
@@ -99,19 +89,6 @@ func (o *OnOff) Start() {
 	}
 	o.running = true
 	o.enterOff()
-}
-
-// Stop halts the source.
-func (o *OnOff) Stop() {
-	o.running = false
-	if o.sendTmr.Pending() {
-		o.sched.Cancel(o.sendTmr)
-		o.sendTmr = sim.Timer{}
-	}
-	if o.phaseTmr.Pending() {
-		o.sched.Cancel(o.phaseTmr)
-		o.phaseTmr = sim.Timer{}
-	}
 }
 
 func (o *OnOff) enterOn() {

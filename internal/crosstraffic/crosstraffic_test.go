@@ -17,17 +17,14 @@ func TestOnOffAverageRate(t *testing.T) {
 		MeanOn:   100 * sim.Millisecond,
 		MeanOff:  100 * sim.Millisecond,
 	}
-	if cfg.AvgRate() != 500_000 {
-		t.Fatalf("AvgRate = %v", cfg.AvgRate())
-	}
 	o := NewOnOff(s, out, cfg, sim.NewRand(1))
 	o.Start()
 	const seconds = 200
 	s.RunUntil(sim.Time(seconds * sim.Second))
-	o.Stop()
 	got := float64(bits) / seconds
-	if got < 0.85*cfg.AvgRate() || got > 1.15*cfg.AvgRate() {
-		t.Fatalf("measured rate %v, want ≈ %v", got, cfg.AvgRate())
+	const want = 500_000 // PeakRate × MeanOn/(MeanOn+MeanOff)
+	if got < 0.85*want || got > 1.15*want {
+		t.Fatalf("measured rate %v, want ≈ %v", got, want)
 	}
 }
 
@@ -43,7 +40,6 @@ func TestOnOffBurstsAtPeakRate(t *testing.T) {
 	}, sim.NewRand(2))
 	o.Start()
 	s.RunUntil(sim.Time(10 * sim.Second))
-	o.Stop()
 	if len(times) < 100 {
 		t.Fatalf("only %d packets", len(times))
 	}
@@ -66,27 +62,6 @@ func TestOnOffBurstsAtPeakRate(t *testing.T) {
 	}
 }
 
-func TestOnOffStopCancels(t *testing.T) {
-	s := sim.NewScheduler()
-	n := 0
-	out := netsim.HandlerFunc(func(p *netsim.Packet) { n++ })
-	o := NewOnOff(s, out, OnOffConfig{
-		Flow: 1, Src: 1, Dst: 2, PeakRate: 1_000_000,
-		MeanOn: 10 * sim.Millisecond, MeanOff: 10 * sim.Millisecond,
-	}, sim.NewRand(3))
-	o.Start()
-	s.RunUntil(sim.Time(100 * sim.Millisecond))
-	o.Stop()
-	at := n
-	s.RunUntil(sim.Time(1 * sim.Second))
-	if n != at {
-		t.Fatal("packets sent after Stop")
-	}
-	if s.Pending() != 0 {
-		t.Fatalf("timers leaked: %d", s.Pending())
-	}
-}
-
 func TestNoiseSetAggregateRate(t *testing.T) {
 	s := sim.NewScheduler()
 	var bits int64
@@ -101,9 +76,6 @@ func TestNoiseSetAggregateRate(t *testing.T) {
 	}
 	const seconds = 50
 	s.RunUntil(sim.Time(seconds * sim.Second))
-	for _, o := range set {
-		o.Stop()
-	}
 	got := float64(bits) / seconds
 	want := 0.10 * capacity
 	if got < 0.85*want || got > 1.15*want {

@@ -17,10 +17,6 @@ type Estimate struct {
 	N    int
 }
 
-// Lo and Hi bound the confidence interval.
-func (e Estimate) Lo() float64 { return e.Mean - e.CI95 }
-func (e Estimate) Hi() float64 { return e.Mean + e.CI95 }
-
 // EstimateOf summarizes one metric across replications.
 func EstimateOf(xs []float64) Estimate {
 	e := Estimate{N: len(xs)}

@@ -1,43 +1,13 @@
-// Package lossmodel implements the stochastic loss processes used by the
-// PlanetLab-style Internet path model and by the analysis layer: Bernoulli
-// (independent) loss, the two-state Gilbert–Elliott Markov chain, and
-// maximum-likelihood fitting of GE parameters from an observed binary loss
-// sequence. The paper's Internet measurements show loss clustering well
-// beyond what independent loss can produce; GE is the standard minimal
-// model of such clustering.
+// Package lossmodel implements the two-state Gilbert–Elliott Markov loss
+// chain that topo wires onto a link direction with a LossSpec. The paper's
+// Internet measurements show loss clustering well beyond what independent
+// loss can produce; GE is the standard minimal model of such clustering.
 package lossmodel
 
 import (
 	"fmt"
 	"math/rand"
 )
-
-// Process decides, packet by packet, whether a transmission is lost. All
-// implementations are deterministic given their seeded *rand.Rand.
-type Process interface {
-	// Lost reports whether the next packet is lost, advancing the process.
-	Lost() bool
-}
-
-// Bernoulli loses each packet independently with probability P.
-type Bernoulli struct {
-	P   float64
-	rng *rand.Rand
-}
-
-// NewBernoulli builds an independent-loss process.
-func NewBernoulli(p float64, rng *rand.Rand) *Bernoulli {
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("lossmodel: bernoulli p=%v outside [0,1]", p))
-	}
-	if rng == nil {
-		panic("lossmodel: nil rng")
-	}
-	return &Bernoulli{P: p, rng: rng}
-}
-
-// Lost implements Process.
-func (b *Bernoulli) Lost() bool { return b.rng.Float64() < b.P }
 
 // GEState is a Gilbert–Elliott chain state.
 type GEState uint8
@@ -86,32 +56,6 @@ func (p GEParams) Validate() error {
 	return nil
 }
 
-// StationaryBad returns the stationary probability of the Bad state,
-// PGB/(PGB+PBG). A frozen chain (both transition probabilities zero)
-// reports 0.
-func (p GEParams) StationaryBad() float64 {
-	den := p.PGB + p.PBG
-	if den == 0 {
-		return 0
-	}
-	return p.PGB / den
-}
-
-// MeanLossRate returns the long-run per-packet loss probability of the
-// chain.
-func (p GEParams) MeanLossRate() float64 {
-	pb := p.StationaryBad()
-	return pb*p.KBad + (1-pb)*p.KGood
-}
-
-// MeanBurstLen returns the mean Bad-state dwell time in packets (1/PBG).
-func (p GEParams) MeanBurstLen() float64 {
-	if p.PBG == 0 {
-		return 0
-	}
-	return 1 / p.PBG
-}
-
 // NewGilbertElliott builds the chain starting in the Good state.
 func NewGilbertElliott(params GEParams, rng *rand.Rand) *GilbertElliott {
 	if err := params.Validate(); err != nil {
@@ -127,9 +71,6 @@ func NewGilbertElliott(params GEParams, rng *rand.Rand) *GilbertElliott {
 	}
 }
 
-// State exposes the current chain state (for tests and instrumentation).
-func (g *GilbertElliott) State() GEState { return g.state }
-
 // Reset rewinds the chain to the Good state, retakes the parameters and
 // reseeds its random stream in place, making the process bit-identical to
 // NewGilbertElliott(params, rand.New(rand.NewSource(seed))) without
@@ -144,11 +85,10 @@ func (g *GilbertElliott) Reset(params GEParams, seed int64) {
 	g.rng.Seed(seed)
 }
 
-// Lost implements Process: advance the chain one packet and report loss.
+// Lost advances the chain one packet and reports whether it is lost.
 func (g *GilbertElliott) Lost() bool {
 	// Transition first, then emit according to the new state. (Emitting
-	// before transitioning is the other common convention; either works as
-	// long as fitting uses the same one. We transition first.)
+	// before transitioning is the other common convention.)
 	switch g.state {
 	case Good:
 		if g.rng.Float64() < g.PGB {
@@ -164,87 +104,4 @@ func (g *GilbertElliott) Lost() bool {
 		k = g.KBad
 	}
 	return g.rng.Float64() < k
-}
-
-// Params returns the chain's parameters.
-func (g *GilbertElliott) Params() GEParams {
-	return GEParams{PGB: g.PGB, PBG: g.PBG, KGood: g.KGood, KBad: g.KBad}
-}
-
-// Generate runs the process for n packets and returns the loss indicator
-// sequence (true = lost).
-func Generate(p Process, n int) []bool {
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = p.Lost()
-	}
-	return out
-}
-
-// BurstLengths extracts the lengths of consecutive-loss runs from a loss
-// indicator sequence. Independent loss yields geometric lengths with mean
-// 1/(1-p); GE with a sticky Bad state yields much longer runs.
-func BurstLengths(losses []bool) []int {
-	var out []int
-	run := 0
-	for _, l := range losses {
-		if l {
-			run++
-		} else if run > 0 {
-			out = append(out, run)
-			run = 0
-		}
-	}
-	if run > 0 {
-		out = append(out, run)
-	}
-	return out
-}
-
-// LossRate reports the fraction of lost packets in a sequence.
-func LossRate(losses []bool) float64 {
-	if len(losses) == 0 {
-		return 0
-	}
-	n := 0
-	for _, l := range losses {
-		if l {
-			n++
-		}
-	}
-	return float64(n) / float64(len(losses))
-}
-
-// FitGilbert estimates simple-Gilbert parameters (KGood=0, KBad=1: every
-// Bad packet lost, no Good losses) from a binary loss sequence, using the
-// run-length method: PBG = 1/mean(burst length), PGB = 1/mean(gap length).
-// This is the standard estimator used when analyzing probe traces; it is
-// exact for the simple Gilbert model and a good approximation otherwise.
-// It returns an error when the sequence contains no losses or no gaps.
-func FitGilbert(losses []bool) (GEParams, error) {
-	bursts := BurstLengths(losses)
-	if len(bursts) == 0 {
-		return GEParams{}, fmt.Errorf("lossmodel: no losses to fit")
-	}
-	// Gap lengths: runs of successes between losses.
-	inverted := make([]bool, len(losses))
-	for i, l := range losses {
-		inverted[i] = !l
-	}
-	gaps := BurstLengths(inverted)
-	if len(gaps) == 0 {
-		return GEParams{}, fmt.Errorf("lossmodel: no gaps to fit")
-	}
-	meanBurst := meanInts(bursts)
-	meanGap := meanInts(gaps)
-	p := GEParams{PGB: 1 / meanGap, PBG: 1 / meanBurst, KGood: 0, KBad: 1}
-	return p, nil
-}
-
-func meanInts(xs []int) float64 {
-	var s int
-	for _, x := range xs {
-		s += x
-	}
-	return float64(s) / float64(len(xs))
 }

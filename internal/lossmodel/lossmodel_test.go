@@ -4,69 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
-
-func TestBernoulliRate(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	b := NewBernoulli(0.1, rng)
-	seq := Generate(b, 100000)
-	rate := LossRate(seq)
-	if rate < 0.09 || rate > 0.11 {
-		t.Fatalf("bernoulli rate = %v, want ≈0.1", rate)
-	}
-}
-
-func TestBernoulliEdges(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	never := NewBernoulli(0, rng)
-	for i := 0; i < 1000; i++ {
-		if never.Lost() {
-			t.Fatal("p=0 lost a packet")
-		}
-	}
-	always := NewBernoulli(1, rng)
-	for i := 0; i < 1000; i++ {
-		if !always.Lost() {
-			t.Fatal("p=1 passed a packet")
-		}
-	}
-}
-
-func TestBernoulliValidation(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewBernoulli(-0.1, rand.New(rand.NewSource(1))) },
-		func() { NewBernoulli(1.1, rand.New(rand.NewSource(1))) },
-		func() { NewBernoulli(0.5, nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("no panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestGEParamsDerived(t *testing.T) {
-	p := GEParams{PGB: 0.01, PBG: 0.99, KGood: 0, KBad: 1}
-	sb := p.StationaryBad()
-	if !approx(sb, 0.01, 1e-9) {
-		t.Fatalf("stationary bad = %v", sb)
-	}
-	if !approx(p.MeanLossRate(), sb, 1e-12) {
-		t.Fatalf("mean loss rate = %v", p.MeanLossRate())
-	}
-	if !approx(p.MeanBurstLen(), 1/0.99, 1e-12) {
-		t.Fatalf("mean burst = %v", p.MeanBurstLen())
-	}
-	frozen := GEParams{}
-	if frozen.StationaryBad() != 0 || frozen.MeanBurstLen() != 0 {
-		t.Fatal("frozen chain should report zeros")
-	}
-}
 
 func TestGEParamsValidate(t *testing.T) {
 	if err := (GEParams{PGB: 0.5, PBG: 0.5, KBad: 1}).Validate(); err != nil {
@@ -82,35 +20,53 @@ func TestGEParamsValidate(t *testing.T) {
 	}
 }
 
+// losses draws n packets from g and returns how many were lost and the
+// lengths of its runs of consecutive losses.
+func losses(g *GilbertElliott, n int) (lost int, bursts []int) {
+	run := 0
+	for i := 0; i < n; i++ {
+		if g.Lost() {
+			lost++
+			run++
+		} else if run > 0 {
+			bursts = append(bursts, run)
+			run = 0
+		}
+	}
+	if run > 0 {
+		bursts = append(bursts, run)
+	}
+	return lost, bursts
+}
+
+// TestGilbertElliottLongRunLossRate checks the chain's long-run loss rate
+// against its closed form: the stationary Bad probability
+// πB = PGB/(PGB+PBG) weights KBad, and 1−πB weights KGood.
 func TestGilbertElliottLongRunLossRate(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	params := GEParams{PGB: 0.005, PBG: 0.2, KGood: 0.0, KBad: 0.8}
-	ge := NewGilbertElliott(params, rng)
-	seq := Generate(ge, 500000)
-	got := LossRate(seq)
-	want := params.MeanLossRate()
+	const n = 500000
+	lost, _ := losses(NewGilbertElliott(params, rng), n)
+	got := float64(lost) / n
+	pb := params.PGB / (params.PGB + params.PBG)
+	want := pb*params.KBad + (1-pb)*params.KGood
 	if math.Abs(got-want)/want > 0.1 {
 		t.Fatalf("GE loss rate = %v, want ≈ %v", got, want)
 	}
 }
 
 func TestGilbertElliottBurstier(t *testing.T) {
-	// Same mean loss rate, GE vs Bernoulli: GE must have longer bursts.
+	// Independent loss at GE's mean rate p has geometric bursts of mean
+	// 1/(1−p); GE's sticky Bad state must give much longer ones.
 	params := GEParams{PGB: 0.002, PBG: 0.1, KGood: 0, KBad: 1}
-	rate := params.MeanLossRate()
-
-	geSeq := Generate(NewGilbertElliott(params, rand.New(rand.NewSource(4))), 300000)
-	berSeq := Generate(NewBernoulli(rate, rand.New(rand.NewSource(5))), 300000)
-
-	geBursts := BurstLengths(geSeq)
-	berBursts := BurstLengths(berSeq)
-	if len(geBursts) == 0 || len(berBursts) == 0 {
+	lost, bursts := losses(NewGilbertElliott(params, rand.New(rand.NewSource(4))), 300000)
+	if len(bursts) == 0 {
 		t.Fatal("no bursts generated")
 	}
-	geMean := meanInts(geBursts)
-	berMean := meanInts(berBursts)
-	if geMean < 3*berMean {
-		t.Fatalf("GE bursts (%v) not much longer than Bernoulli (%v)", geMean, berMean)
+	rate := float64(lost) / 300000
+	geMean := float64(lost) / float64(len(bursts))
+	if iidMean := 1 / (1 - rate); geMean < 3*iidMean {
+		t.Fatalf("GE bursts (%v) not much longer than independent loss (%v)", geMean, iidMean)
 	}
 }
 
@@ -118,15 +74,12 @@ func TestGilbertElliottStateMachine(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	// Deterministic chain: always flips state, loses iff Bad.
 	ge := NewGilbertElliott(GEParams{PGB: 1, PBG: 1, KGood: 0, KBad: 1}, rng)
-	if ge.State() != Good {
-		t.Fatal("chain must start Good")
-	}
-	// Transition-then-emit: first packet transitions Good->Bad, so lost.
-	seq := Generate(ge, 6)
+	// Start Good, transition-then-emit: the first packet moves the chain
+	// Good->Bad, so it is lost; a chain that started Bad would pass it.
 	want := []bool{true, false, true, false, true, false}
-	for i := range want {
-		if seq[i] != want[i] {
-			t.Fatalf("alternating chain seq = %v", seq)
+	for i, w := range want {
+		if got := ge.Lost(); got != w {
+			t.Fatalf("alternating chain packet %d lost=%v, want %v", i, got, w)
 		}
 	}
 }
@@ -153,90 +106,15 @@ func TestGilbertElliottPanics(t *testing.T) {
 	}
 }
 
-func TestBurstLengths(t *testing.T) {
-	seq := []bool{true, true, false, true, false, false, true, true, true}
-	got := BurstLengths(seq)
-	want := []int{2, 1, 3}
-	if len(got) != len(want) {
-		t.Fatalf("bursts = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("bursts = %v, want %v", got, want)
-		}
-	}
-	if BurstLengths(nil) != nil {
-		t.Fatal("empty sequence should have nil bursts")
-	}
-	if BurstLengths([]bool{false, false}) != nil {
-		t.Fatal("lossless sequence should have nil bursts")
-	}
-}
-
-func TestLossRateEmpty(t *testing.T) {
-	if LossRate(nil) != 0 {
-		t.Fatal("empty loss rate != 0")
-	}
-}
-
-func TestFitGilbertRecoversParameters(t *testing.T) {
-	params := GEParams{PGB: 0.01, PBG: 0.25, KGood: 0, KBad: 1}
-	rng := rand.New(rand.NewSource(7))
-	seq := Generate(NewGilbertElliott(params, rng), 400000)
-	got, err := FitGilbert(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got.PBG-params.PBG)/params.PBG > 0.15 {
-		t.Fatalf("fitted PBG = %v, want ≈ %v", got.PBG, params.PBG)
-	}
-	if math.Abs(got.PGB-params.PGB)/params.PGB > 0.15 {
-		t.Fatalf("fitted PGB = %v, want ≈ %v", got.PGB, params.PGB)
-	}
-}
-
-func TestFitGilbertErrors(t *testing.T) {
-	if _, err := FitGilbert([]bool{false, false}); err == nil {
-		t.Fatal("fit with no losses should fail")
-	}
-	if _, err := FitGilbert([]bool{true, true}); err == nil {
-		t.Fatal("fit with no gaps should fail")
-	}
-}
-
-// Property: burst lengths always sum to the number of losses, and every
-// burst is positive.
-func TestBurstLengthsProperty(t *testing.T) {
-	f := func(seq []bool) bool {
-		bursts := BurstLengths(seq)
-		sum, losses := 0, 0
-		for _, b := range bursts {
-			if b <= 0 {
-				return false
-			}
-			sum += b
-		}
-		for _, l := range seq {
-			if l {
-				losses++
-			}
-		}
-		return sum == losses
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: generated sequences are reproducible for a fixed seed.
 func TestGEDeterminism(t *testing.T) {
-	gen := func(seed int64) []bool {
-		return Generate(NewGilbertElliott(GEParams{PGB: 0.01, PBG: 0.3, KBad: 0.9},
-			rand.New(rand.NewSource(seed))), 10000)
+	gen := func(seed int64) *GilbertElliott {
+		return NewGilbertElliott(GEParams{PGB: 0.01, PBG: 0.3, KBad: 0.9},
+			rand.New(rand.NewSource(seed)))
 	}
 	a, b := gen(11), gen(11)
-	for i := range a {
-		if a[i] != b[i] {
+	for i := 0; i < 10000; i++ {
+		if a.Lost() != b.Lost() {
 			t.Fatalf("diverged at %d", i)
 		}
 	}
@@ -250,14 +128,13 @@ func TestGEDeterminism(t *testing.T) {
 // inherits, and what makes the link-layer losses sub-RTT-clustered.
 func TestGilbertBurstLengthDistribution(t *testing.T) {
 	params := GEParams{PGB: 0.002, PBG: 0.2, KGood: 0, KBad: 1}
-	seq := Generate(NewGilbertElliott(params, rand.New(rand.NewSource(9))), 2_000_000)
-	bursts := BurstLengths(seq)
+	lost, bursts := losses(NewGilbertElliott(params, rand.New(rand.NewSource(9))), 2_000_000)
 	if len(bursts) < 1000 {
 		t.Fatalf("only %d bursts; not enough samples", len(bursts))
 	}
 
-	got := meanInts(bursts)
-	want := params.MeanBurstLen() // 1/PBG = 5
+	got := float64(lost) / float64(len(bursts))
+	want := 1 / params.PBG
 	if math.Abs(got-want)/want > 0.05 {
 		t.Fatalf("mean burst length = %v, want ≈ %v (1/PBG)", got, want)
 	}
@@ -277,5 +154,3 @@ func TestGilbertBurstLengthDistribution(t *testing.T) {
 		}
 	}
 }
-
-func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }

@@ -70,8 +70,8 @@ func TestDumbbellRoundTrip(t *testing.T) {
 func TestDumbbellPairRTT(t *testing.T) {
 	_, d := testDumbbell(t, 1)
 	want := 2*10*sim.Millisecond + 2*sim.Millisecond
-	if got := d.PairRTT(0); got != want {
-		t.Fatalf("PairRTT = %v, want %v", got, want)
+	if got := d.Net.FlowRTT(0); got != want {
+		t.Fatalf("FlowRTT = %v, want %v", got, want)
 	}
 }
 
@@ -126,25 +126,6 @@ func TestDumbbellUnboundFlowPanics(t *testing.T) {
 	d.SenderNode(0).Handle(&netsim.Packet{ID: 1, Flow: 42, Kind: netsim.Data, Size: 100,
 		Src: netsim.SenderAddr(0), Dst: netsim.ReceiverAddr(0)})
 	s.Run()
-}
-
-func TestNodeDefaultHandlerAndDropObserver(t *testing.T) {
-	s := sim.NewScheduler()
-	n := netsim.NewNode(s, 5)
-	caught := 0
-	n.BindDefault(netsim.HandlerFunc(func(p *netsim.Packet) { caught++ }))
-	n.Handle(&netsim.Packet{Flow: 9, Dst: 5})
-	if caught != 1 {
-		t.Fatal("default handler not used")
-	}
-
-	n2 := netsim.NewNode(s, 6)
-	dropped := 0
-	n2.OnLocalDrop(func(p *netsim.Packet, at sim.Time) { dropped++ })
-	n2.Handle(&netsim.Packet{Flow: 9, Dst: 6})
-	if dropped != 1 {
-		t.Fatal("local drop observer not used")
-	}
 }
 
 func TestBDP(t *testing.T) {

@@ -158,9 +158,6 @@ func newModulator(sched *sim.Scheduler, link *Link, p modProgram) *LinkModulator
 	return m
 }
 
-// Link returns the link this modulator drives.
-func (m *LinkModulator) Link() *Link { return m.link }
-
 // Start arms the schedule at the current simulated time: step schedules
 // fire their first entry at its offset from now, oscillators and walks
 // tick an interval from now (the link keeps its configured rate until
@@ -179,13 +176,6 @@ func (m *LinkModulator) Start() {
 		m.cur = clampF(float64(m.link.Rate), float64(m.min), float64(m.max))
 		m.timer = m.sched.After(m.interval, m.tick)
 	}
-}
-
-// Stop cancels the pending retune; the link keeps its current parameters.
-// A stopped modulator can be Started again.
-func (m *LinkModulator) Stop() {
-	m.sched.Cancel(m.timer)
-	m.started = false
 }
 
 func (m *LinkModulator) onTick() {

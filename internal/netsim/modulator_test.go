@@ -318,24 +318,3 @@ func TestModulatorValidation(t *testing.T) {
 		}()
 	}
 }
-
-// TestModulatorStopRestart: Stop cancels the pending retune and a stopped
-// modulator can be started again.
-func TestModulatorStopRestart(t *testing.T) {
-	s := sim.NewScheduler()
-	l := testLink(discard())
-	m := NewOscillator(s, l, 1_000_000, 9_000_000, sim.Second, 100*sim.Millisecond)
-	m.Start()
-	s.RunUntil(sim.Time(250 * sim.Millisecond))
-	m.Stop()
-	n := m.Retunes
-	s.RunUntil(sim.Time(2 * sim.Second))
-	if m.Retunes != n {
-		t.Fatalf("stopped modulator kept retuning (%d → %d)", n, m.Retunes)
-	}
-	m.Start()
-	s.RunUntil(sim.Time(3 * sim.Second))
-	if m.Retunes == n {
-		t.Fatal("restarted modulator never ticked")
-	}
-}

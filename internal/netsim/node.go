@@ -93,10 +93,6 @@ func (n *Node) Bind(flow int, h Handler) {
 // binding exists (e.g. sinks that absorb cross traffic).
 func (n *Node) BindDefault(h Handler) { n.catch = h }
 
-// OnLocalDrop installs an observer for packets that arrive for this node
-// but have no handler; useful to catch mis-wired experiments early.
-func (n *Node) OnLocalDrop(f func(p *Packet, at sim.Time)) { n.drops = f }
-
 // Reset detaches the per-run wiring — local transport bindings, the
 // catch-all handler and the local-drop observer — while keeping the
 // routing table and index, which depend only on topology structure, and

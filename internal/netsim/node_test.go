@@ -91,12 +91,12 @@ func TestNodeForwarding(t *testing.T) {
 		h.Bind(7, st.record(h.Addr, "bound"))
 		h.BindDefault(st.record(h.Addr, "default"))
 		dropped := 0
-		h.OnLocalDrop(func(p *Packet, at sim.Time) { dropped++ })
+		h.drops = func(p *Packet, at sim.Time) { dropped++ }
 		h.Handle(&Packet{ID: 1, Flow: 7, Dst: h.Addr})
 		h.Handle(&Packet{ID: 2, Flow: 9, Dst: h.Addr})
 		h.BindDefault(nil)
 		h.Handle(&Packet{ID: 3, Flow: 9, Dst: h.Addr})
-		h.OnLocalDrop(nil)
+		h.drops = nil
 		want := fmt.Sprintf("netsim: node %d: no handler for flow 9", h.Addr)
 		if got := panicText(func() { h.Handle(&Packet{ID: 4, Flow: 9, Dst: h.Addr}) }); got != want {
 			t.Errorf("%s: unbound flow: panic %q, want %q", name, got, want)
@@ -166,5 +166,24 @@ func TestNodeForwardingIndexedMatchesHandBuilt(t *testing.T) {
 	}
 	if !reflect.DeepEqual(indexed, hand) {
 		t.Fatalf("indexed and hand-built nodes forwarded differently:\n%q\n%q", indexed, hand)
+	}
+}
+
+func TestNodeDefaultHandlerAndDropObserver(t *testing.T) {
+	s := sim.NewScheduler()
+	n := NewNode(s, 5)
+	caught := 0
+	n.BindDefault(HandlerFunc(func(p *Packet) { caught++ }))
+	n.Handle(&Packet{Flow: 9, Dst: 5})
+	if caught != 1 {
+		t.Fatal("default handler not used")
+	}
+
+	n2 := NewNode(s, 6)
+	dropped := 0
+	n2.drops = func(p *Packet, at sim.Time) { dropped++ }
+	n2.Handle(&Packet{Flow: 9, Dst: 6})
+	if dropped != 1 {
+		t.Fatal("local drop observer not used")
 	}
 }

@@ -56,7 +56,7 @@ func TestPersistentECNMarksEverythingInWindow(t *testing.T) {
 		t.Fatal("packet dropped after window")
 	}
 	if p2.CE {
-		t.Fatalf("packet after persistent window still marked (avg=%v)", q.AvgQueue())
+		t.Fatalf("packet after persistent window still marked (avg=%v)", q.avg)
 	}
 }
 

@@ -11,8 +11,6 @@ type Queue interface {
 	Dequeue() *Packet
 	// Len reports queued packets.
 	Len() int
-	// Bytes reports queued bytes.
-	Bytes() int
 }
 
 // fifo is the common packet store shared by the queue disciplines.
@@ -122,6 +120,3 @@ func (q *DropTail) Dequeue() *Packet { return q.pop() }
 
 // Len implements Queue.
 func (q *DropTail) Len() int { return q.fifo.len() }
-
-// Bytes implements Queue.
-func (q *DropTail) Bytes() int { return q.fifo.bytes }

@@ -20,8 +20,8 @@ func TestDropTailFIFO(t *testing.T) {
 	if q.Enqueue(mkPkt(99, 100)) {
 		t.Fatal("overfull enqueue accepted")
 	}
-	if q.Len() != 3 || q.Bytes() != 300 {
-		t.Fatalf("len=%d bytes=%d", q.Len(), q.Bytes())
+	if q.Len() != 3 {
+		t.Fatalf("len=%d", q.Len())
 	}
 	for i := uint64(0); i < 3; i++ {
 		p := q.Dequeue()
@@ -32,8 +32,8 @@ func TestDropTailFIFO(t *testing.T) {
 	if q.Dequeue() != nil {
 		t.Fatal("dequeue from empty returned packet")
 	}
-	if q.Len() != 0 || q.Bytes() != 0 {
-		t.Fatalf("empty queue len=%d bytes=%d", q.Len(), q.Bytes())
+	if q.Len() != 0 {
+		t.Fatalf("empty queue len=%d", q.Len())
 	}
 }
 
@@ -61,7 +61,7 @@ func TestDropTailZeroLimitPanics(t *testing.T) {
 
 func TestDropTailCompaction(t *testing.T) {
 	// Push/pop far beyond the compaction threshold and ensure FIFO order
-	// and byte accounting survive.
+	// survives.
 	q := NewDropTail(16)
 	next := uint64(0)
 	exp := uint64(0)
@@ -77,15 +77,11 @@ func TestDropTailCompaction(t *testing.T) {
 			}
 			exp++
 		}
-		if q.Bytes() != q.Len()*7 {
-			t.Fatalf("bytes accounting: %d vs %d pkts", q.Bytes(), q.Len())
-		}
 	}
 }
 
 // Property: for any interleaving of enqueues and dequeues, DropTail never
-// exceeds its limit, never loses FIFO order, and Bytes() is the sum of
-// queued sizes.
+// exceeds its limit and never loses FIFO order.
 func TestDropTailProperty(t *testing.T) {
 	f := func(ops []bool, limit uint8) bool {
 		lim := int(limit%32) + 1
@@ -119,13 +115,6 @@ func TestDropTailProperty(t *testing.T) {
 			if q.Len() != len(model) {
 				return false
 			}
-			wantBytes := 0
-			for _, m := range model {
-				wantBytes += m.Size
-			}
-			if q.Bytes() != wantBytes {
-				return false
-			}
 		}
 		return true
 	}
@@ -139,7 +128,7 @@ func TestREDBelowMinThNeverDrops(t *testing.T) {
 	q := NewRED(REDConfig{Limit: 100, MinTh: 50, MaxTh: 150}, rng)
 	for i := 0; i < 40; i++ {
 		if !q.Enqueue(mkPkt(uint64(i), 100)) {
-			t.Fatalf("drop below minth at %d (avg=%v)", i, q.AvgQueue())
+			t.Fatalf("drop below minth at %d (avg=%v)", i, q.avg)
 		}
 	}
 }
@@ -264,15 +253,15 @@ func TestREDIdleAging(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		q.EnqueueAt(mkPkt(uint64(i), 100), 0)
 	}
-	before := q.AvgQueue()
+	before := q.avg
 	for q.Len() > 0 {
 		q.Dequeue()
 	}
 	q.NoteEmptyAt(1.0)
 	// Next arrival 10 seconds later: avg should have decayed sharply.
 	q.EnqueueAt(mkPkt(1000, 100), 11.0)
-	if q.AvgQueue() >= before/2 {
-		t.Fatalf("idle aging ineffective: before=%v after=%v", before, q.AvgQueue())
+	if q.avg >= before/2 {
+		t.Fatalf("idle aging ineffective: before=%v after=%v", before, q.avg)
 	}
 }
 

@@ -245,9 +245,3 @@ func (q *RED) NoteEmptyAt(nowSec float64) { q.idleStart = nowSec }
 
 // Len implements Queue.
 func (q *RED) Len() int { return q.fifo.len() }
-
-// Bytes implements Queue.
-func (q *RED) Bytes() int { return q.fifo.bytes }
-
-// AvgQueue exposes the EWMA average queue length, for tests and ablations.
-func (q *RED) AvgQueue() float64 { return q.avg }

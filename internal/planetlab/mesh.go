@@ -142,17 +142,3 @@ func (m *Mesh) RandomPairs(rng *rand.Rand, n int) [][2]int {
 	}
 	return pairs
 }
-
-// AllRTTs derives every directed path and lists its RTT, for distribution
-// checks.
-func (m *Mesh) AllRTTs() []sim.Duration {
-	var out []sim.Duration
-	for i := range m.Sites {
-		for j := range m.Sites {
-			if i != j {
-				out = append(out, m.derivePath(i, j).RTT)
-			}
-		}
-	}
-	return out
-}

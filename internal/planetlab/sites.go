@@ -60,13 +60,6 @@ func Sites() []Site {
 	}
 }
 
-// NumPaths is the size of the complete directed graph over the sites
-// (the paper's 650 directional edges).
-func NumPaths() int {
-	n := len(Sites())
-	return n * (n - 1)
-}
-
 // earthRadiusKm is the mean Earth radius.
 const earthRadiusKm = 6371.0
 

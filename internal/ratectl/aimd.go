@@ -112,9 +112,6 @@ func (c *AIMDController) Reset(initial, min, max float64) {
 // Rate reports the current target rate in bytes/second.
 func (c *AIMDController) Rate() float64 { return c.rate }
 
-// RateRegion reports the controller's operating region.
-func (c *AIMDController) RateRegion() RateState { return c.state }
-
 // Update applies one detector verdict with the measured receive rate
 // (bytes/second; <= 0 when unknown) and returns the new target rate.
 func (c *AIMDController) Update(s State, recvRate float64, now sim.Time) float64 {

@@ -15,15 +15,15 @@ func TestAIMDTransitionTable(t *testing.T) {
 	t.Run("hold+normal→increase", func(t *testing.T) {
 		c := NewAIMDController(1e5, 1e4, 0)
 		c.Update(StateNormal, ampleRecv, sim.Time(sim.Second))
-		if c.RateRegion() != RateIncrease {
-			t.Fatalf("region = %v, want increase", c.RateRegion())
+		if c.state != RateIncrease {
+			t.Fatalf("region = %v, want increase", c.state)
 		}
 	})
 	t.Run("hold+underuse→hold", func(t *testing.T) {
 		c := NewAIMDController(1e5, 1e4, 0)
 		c.Update(StateUnderuse, ampleRecv, sim.Time(sim.Second))
-		if c.RateRegion() != RateHold || c.Rate() != 1e5 {
-			t.Fatalf("region %v rate %.0f, want hold at 1e5", c.RateRegion(), c.Rate())
+		if c.state != RateHold || c.Rate() != 1e5 {
+			t.Fatalf("region %v rate %.0f, want hold at 1e5", c.state, c.Rate())
 		}
 	})
 	t.Run("increase+underuse→hold", func(t *testing.T) {
@@ -31,8 +31,8 @@ func TestAIMDTransitionTable(t *testing.T) {
 		c.Update(StateNormal, ampleRecv, sim.Time(sim.Second))
 		r := c.Rate()
 		c.Update(StateUnderuse, ampleRecv, sim.Time(2*sim.Second))
-		if c.RateRegion() != RateHold || c.Rate() != r {
-			t.Fatalf("region %v rate %.0f, want hold at %.0f", c.RateRegion(), c.Rate(), r)
+		if c.state != RateHold || c.Rate() != r {
+			t.Fatalf("region %v rate %.0f, want hold at %.0f", c.state, c.Rate(), r)
 		}
 	})
 	t.Run("overuse→decrease-then-hold", func(t *testing.T) {
@@ -41,8 +41,8 @@ func TestAIMDTransitionTable(t *testing.T) {
 		if got, want := c.Rate(), aimdBeta*1e6; got != want {
 			t.Fatalf("rate after overuse = %.0f, want β·recvRate = %.0f", got, want)
 		}
-		if c.RateRegion() != RateHold || c.Decreases != 1 {
-			t.Fatalf("region %v decreases %d, want hold after one cut", c.RateRegion(), c.Decreases)
+		if c.state != RateHold || c.Decreases != 1 {
+			t.Fatalf("region %v decreases %d, want hold after one cut", c.state, c.Decreases)
 		}
 		// The cut is acted on once: staying in overuse cuts again from the
 		// new recvRate, never compounding from the old target.
@@ -56,8 +56,8 @@ func TestAIMDTransitionTable(t *testing.T) {
 		c.Update(StateOveruse, 1e6, sim.Time(sim.Second))
 		r := c.Rate()
 		c.Update(StateNormal, ampleRecv, sim.Time(sim.Second).Add(100*ms))
-		if c.RateRegion() != RateIncrease || c.Rate() <= r {
-			t.Fatalf("region %v rate %.0f, want growing increase above %.0f", c.RateRegion(), c.Rate(), r)
+		if c.state != RateIncrease || c.Rate() <= r {
+			t.Fatalf("region %v rate %.0f, want growing increase above %.0f", c.state, c.Rate(), r)
 		}
 	})
 }
@@ -167,28 +167,32 @@ func TestAIMDClamp(t *testing.T) {
 // post-episode release.
 func TestLossController(t *testing.T) {
 	t.Run("high-loss-cuts", func(t *testing.T) {
-		c := NewLossController(1e6, 1e4, 0)
+		c := &LossController{}
+		c.Reset(1e6, 1e4, 0)
 		c.Update(0.2, 1e6)
 		if got, want := c.Rate(), 1e6*(1-0.5*0.2); got != want || c.Cuts != 1 {
 			t.Fatalf("rate = %.0f cuts %d, want %.0f after one cut", got, c.Cuts, want)
 		}
 	})
 	t.Run("mid-loss-holds", func(t *testing.T) {
-		c := NewLossController(1e6, 1e4, 0)
+		c := &LossController{}
+		c.Reset(1e6, 1e4, 0)
 		c.Update(0.05, 1e4)
 		if c.Rate() != 1e6 || c.Cuts != 0 {
 			t.Fatalf("rate = %.0f cuts %d, want hold at 1e6", c.Rate(), c.Cuts)
 		}
 	})
 	t.Run("low-loss-grows", func(t *testing.T) {
-		c := NewLossController(1e6, 1e4, 0)
+		c := &LossController{}
+		c.Reset(1e6, 1e4, 0)
 		c.Update(0.001, 1e4) // recvRate too low for the release to bind
 		if got, want := c.Rate(), 1e6*lossIncreaseFactor; got != want {
 			t.Fatalf("rate = %.0f, want %.0f", got, want)
 		}
 	})
 	t.Run("release-after-episode", func(t *testing.T) {
-		c := NewLossController(1e6, 1e4, 0)
+		c := &LossController{}
+		c.Reset(1e6, 1e4, 0)
 		for i := 0; i < 10; i++ {
 			c.Update(0.5, 1e5)
 		}
@@ -200,7 +204,8 @@ func TestLossController(t *testing.T) {
 		}
 	})
 	t.Run("clamp", func(t *testing.T) {
-		c := NewLossController(1e6, 9e5, 1.1e6)
+		c := &LossController{}
+		c.Reset(1e6, 9e5, 1.1e6)
 		for i := 0; i < 20; i++ {
 			c.Update(0.9, 1e4)
 		}

@@ -14,10 +14,6 @@ type GradientEstimator interface {
 	// Update consumes one completed packet-group delta and returns the
 	// new offset estimate in milliseconds.
 	Update(d GroupDelta) float64
-	// Offset reports the current estimate in milliseconds.
-	Offset() float64
-	// Reset rewinds the estimator to its just-built state.
-	Reset()
 }
 
 // millis converts a simulated duration to float milliseconds.
@@ -61,12 +57,6 @@ func (k *KalmanEstimator) Reset() {
 	k.numDelta = 0
 	k.scaled = 0
 }
-
-// Offset reports the current detector signal in milliseconds.
-func (k *KalmanEstimator) Offset() float64 { return k.scaled }
-
-// RawOffset reports the unscaled per-group offset m(i) in milliseconds.
-func (k *KalmanEstimator) RawOffset() float64 { return k.offset }
 
 // Update runs one predict/correct step on the measured delay variation.
 func (k *KalmanEstimator) Update(d GroupDelta) float64 {
@@ -129,19 +119,6 @@ type TrendlineEstimator struct {
 	count int // total deltas observed
 	off   float64
 }
-
-// NewTrendlineEstimator returns a filter in its initial state.
-func NewTrendlineEstimator() *TrendlineEstimator {
-	t := &TrendlineEstimator{}
-	t.Reset()
-	return t
-}
-
-// Reset rewinds to the just-built state.
-func (t *TrendlineEstimator) Reset() { *t = TrendlineEstimator{} }
-
-// Offset reports the current estimate in milliseconds.
-func (t *TrendlineEstimator) Offset() float64 { return t.off }
 
 // Update appends one group sample and refits the trendline.
 func (t *TrendlineEstimator) Update(d GroupDelta) float64 {

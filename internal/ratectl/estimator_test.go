@@ -29,29 +29,29 @@ func rampGroups(est GradientEstimator, start sim.Time, n int, slope float64) sim
 func TestKalmanRampRecovery(t *testing.T) {
 	k := NewKalmanEstimator()
 	at := rampGroups(k, sim.Time(ms), 80, 1.0)
-	if got := k.RawOffset(); got < 0.5 || got > 1.5 {
+	if got := k.offset; got < 0.5 || got > 1.5 {
 		t.Fatalf("per-group offset after ramp = %.3f ms, want ≈1", got)
 	}
 	// The detector signal is the per-group offset scaled by the capped
 	// observation count.
-	if want := k.RawOffset() * kalmanMaxDeltas; k.Offset() != want {
-		t.Fatalf("Offset() = %.3f, want scaled %.3f", k.Offset(), want)
+	if want := k.offset * kalmanMaxDeltas; k.scaled != want {
+		t.Fatalf("scaled offset = %.3f, want %.3f", k.scaled, want)
 	}
 	rampGroups(k, at, 400, 0)
-	if got := k.RawOffset(); got < -0.2 || got > 0.2 {
+	if got := k.offset; got < -0.2 || got > 0.2 {
 		t.Fatalf("per-group offset after recovery = %.3f ms, want ≈0", got)
 	}
 }
 
 // TestTrendlineRampRecovery: same property for the regression filter.
 func TestTrendlineRampRecovery(t *testing.T) {
-	tr := NewTrendlineEstimator()
+	tr := &TrendlineEstimator{}
 	at := rampGroups(tr, sim.Time(ms), 80, 1.0)
-	if got := tr.Offset(); got < 5 {
+	if got := tr.off; got < 5 {
 		t.Fatalf("trendline offset after ramp = %.3f, want strongly positive", got)
 	}
 	rampGroups(tr, at, 400, 0)
-	if got := tr.Offset(); got < -1 || got > 1 {
+	if got := tr.off; got < -1 || got > 1 {
 		t.Fatalf("trendline offset after recovery = %.3f, want ≈0", got)
 	}
 }
@@ -63,7 +63,7 @@ func TestEstimatorSignAgreement(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		for _, drift := range []float64{0.4, -0.4} {
 			k := NewKalmanEstimator()
-			tr := NewTrendlineEstimator()
+			tr := &TrendlineEstimator{}
 			rng := sim.NewRand(seed)
 			at := sim.Time(ms)
 			for i := 0; i < 300; i++ {
@@ -75,31 +75,31 @@ func TestEstimatorSignAgreement(t *testing.T) {
 				tr.Update(d)
 			}
 			if drift > 0 {
-				if k.Offset() <= 0 || tr.Offset() <= 0 {
+				if k.scaled <= 0 || tr.off <= 0 {
 					t.Fatalf("seed %d drift %+.1f: kalman %.3f, trendline %.3f — want both positive",
-						seed, drift, k.Offset(), tr.Offset())
+						seed, drift, k.scaled, tr.off)
 				}
 			} else {
-				if k.Offset() >= 0 || tr.Offset() >= 0 {
+				if k.scaled >= 0 || tr.off >= 0 {
 					t.Fatalf("seed %d drift %+.1f: kalman %.3f, trendline %.3f — want both negative",
-						seed, drift, k.Offset(), tr.Offset())
+						seed, drift, k.scaled, tr.off)
 				}
 			}
 		}
 	}
 }
 
-// TestEstimatorReset: both filters rewind to a zero offset.
+// TestEstimatorReset: the Kalman filter, which a GCC receiver rewinds on
+// construction, returns to a zero offset.
 func TestEstimatorReset(t *testing.T) {
-	for _, est := range []GradientEstimator{NewKalmanEstimator(), NewTrendlineEstimator()} {
-		rampGroups(est, sim.Time(ms), 50, 1.0)
-		if est.Offset() == 0 {
-			t.Fatalf("%T: setup produced no offset", est)
-		}
-		est.Reset()
-		if est.Offset() != 0 {
-			t.Fatalf("%T: Offset after Reset = %.3f, want 0", est, est.Offset())
-		}
+	k := NewKalmanEstimator()
+	rampGroups(k, sim.Time(ms), 50, 1.0)
+	if k.scaled == 0 {
+		t.Fatal("setup produced no offset")
+	}
+	k.Reset()
+	if k.scaled != 0 || k.offset != 0 {
+		t.Fatalf("offset after Reset = %.3f (raw %.3f), want 0", k.scaled, k.offset)
 	}
 }
 

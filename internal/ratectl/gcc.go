@@ -115,12 +115,6 @@ func NewGCCSender(sched *sim.Scheduler, out netsim.Handler, cfg GCCConfig) *GCCS
 	return s
 }
 
-// Rate reports the current sending rate in bytes/second.
-func (s *GCCSender) Rate() float64 { return s.rate }
-
-// RTT reports the current RTT estimate.
-func (s *GCCSender) RTT() sim.Duration { return s.rtt }
-
 // Start begins transmission.
 func (s *GCCSender) Start() {
 	if s.running {
@@ -129,15 +123,6 @@ func (s *GCCSender) Start() {
 	s.running = true
 	s.armNoFeedback()
 	s.onEmit()
-}
-
-// Stop halts transmission.
-func (s *GCCSender) Stop() {
-	s.running = false
-	s.sched.Cancel(s.timer)
-	s.timer = sim.Timer{}
-	s.sched.Cancel(s.nfTimer)
-	s.nfTimer = sim.Timer{}
 }
 
 func (s *GCCSender) onEmit() {
@@ -309,9 +294,6 @@ func (r *GCCReceiver) TargetRate() float64 {
 	return t
 }
 
-// DetectorState reports the overuse detector's current verdict.
-func (r *GCCReceiver) DetectorState() State { return r.det.State() }
-
 // Handle implements netsim.Handler for arriving data packets; the receiver
 // is their final consumer.
 func (r *GCCReceiver) Handle(p *netsim.Packet) {
@@ -410,13 +392,6 @@ func (r *GCCReceiver) sendFeedback() {
 	}
 	r.AppliedFB++
 	r.out.Handle(p)
-}
-
-// Stop halts feedback.
-func (r *GCCReceiver) Stop() {
-	r.running = false
-	r.sched.Cancel(r.fbTimer)
-	r.fbTimer = sim.Timer{}
 }
 
 // GCCFlow bundles a delay-based sender/receiver pair wired onto a

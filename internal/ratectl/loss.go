@@ -30,13 +30,6 @@ type LossController struct {
 	Cuts uint64
 }
 
-// NewLossController returns a controller starting at initial bytes/second.
-func NewLossController(initial, min, max float64) *LossController {
-	c := &LossController{}
-	c.Reset(initial, min, max)
-	return c
-}
-
 // Reset rewinds the controller to its just-built state.
 func (c *LossController) Reset(initial, min, max float64) {
 	*c = LossController{rate: initial, min: min, max: max}

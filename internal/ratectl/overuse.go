@@ -89,12 +89,6 @@ func (d *OveruseDetector) Reset() {
 	*d = OveruseDetector{threshold: detectorInitialThreshold}
 }
 
-// State reports the current verdict.
-func (d *OveruseDetector) State() State { return d.state }
-
-// Threshold reports the current adaptive threshold γ in milliseconds.
-func (d *OveruseDetector) Threshold() float64 { return d.threshold }
-
 // Update feeds one offset estimate (ms) observed at the given time and
 // returns the new state.
 func (d *OveruseDetector) Update(offset float64, now sim.Time) State {

@@ -13,13 +13,13 @@ const ms = sim.Millisecond
 // Returns the next free timestamp.
 func feedOveruse(t *testing.T, d *OveruseDetector, at sim.Time) sim.Time {
 	t.Helper()
-	off := d.Threshold() + 5
+	off := d.threshold + 5
 	for i := 0; i < 4; i++ {
 		d.Update(off, at)
 		at = at.Add(5 * ms)
 	}
-	if d.State() != StateOveruse {
-		t.Fatalf("setup: wanted overuse, got %v", d.State())
+	if d.state != StateOveruse {
+		t.Fatalf("setup: wanted overuse, got %v", d.state)
 	}
 	return at
 }
@@ -27,9 +27,9 @@ func feedOveruse(t *testing.T, d *OveruseDetector, at sim.Time) sim.Time {
 // feedUnderuse drives the detector into StateUnderuse (immediate).
 func feedUnderuse(t *testing.T, d *OveruseDetector, at sim.Time) sim.Time {
 	t.Helper()
-	d.Update(-d.Threshold()-5, at)
-	if d.State() != StateUnderuse {
-		t.Fatalf("setup: wanted underuse, got %v", d.State())
+	d.Update(-d.threshold-5, at)
+	if d.state != StateUnderuse {
+		t.Fatalf("setup: wanted underuse, got %v", d.state)
 	}
 	return at.Add(5 * ms)
 }
@@ -75,7 +75,7 @@ func TestDetectorStateMachine(t *testing.T) {
 			}
 			switch tc.sig {
 			case sigSustainedAbove:
-				off := d.Threshold() + 5
+				off := d.threshold + 5
 				// A fresh above-threshold episode: the hold-time clock
 				// starts at the first above-γ group.
 				for i := 0; i < 4; i++ {
@@ -86,13 +86,13 @@ func TestDetectorStateMachine(t *testing.T) {
 				// From overuse the detector is already above γ; one more
 				// group continues the episode. From other states a single
 				// above-γ group is a flap the hold time must suppress.
-				d.Update(d.Threshold()+5, at)
+				d.Update(d.threshold+5, at)
 			case sigBelow:
-				d.Update(-d.Threshold()-5, at)
+				d.Update(-d.threshold-5, at)
 			case sigInside:
 				d.Update(0, at)
 			}
-			if got := d.State(); got != tc.want {
+			if got := d.state; got != tc.want {
 				t.Fatalf("state = %v, want %v", got, tc.want)
 			}
 		})
@@ -105,26 +105,26 @@ func TestDetectorHoldTime(t *testing.T) {
 	d := NewOveruseDetector()
 	at := sim.Time(ms)
 	for i := 0; i < 50; i++ {
-		d.Update(d.Threshold()+5, at)
+		d.Update(d.threshold+5, at)
 		at = at.Add(5 * ms)
 		d.Update(0, at)
 		at = at.Add(5 * ms)
 	}
-	if d.State() == StateOveruse || d.OveruseHits != 0 {
-		t.Fatalf("flapping signal declared overuse (state %v, hits %d)", d.State(), d.OveruseHits)
+	if d.state == StateOveruse || d.OveruseHits != 0 {
+		t.Fatalf("flapping signal declared overuse (state %v, hits %d)", d.state, d.OveruseHits)
 	}
 
 	// A decreasing offset above γ must not declare either, however long it
 	// persists: overuse requires the queue to still be growing.
 	d.Reset()
 	at = sim.Time(ms)
-	off := d.Threshold() + 10
+	off := d.threshold + 10
 	for i := 0; i < 20; i++ {
 		d.Update(off, at)
 		at = at.Add(5 * ms)
 		off -= 0.2
 	}
-	if d.State() == StateOveruse {
+	if d.state == StateOveruse {
 		t.Fatalf("decreasing offset declared overuse")
 	}
 }
@@ -135,13 +135,13 @@ func TestDetectorHoldTime(t *testing.T) {
 func TestDetectorThresholdDrift(t *testing.T) {
 	t.Run("up", func(t *testing.T) {
 		d := NewOveruseDetector()
-		g0 := d.Threshold()
+		g0 := d.threshold
 		at := sim.Time(ms)
 		for i := 0; i < 100; i++ {
 			d.Update(g0+10, at) // above γ, below the outlier cap
 			at = at.Add(5 * ms)
 		}
-		if g := d.Threshold(); g <= g0 || g > g0+10 {
+		if g := d.threshold; g <= g0 || g > g0+10 {
 			t.Fatalf("threshold after sustained violation = %.2f, want in (%.2f, %.2f]", g, g0, g0+10)
 		}
 	})
@@ -152,7 +152,7 @@ func TestDetectorThresholdDrift(t *testing.T) {
 			d.Update(0, at)
 			at = at.Add(5 * ms)
 		}
-		if g := d.Threshold(); g != detectorMinThreshold {
+		if g := d.threshold; g != detectorMinThreshold {
 			t.Fatalf("threshold after long quiet = %.2f, want floor %.2f", g, detectorMinThreshold)
 		}
 	})
@@ -161,38 +161,38 @@ func TestDetectorThresholdDrift(t *testing.T) {
 		down := NewOveruseDetector()
 		at := sim.Time(ms)
 		for i := 0; i < 20; i++ {
-			up.Update(up.Threshold()+5, at) // +5 off the band edge
-			down.Update(down.Threshold()-5, at)
+			up.Update(up.threshold+5, at) // +5 off the band edge
+			down.Update(down.threshold-5, at)
 			at = at.Add(5 * ms)
 		}
-		rise := up.Threshold() - detectorInitialThreshold
-		fall := detectorInitialThreshold - down.Threshold()
+		rise := up.threshold - detectorInitialThreshold
+		fall := detectorInitialThreshold - down.threshold
 		if rise <= 0 || fall <= 0 || fall <= rise {
 			t.Fatalf("adaptation asymmetry: rise %.3f, fall %.3f — want 0 < rise < fall", rise, fall)
 		}
 	})
 	t.Run("outlier-skipped", func(t *testing.T) {
 		d := NewOveruseDetector()
-		g0 := d.Threshold()
+		g0 := d.threshold
 		at := sim.Time(ms)
 		d.Update(0, at) // prime lastUpdate
 		for i := 0; i < 50; i++ {
 			at = at.Add(5 * ms)
 			d.Update(g0+detectorAdaptCap+50, at)
 		}
-		if g := d.Threshold(); g != g0 {
+		if g := d.threshold; g != g0 {
 			t.Fatalf("outlier offsets moved the threshold: %.2f → %.2f", g0, g)
 		}
 	})
 	t.Run("adapt-step-bounded", func(t *testing.T) {
 		d := NewOveruseDetector()
-		g0 := d.Threshold()
+		g0 := d.threshold
 		d.Update(g0+10, sim.Time(ms))
 		// A huge arrival gap must contribute at most detectorMaxAdaptStep
 		// milliseconds of drift.
 		d.Update(g0+10, sim.Time(ms).Add(30*sim.Second))
 		maxRise := detectorKUp * 10 * detectorMaxAdaptStep
-		if rise := d.Threshold() - g0; rise <= 0 || rise > maxRise+1e-9 {
+		if rise := d.threshold - g0; rise <= 0 || rise > maxRise+1e-9 {
 			t.Fatalf("threshold rise over idle gap = %.3f, want in (0, %.3f]", rise, maxRise)
 		}
 	})
@@ -207,7 +207,7 @@ func TestDetectorReset(t *testing.T) {
 		t.Fatalf("setup produced no transitions")
 	}
 	d.Reset()
-	if d.State() != StateNormal || d.Threshold() != detectorInitialThreshold ||
+	if d.state != StateNormal || d.threshold != detectorInitialThreshold ||
 		d.Transitions != 0 || d.OveruseHits != 0 {
 		t.Fatalf("Reset left state behind: %+v", d)
 	}

@@ -64,14 +64,13 @@ func newTFRCPair(dropEvery int64) *tfrcPair {
 
 func TestTFRCSlowStartWithoutLoss(t *testing.T) {
 	p := newTFRCPair(0)
-	initial := p.snd.Rate()
+	initial := p.snd.rate
 	p.snd.Start()
 	p.sched.RunUntil(sim.Time(2 * sim.Second))
-	p.snd.Stop()
-	p.rcv.Stop()
-	if p.snd.Rate() < 8*initial {
+
+	if p.snd.rate < 8*initial {
 		t.Fatalf("rate did not grow in lossless slow start: %v -> %v",
-			initial, p.snd.Rate())
+			initial, p.snd.rate)
 	}
 	if p.snd.FeedbackIn == 0 {
 		t.Fatal("no feedback received")
@@ -85,8 +84,7 @@ func TestTFRCRespondsToLoss(t *testing.T) {
 	p := newTFRCPair(20) // 5% packet loss
 	p.snd.Start()
 	p.sched.RunUntil(sim.Time(20 * sim.Second))
-	p.snd.Stop()
-	p.rcv.Stop()
+
 	if p.rcv.LossEvents == 0 {
 		t.Fatal("no loss events detected")
 	}
@@ -94,8 +92,8 @@ func TestTFRCRespondsToLoss(t *testing.T) {
 		t.Fatal("sender never told about loss")
 	}
 	// The equation must hold approximately: measured rate ≈ X(p).
-	want := ThroughputEquation(1000, p.snd.RTT().Seconds(), p.snd.LastLossRate)
-	got := p.snd.Rate()
+	want := ThroughputEquation(1000, p.snd.rtt.Seconds(), p.snd.LastLossRate)
+	got := p.snd.rate
 	if got > 2*want || got < want/4 {
 		t.Fatalf("rate %v far from equation %v (p=%v)", got, want, p.snd.LastLossRate)
 	}
@@ -121,8 +119,7 @@ func TestTFRCLossEventGroupingSubRTT(t *testing.T) {
 	if p.rcv.LostPkts < 3 {
 		t.Fatalf("lost packets = %d", p.rcv.LostPkts)
 	}
-	p.snd.Stop()
-	p.rcv.Stop()
+
 }
 
 func TestTFRCNoFeedbackHalvesRate(t *testing.T) {
@@ -131,11 +128,11 @@ func TestTFRCNoFeedbackHalvesRate(t *testing.T) {
 	snd := NewTFRCSender(s, blackhole, TFRCConfig{Flow: 1, Src: 1, Dst: 2,
 		PktSize: 1000, InitialRTT: 50 * sim.Millisecond})
 	snd.Start()
-	r0 := snd.Rate()
+	r0 := snd.rate
 	s.RunUntil(sim.Time(2 * sim.Second)) // 10 no-feedback periods
-	snd.Stop()
-	if snd.Rate() >= r0 {
-		t.Fatalf("rate did not decay without feedback: %v -> %v", r0, snd.Rate())
+
+	if snd.rate >= r0 {
+		t.Fatalf("rate did not decay without feedback: %v -> %v", r0, snd.rate)
 	}
 	if snd.RateReductions == 0 {
 		t.Fatal("no reductions counted")

@@ -87,12 +87,6 @@ func NewTFRCSender(sched *sim.Scheduler, out netsim.Handler, cfg TFRCConfig) *TF
 	return s
 }
 
-// Rate reports the current sending rate in bytes/second.
-func (s *TFRCSender) Rate() float64 { return s.rate }
-
-// RTT reports the current RTT estimate.
-func (s *TFRCSender) RTT() sim.Duration { return s.rtt }
-
 // Start begins transmission.
 func (s *TFRCSender) Start() {
 	if s.running {
@@ -101,15 +95,6 @@ func (s *TFRCSender) Start() {
 	s.running = true
 	s.armNoFeedback()
 	s.emit()
-}
-
-// Stop halts transmission.
-func (s *TFRCSender) Stop() {
-	s.running = false
-	s.sched.Cancel(s.timer)
-	s.timer = sim.Timer{}
-	s.sched.Cancel(s.nfTimer)
-	s.nfTimer = sim.Timer{}
 }
 
 func (s *TFRCSender) emit() {
@@ -378,11 +363,4 @@ func (r *TFRCReceiver) sendFeedback() {
 			LossRate:  r.LossEventRate(),
 		},
 	})
-}
-
-// Stop halts feedback.
-func (r *TFRCReceiver) Stop() {
-	r.running = false
-	r.sched.Cancel(r.fbTimer)
-	r.fbTimer = sim.Timer{}
 }

@@ -56,12 +56,6 @@ func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 // Seconds reports d as a floating-point number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / 1e9 }
 
-// Std converts d back to a time.Duration.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
-
-// Seconds builds a Duration from a floating-point number of seconds.
-func Seconds(s float64) Duration { return Duration(s * 1e9) }
-
 // String formats the time as seconds with nanosecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.9fs", t.Seconds()) }
 

@@ -100,64 +100,6 @@ func (h *Histogram) PMF() []float64 {
 	return h.AppendPMF(make([]float64, 0, len(h.counts)))
 }
 
-// AppendDensity appends the PDF estimate (PMF divided by bin width) to dst.
-func (h *Histogram) AppendDensity(dst []float64) []float64 {
-	n := len(dst)
-	dst = h.AppendPMF(dst)
-	for i := n; i < len(dst); i++ {
-		dst[i] /= h.BinWidth
-	}
-	return dst
-}
-
-// Density returns the PDF estimate: PMF divided by bin width, so the curve
-// integrates to the in-range mass.
-func (h *Histogram) Density() []float64 {
-	return h.AppendDensity(make([]float64, 0, len(h.counts)))
-}
-
-// AppendCDF appends the cumulative in-range distribution at each bin's
-// right edge to dst.
-func (h *Histogram) AppendCDF(dst []float64) []float64 {
-	var cum int64
-	for _, c := range h.counts {
-		if h.total == 0 {
-			dst = append(dst, 0)
-			continue
-		}
-		cum += c
-		dst = append(dst, float64(cum)/float64(h.total))
-	}
-	return dst
-}
-
-// CDF returns the cumulative in-range distribution at each bin's right
-// edge.
-func (h *Histogram) CDF() []float64 {
-	return h.AppendCDF(make([]float64, 0, len(h.counts)))
-}
-
-// FractionBelow reports the fraction of all observations (including
-// overflow in the denominator) strictly less than x. The paper's headline
-// numbers — "95% of losses cluster within 0.01 RTT" — are this quantity.
-func (h *Histogram) FractionBelow(x float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var cum int64
-	limit := x / h.BinWidth
-	whole := int(math.Floor(limit))
-	for i := 0; i < whole && i < len(h.counts); i++ {
-		cum += h.counts[i]
-	}
-	// Partial bin: assume uniform spread inside the bin.
-	if whole >= 0 && whole < len(h.counts) {
-		frac := limit - float64(whole)
-		cum += int64(frac * float64(h.counts[whole]))
-	}
-	return float64(cum) / float64(h.total)
-}
-
 // AppendExponentialPMF appends the matched-rate exponential reference mass
 // of each bin to dst (zeros when lambda is non-positive).
 func (h *Histogram) AppendExponentialPMF(dst []float64, lambda float64) []float64 {

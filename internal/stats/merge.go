@@ -17,10 +17,7 @@ package stats
 //   - Reservoir.Merge: exact concatenation while the union fits the
 //     bound; beyond it, a deterministic weighted subsample (see Merge).
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Merge folds another histogram with the same bin layout into h — the
 // cross-shard counterpart of Add. Counts, totals and overflow add, so the
@@ -82,26 +79,6 @@ func (m *Moments) Merge(o Moments) {
 	m.Mean += d * n2 / n
 	m.M2 += o.M2 + d*d*n1*n2/n
 	m.N += o.N
-}
-
-// Var returns the unbiased sample variance (0 for N < 2).
-func (m Moments) Var() float64 {
-	if m.N < 2 {
-		return 0
-	}
-	return m.M2 / float64(m.N-1)
-}
-
-// Std returns the unbiased sample standard deviation.
-func (m Moments) Std() float64 { return math.Sqrt(m.Var()) }
-
-// CoV returns the coefficient of variation Std/Mean (0 when the mean is
-// zero).
-func (m Moments) CoV() float64 {
-	if m.Mean == 0 {
-		return 0
-	}
-	return m.Std() / m.Mean
 }
 
 // DispersionStats is the mergeable snapshot of a DispersionCounter: the
@@ -210,19 +187,13 @@ func (r *Reservoir) next() uint64 {
 // and valid until the next Observe/Merge/Reset.
 func (r *Reservoir) Items() []float64 { return r.items }
 
-// Seen reports how many observations were offered.
-func (r *Reservoir) Seen() int64 { return r.seen }
-
-// Bound reports the retention bound.
-func (r *Reservoir) Bound() int { return r.bound }
-
 // Exact reports whether the sample still holds every offered observation.
 func (r *Reservoir) Exact() bool { return r.seen <= int64(r.bound) }
 
 // Merge folds another reservoir's sample into r. While both sides are
 // exact and the union fits r's bound, the merge is exact concatenation —
 // the merged reservoir holds every observation either side saw. Beyond
-// that, each retained item of o stands in for o.Seen()/len items of o's
+// that, each retained item of o stands in for seen/len items of o's
 // stream and is offered with that weight through r's deterministic
 // replacement stream. The result is a deterministic function of the two
 // reservoirs (and therefore of the sharded stream), not an unbiased

@@ -98,9 +98,6 @@ func TestMomentsMergeMatchesSinglePass(t *testing.T) {
 			t.Fatalf("shards=%d: merged (%v, %v) vs single-pass (%v, %v)",
 				shards, merged.Mean, merged.M2, whole.Mean, whole.M2)
 		}
-		if relErr(merged.CoV(), whole.CoV()) > 1e-9 {
-			t.Fatalf("shards=%d: CoV %v vs %v", shards, merged.CoV(), whole.CoV())
-		}
 	}
 }
 
@@ -193,8 +190,8 @@ func TestReservoirExactUnderBound(t *testing.T) {
 		b.Observe(float64(100 + i))
 	}
 	a.Merge(b)
-	if !a.Exact() || a.Seen() != 70 || len(a.Items()) != 70 {
-		t.Fatalf("exact merge: seen=%d items=%d exact=%v", a.Seen(), len(a.Items()), a.Exact())
+	if !a.Exact() || a.seen != 70 || len(a.Items()) != 70 {
+		t.Fatalf("exact merge: seen=%d items=%d exact=%v", a.seen, len(a.Items()), a.Exact())
 	}
 	for i, want := range []float64{0, 1, 2} {
 		if a.Items()[i] != want {
@@ -271,8 +268,8 @@ func TestReservoirMergeDeterministic(t *testing.T) {
 		return m
 	}
 	a, b := build(), build()
-	if a.Seen() != 4*300 {
-		t.Fatalf("merged seen %d, want %d", a.Seen(), 4*300)
+	if a.seen != 4*300 {
+		t.Fatalf("merged seen %d, want %d", a.seen, 4*300)
 	}
 	if a.Exact() {
 		t.Fatal("overflowed merge should not report exact")

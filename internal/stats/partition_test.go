@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"sort"
 	"testing"
 )
@@ -101,9 +100,9 @@ func TestReservoirRandomPartitionExact(t *testing.T) {
 	for _, p := range parts {
 		merged.Merge(p)
 	}
-	if !merged.Exact() || merged.Seen() != int64(len(xs)) {
+	if !merged.Exact() || merged.seen != int64(len(xs)) {
 		t.Fatalf("exact merge lost observations: seen=%d exact=%v, want %d exact",
-			merged.Seen(), merged.Exact(), len(xs))
+			merged.seen, merged.Exact(), len(xs))
 	}
 	got := append([]float64(nil), merged.Items()...)
 	want := append([]float64(nil), xs...)
@@ -139,8 +138,5 @@ func TestMomentsMergeCommutesApproximately(t *testing.T) {
 	if relErr(fwd.Mean, rev.Mean) > 1e-12 || relErr(fwd.M2, rev.M2) > 1e-9 {
 		t.Fatalf("merge order moved the moments: (%v, %v) vs (%v, %v)",
 			fwd.Mean, fwd.M2, rev.Mean, rev.M2)
-	}
-	if math.Abs(fwd.CoV()-rev.CoV()) > 1e-9 {
-		t.Fatalf("merge order moved CoV: %v vs %v", fwd.CoV(), rev.CoV())
 	}
 }

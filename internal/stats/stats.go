@@ -205,22 +205,3 @@ func (c *DispersionCounter) Value() float64 {
 	}
 	return popVar / mean
 }
-
-// Autocorrelation returns the lag-k sample autocorrelation of xs.
-func Autocorrelation(xs []float64, k int) float64 {
-	if k < 0 || k >= len(xs) {
-		return 0
-	}
-	m := Mean(xs)
-	var num, den float64
-	for i := 0; i < len(xs)-k; i++ {
-		num += (xs[i] - m) * (xs[i+k] - m)
-	}
-	for _, x := range xs {
-		den += (x - m) * (x - m)
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}

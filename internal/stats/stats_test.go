@@ -112,26 +112,6 @@ func TestIndexOfDispersionDegenerate(t *testing.T) {
 	}
 }
 
-func TestAutocorrelation(t *testing.T) {
-	// Perfectly alternating series: lag-1 autocorrelation ≈ -1.
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = float64(i % 2)
-	}
-	if ac := Autocorrelation(xs, 1); ac > -0.9 {
-		t.Fatalf("alternating lag-1 ac = %v", ac)
-	}
-	if ac := Autocorrelation(xs, 0); !approx(ac, 1, 1e-9) {
-		t.Fatalf("lag-0 ac = %v", ac)
-	}
-	if Autocorrelation(xs, -1) != 0 || Autocorrelation(xs, len(xs)) != 0 {
-		t.Fatal("out-of-range lag should be 0")
-	}
-	if Autocorrelation([]float64{1, 1, 1}, 1) != 0 {
-		t.Fatal("constant series ac should be 0")
-	}
-}
-
 // Property: quantile is monotone in q and bounded by min/max.
 func TestQuantileMonotoneProperty(t *testing.T) {
 	f := func(raw []float64, a, b float64) bool {

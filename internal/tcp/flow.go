@@ -27,12 +27,6 @@ func NewPairFlow(sched *sim.Scheduler, snd, rcv *netsim.Node, flowID int, cfg Co
 	return &Flow{Sender: s, Receiver: r}
 }
 
-// GoodputBits reports the bits delivered in-order to the receiver so far
-// (cumulative-ack packets times packet size).
-func (f *Flow) GoodputBits(pktSize int) int64 {
-	return f.Receiver.CumAck() * int64(pktSize) * 8
-}
-
 // StartAt schedules the flow to begin at the given simulated time.
 func (f *Flow) StartAt(sched *sim.Scheduler, at sim.Time) {
 	if at <= sched.Now() {

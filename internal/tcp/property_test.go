@@ -65,7 +65,7 @@ func TestLivenessUnderArbitraryLoss(t *testing.T) {
 		p.sched.RunUntil(sim.Time(30 * 60 * sim.Second))
 		if !p.snd.Done() {
 			t.Logf("deadlock: seed=%d pct=%v n=%d cumack=%d inflight=%d cwnd=%v timeouts=%d",
-				seed, pct, n, p.snd.CumAck(), p.snd.InFlight(), p.snd.Cwnd(), p.snd.Timeouts)
+				seed, pct, n, p.snd.cumAck, p.snd.InFlight(), p.snd.cwnd, p.snd.Timeouts)
 			return false
 		}
 		return p.rcv.CumAck() == n

@@ -253,23 +253,11 @@ func (s *Sender) vegasAdjust() {
 // Start begins transmission at the current simulated time.
 func (s *Sender) Start() { s.trySend() }
 
-// Cwnd reports the congestion window in packets.
-func (s *Sender) Cwnd() float64 { return s.cwnd }
-
-// SSThresh reports the slow-start threshold in packets.
-func (s *Sender) SSThresh() float64 { return s.ssthresh }
-
 // InFlight reports the number of unacknowledged packets.
 func (s *Sender) InFlight() int64 { return s.nextSeq - s.cumAck }
 
 // Done reports whether a finite flow has delivered all its data.
 func (s *Sender) Done() bool { return s.done }
-
-// NextSeq reports the next fresh sequence number (delivered+inflight).
-func (s *Sender) NextSeq() int64 { return s.nextSeq }
-
-// CumAck reports the highest cumulative acknowledgement.
-func (s *Sender) CumAck() int64 { return s.cumAck }
 
 // SRTT exposes the smoothed RTT estimate (initial estimate before samples).
 func (s *Sender) SRTT() sim.Duration { return s.est.SRTT(s.cfg.InitialRTT) }

@@ -64,8 +64,8 @@ func TestLosslessTransferCompletes(t *testing.T) {
 	if !done || !p.snd.Done() {
 		t.Fatal("transfer did not complete")
 	}
-	if p.snd.CumAck() != 100 {
-		t.Fatalf("cumack = %d", p.snd.CumAck())
+	if p.snd.cumAck != 100 {
+		t.Fatalf("cumack = %d", p.snd.cumAck)
 	}
 	if p.snd.Retransmits != 0 {
 		t.Fatalf("spurious retransmits: %d", p.snd.Retransmits)
@@ -81,11 +81,11 @@ func TestSlowStartDoubling(t *testing.T) {
 	// After the first RTT (20 ms + tx), the two initial packets are acked:
 	// cwnd should be 4. After two RTTs, 8.
 	p.sched.RunUntil(sim.Time(25 * sim.Millisecond))
-	if got := p.snd.Cwnd(); got != 4 {
+	if got := p.snd.cwnd; got != 4 {
 		t.Fatalf("cwnd after 1 RTT = %v, want 4", got)
 	}
 	p.sched.RunUntil(sim.Time(45 * sim.Millisecond))
-	if got := p.snd.Cwnd(); got != 8 {
+	if got := p.snd.cwnd; got != 8 {
 		t.Fatalf("cwnd after 2 RTT = %v, want 8", got)
 	}
 }
@@ -245,7 +245,7 @@ func TestCongestionAvoidanceLinearGrowth(t *testing.T) {
 	p.snd.Start()
 	// In CA, cwnd grows ~1 packet per RTT (20 ms). Run 10 RTTs.
 	p.sched.RunUntil(sim.Time(200 * sim.Millisecond))
-	got := p.snd.Cwnd()
+	got := p.snd.cwnd
 	if got < 17 || got > 22 {
 		t.Fatalf("cwnd after ~10 CA RTTs = %v, want ≈20", got)
 	}
@@ -344,7 +344,7 @@ func TestSenderIgnoresForeignPackets(t *testing.T) {
 	before := p.snd.AcksIn
 	p.snd.Handle(&netsim.Packet{Flow: 99, Kind: netsim.Ack, Ack: 5})
 	p.snd.Handle(&netsim.Packet{Flow: 1, Kind: netsim.Data, Seq: 5})
-	if p.snd.AcksIn != before || p.snd.CumAck() != 0 {
+	if p.snd.AcksIn != before || p.snd.cumAck != 0 {
 		t.Fatal("sender handled foreign packets")
 	}
 }
@@ -362,8 +362,8 @@ func TestECNReactionHalvesWindow(t *testing.T) {
 	if p.snd.CongestionEvents == 0 {
 		t.Fatal("no ECN reaction")
 	}
-	if p.snd.Cwnd() > 16 {
-		t.Fatalf("cwnd = %v, should have been halved from 16", p.snd.Cwnd())
+	if p.snd.cwnd > 16 {
+		t.Fatalf("cwnd = %v, should have been halved from 16", p.snd.cwnd)
 	}
 	if p.snd.Retransmits != 0 {
 		t.Fatal("ECN must not cause retransmits")

@@ -85,7 +85,7 @@ func Run(cfg Config) (*Result, error) {
 	delays := make([]sim.Duration, cfg.Flows)
 	for i := range delays {
 		// ±20% RTT spread, as in the core experiments.
-		frac := 0.8 + 0.4*float64(i)/float64(maxI(cfg.Flows-1, 1))
+		frac := 0.8 + 0.4*float64(i)/float64(max(cfg.Flows-1, 1))
 		delays[i] = sim.Duration(frac * float64(cfg.RTT) / 2)
 	}
 	buffer := netsim.BDP(cfg.BottleneckRate, cfg.RTT, cfg.PktSize) / 2
@@ -155,11 +155,4 @@ func Run(cfg Config) (*Result, error) {
 		Retransmissions: inferred.Len(),
 		Events:          sched.Fired(),
 	}, nil
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

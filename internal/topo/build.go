@@ -11,13 +11,6 @@ import (
 // edge identifies one directed link by node names.
 type edge struct{ from, to string }
 
-// PortInfo pairs a directed port with the node names it connects, for
-// iteration over a Network's links (e.g. to observe drops everywhere).
-type PortInfo struct {
-	From, To string
-	Port     *netsim.Port
-}
-
 // Network is a built topology: the netsim nodes and ports of a Spec wired
 // onto one scheduler, with static shortest-path routes installed and each
 // flow's base RTT precomputed. A Network is confined to the goroutine that
@@ -166,17 +159,6 @@ func (n *Network) AttachPool(pool *netsim.PacketPool) {
 	}
 }
 
-// Ports lists every directed port with its endpoints, in link declaration
-// order (A→B before B→A) — the deterministic iteration scenarios use to
-// attach drop observers to every hop.
-func (n *Network) Ports() []PortInfo {
-	out := make([]PortInfo, len(n.edges))
-	for i, e := range n.edges {
-		out[i] = PortInfo{From: e.from, To: e.to, Port: n.ports[e]}
-	}
-	return out
-}
-
 // Forwarded sums Port.Forwarded over every directed port: how many packet
 // transmissions the network performed. Together with the scheduler's Fired
 // counter it yields the events-per-forwarded-packet ratio that measures
@@ -204,8 +186,7 @@ func (n *Network) FlowReceiver(i int) *netsim.Node { return n.nodes[n.spec.Flows
 
 // FlowRTT reports the base (unloaded, zero-size-packet) round-trip time of
 // flow i: the sum of propagation delays along the routed path there and
-// back, excluding queueing and serialization — the same convention as the
-// dumbbell's PairRTT.
+// back, excluding queueing and serialization.
 func (n *Network) FlowRTT(i int) sim.Duration { return n.rtts[i] }
 
 // MeanFlowRTT is the average base RTT over all declared flows, the

@@ -163,14 +163,8 @@ func WrapDumbbell(net *Network) *Dumbbell {
 // dumbbell (see Network.AttachPool).
 func (d *Dumbbell) AttachPool(pool *netsim.PacketPool) { d.Net.AttachPool(pool) }
 
-// NumPairs reports how many endpoint pairs the dumbbell has.
-func (d *Dumbbell) NumPairs() int { return d.Net.NumFlows() }
-
 // SenderNode returns the sender-side endpoint node for pair i.
 func (d *Dumbbell) SenderNode(i int) *netsim.Node { return d.Net.FlowSender(i) }
 
 // ReceiverNode returns the receiver-side endpoint node for pair i.
 func (d *Dumbbell) ReceiverNode(i int) *netsim.Node { return d.Net.FlowReceiver(i) }
-
-// PairRTT reports the base round-trip time of pair i.
-func (d *Dumbbell) PairRTT(i int) sim.Duration { return d.Net.FlowRTT(i) }

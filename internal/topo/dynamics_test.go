@@ -104,7 +104,7 @@ func TestMirroredReverseInheritsDynamics(t *testing.T) {
 	if fwd == nil || rev == nil {
 		t.Fatal("mirrored direction lost its modulator")
 	}
-	if fwd == rev || fwd.Link() == rev.Link() {
+	if fwd == rev || net.Port("a", "b").Link == net.Port("b", "a").Link {
 		t.Fatal("directions share a modulator or link instance")
 	}
 	if net.Port("a", "b").LinkLoss == nil || net.Port("b", "a").LinkLoss == nil {

@@ -24,9 +24,9 @@ func ExampleNewDumbbell() {
 		AccessDelays:    []sim.Duration{10 * sim.Millisecond, 20 * sim.Millisecond},
 		Buffer:          64,
 	})
-	fmt.Println("pairs:", d.NumPairs())
-	fmt.Println("pair 0 base RTT:", d.PairRTT(0))
-	fmt.Println("pair 1 base RTT:", d.PairRTT(1))
+	fmt.Println("pairs:", d.Net.NumFlows())
+	fmt.Println("pair 0 base RTT:", d.Net.FlowRTT(0))
+	fmt.Println("pair 1 base RTT:", d.Net.FlowRTT(1))
 	// Output:
 	// pairs: 2
 	// pair 0 base RTT: 0.022000000s

@@ -29,12 +29,6 @@ func (c ScenarioConfig) EffScales() (rate, rtt, loss float64) {
 	return rate, rtt, loss
 }
 
-// Jittered reports whether any scale is active (≠ nominal).
-func (c ScenarioConfig) Jittered() bool {
-	rate, rtt, loss := c.EffScales()
-	return rate != 1 || rtt != 1 || loss != 1
-}
-
 // ScaleRate scales a link rate, clamping to at least 1 bit/s. The
 // nominal scale 1 is an exact no-op.
 func ScaleRate(r int64, s float64) int64 {

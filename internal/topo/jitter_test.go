@@ -76,15 +76,9 @@ func TestScaleSpecNominalIsIdentity(t *testing.T) {
 	}
 
 	cfg := ScenarioConfig{}
-	if cfg.Jittered() {
-		t.Fatal("zero config reports jittered")
-	}
 	r, rt, l := cfg.EffScales()
 	if r != 1 || rt != 1 || l != 1 {
 		t.Fatalf("zero config scales = %v/%v/%v, want 1/1/1", r, rt, l)
-	}
-	if (ScenarioConfig{RateScale: 1.25}).Jittered() != true {
-		t.Fatal("RateScale 1.25 not reported jittered")
 	}
 }
 

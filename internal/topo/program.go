@@ -186,9 +186,6 @@ func (p *Program) computeRoutes() {
 	}
 }
 
-// Spec returns the compiled spec.
-func (p *Program) Spec() Spec { return p.spec }
-
 // Resettable reports whether instances of this program support Reset: no
 // direction may use a Custom queue, since an opaque Queue cannot be
 // rewound to its just-built state.
@@ -202,10 +199,10 @@ func (p *Program) Resettable() bool {
 }
 
 // Instantiate stamps the program out onto a scheduler: fresh nodes, ports,
-// queues, loss chains and modulators, seeded exactly as Build(sched,
-// p.Spec(), seed) would seed them, with the precomputed routing solution
-// replayed instead of recomputed. The error cases are Build's (nil
-// scheduler, unroutable flow).
+// queues, loss chains and modulators, seeded exactly as Build(sched, spec,
+// seed) would seed them from the spec p was compiled from, with the
+// precomputed routing solution replayed instead of recomputed. The error
+// cases are Build's (nil scheduler, unroutable flow).
 func (p *Program) Instantiate(sched *sim.Scheduler, seed int64) (*Network, error) {
 	if sched == nil {
 		return nil, fmt.Errorf("topo: Instantiate requires a scheduler")

@@ -89,58 +89,12 @@ func (r *Recorder) Reset() {
 	r.n = 0
 }
 
-// Sorted reports whether events are in nondecreasing time order (they
-// always are when recorded from a single router, but merged traces may
-// need sorting). The index-based loop keeps the check allocation-free —
-// sort.SliceIsSorted would allocate for its capturing closure and
-// interface header on every call.
-func (r *Recorder) Sorted() bool {
-	for i := 1; i < len(r.events); i++ {
-		if r.events[i].At < r.events[i-1].At {
-			return false
-		}
-	}
-	return true
-}
-
 // SortByTime sorts events into nondecreasing time order (stable, so ties
 // keep their original relative order).
 func (r *Recorder) SortByTime() {
 	sort.SliceStable(r.events, func(i, j int) bool {
 		return r.events[i].At < r.events[j].At
 	})
-}
-
-// Merge combines several recorders into one time-sorted recorder, used when
-// an experiment records losses at multiple routers. It merges the RETAINED
-// events: a recorder that ran in sink mode contributes nothing here (its
-// observations were forwarded, not stored), so merge retain-mode recorders
-// only. The output is sized once from the known total.
-func Merge(rs ...*Recorder) *Recorder {
-	total := 0
-	for _, r := range rs {
-		total += len(r.events)
-	}
-	out := &Recorder{events: make([]LossEvent, 0, total)}
-	for _, r := range rs {
-		out.events = append(out.events, r.events...)
-	}
-	out.n = len(out.events)
-	out.SortByTime()
-	return out
-}
-
-// Intervals returns the time differences between consecutive events —
-// the paper's "loss intervals". An empty or single-event trace yields nil.
-func (r *Recorder) Intervals() []sim.Duration {
-	if len(r.events) < 2 {
-		return nil
-	}
-	out := make([]sim.Duration, 0, len(r.events)-1)
-	for i := 1; i < len(r.events); i++ {
-		out = append(out, r.events[i].At.Sub(r.events[i-1].At))
-	}
-	return out
 }
 
 // csvHeader is the first non-blank line of a trace file; the columns are
@@ -300,13 +254,6 @@ func parseInt(s []byte) (int64, bool) {
 	return n, true
 }
 
-// ThroughputSample is one bin of a flow-throughput time series (Figure 7's
-// aggregate-throughput-vs-time curves are built from these).
-type ThroughputSample struct {
-	Start sim.Time
-	Bits  int64
-}
-
 // ThroughputSeries accumulates delivered bits into fixed bins.
 type ThroughputSeries struct {
 	Bin     sim.Duration
@@ -336,15 +283,6 @@ func (ts *ThroughputSeries) Mbps() []float64 {
 	binSec := ts.Bin.Seconds()
 	for i, b := range ts.samples {
 		out[i] = float64(b) / 1e6 / binSec
-	}
-	return out
-}
-
-// Samples returns the raw per-bin bit counts.
-func (ts *ThroughputSeries) Samples() []ThroughputSample {
-	out := make([]ThroughputSample, len(ts.samples))
-	for i, b := range ts.samples {
-		out[i] = ThroughputSample{Start: sim.Time(int64(i) * int64(ts.Bin)), Bits: b}
 	}
 	return out
 }

@@ -260,7 +260,7 @@ func TestRFTResetTransferTrace(t *testing.T) {
 				fmt.Fprintf(&trace, "rate %d %d %.9f\n", i, int64(at), rate)
 			}
 			f.Sender.OnComplete = func(at sim.Time) {
-				fmt.Fprintf(&trace, "done %d %d epoch=%d fct=%d\n", i, int64(at), f.Sender.Epoch(), int64(f.FCT()))
+				fmt.Fprintf(&trace, "done %d %d fct=%d\n", i, int64(at), int64(f.FCT()))
 				f.Restart()
 			}
 			f.StartAt(sched, sim.Time(sim.Duration(i)*250*sim.Millisecond))

@@ -95,7 +95,7 @@ func renderCatalog() string {
 		if headline == "" {
 			headline = "—"
 		}
-		fmt.Fprintf(&b, "| `%s` | %s | `core.RunScenario(%q, …)` | `paperexp -scenario %s` | %s |\n",
+		fmt.Fprintf(&b, "| `%s` | %s | `core.SweepScenario(%q, …)` | `paperexp -scenario %s` | %s |\n",
 			sc.Name, sc.Topology, sc.Name, sc.Name, headline)
 	}
 	return b.String()
