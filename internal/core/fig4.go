@@ -74,9 +74,9 @@ type pathOutcome struct {
 // consumes one picking rng), but the per-path measurements — each its own
 // simulated world with its own scheduler and rng stream — fan out across
 // the exp worker pool, each reusing its worker's arena: the scheduler's
-// event freelist survives from path to path (a 5-minute run fires ~600k
-// events per size), and the loss times stream through the arena's
-// analyzer. The aggregate is identical for any worker count.
+// event freelist survives from path to path (a 5-minute run fires ~300k
+// events per size, one per probe), and the loss times stream through the
+// arena's analyzer. The aggregate is identical for any worker count.
 func RunFigure4(cfg Fig4Config) (*Fig4Result, error) {
 	cfg.fillDefaults()
 	mesh := planetlab.NewMesh(planetlab.MeshConfig{Seed: cfg.Seed})

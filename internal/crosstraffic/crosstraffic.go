@@ -92,9 +92,6 @@ func (o *OnOff) Start() {
 }
 
 func (o *OnOff) enterOn() {
-	if !o.running {
-		return
-	}
 	o.on = true
 	d := sim.Exponential(o.rng, o.cfg.MeanOn)
 	o.phaseTmr = o.sched.After(d, o.toOffFn)
@@ -102,9 +99,6 @@ func (o *OnOff) enterOn() {
 }
 
 func (o *OnOff) enterOff() {
-	if !o.running {
-		return
-	}
 	o.on = false
 	if o.sendTmr.Pending() {
 		o.sched.Cancel(o.sendTmr)
@@ -115,7 +109,7 @@ func (o *OnOff) enterOff() {
 }
 
 func (o *OnOff) emit() {
-	if !o.running || !o.on {
+	if !o.on {
 		return
 	}
 	o.pktID++

@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "fmt"
 
 // Node is a network element with an address, a static routing table and an
 // optional local transport delivery list. Packets arriving for the node's
@@ -24,8 +20,6 @@ type Node struct {
 	routes []*Port   // slot -> output port, nil = no route
 	local  []binding // per-flow local transport endpoints, scanned in order
 	catch  Handler   // fallback local handler
-	drops  func(p *Packet, at sim.Time)
-	sched  *sim.Scheduler
 }
 
 // binding is one local delivery entry. Hosts bind one flow (mapreduce
@@ -36,8 +30,8 @@ type binding struct {
 }
 
 // NewNode creates a node with the given address.
-func NewNode(sched *sim.Scheduler, addr int) *Node {
-	return &Node{Addr: addr, sched: sched}
+func NewNode(addr int) *Node {
+	return &Node{Addr: addr}
 }
 
 // SetIndex installs the world's address→slot index and an empty routing
@@ -93,16 +87,14 @@ func (n *Node) Bind(flow int, h Handler) {
 // binding exists (e.g. sinks that absorb cross traffic).
 func (n *Node) BindDefault(h Handler) { n.catch = h }
 
-// Reset detaches the per-run wiring — local transport bindings, the
-// catch-all handler and the local-drop observer — while keeping the
-// routing table and index, which depend only on topology structure, and
-// the binding list's capacity. A reset node is ready for the next run's
-// Bind/BindDefault calls.
+// Reset detaches the per-run wiring — local transport bindings and the
+// catch-all handler — while keeping the routing table and index, which
+// depend only on topology structure, and the binding list's capacity. A
+// reset node is ready for the next run's Bind/BindDefault calls.
 func (n *Node) Reset() {
 	clear(n.local)
 	n.local = n.local[:0]
 	n.catch = nil
-	n.drops = nil
 }
 
 // Handle implements Handler: deliver locally or forward.
@@ -116,10 +108,6 @@ func (n *Node) Handle(pkt *Packet) {
 		}
 		if n.catch != nil {
 			n.catch.Handle(pkt)
-			return
-		}
-		if n.drops != nil {
-			n.drops(pkt, n.sched.Now())
 			return
 		}
 		panic(fmt.Sprintf("netsim: node %d: no handler for flow %d", n.Addr, pkt.Flow))

@@ -37,7 +37,7 @@ func newStar(indexed bool) *star {
 		}
 	}
 	mk := func(addr int) *Node {
-		n := NewNode(st.sched, addr)
+		n := NewNode(addr)
 		if indexed {
 			n.SetIndex(index, 1+len(starHosts))
 		}
@@ -85,18 +85,14 @@ func TestNodeForwarding(t *testing.T) {
 		}
 
 		// Local delivery falls from the flow's binding to the default
-		// handler to the drop observer to a panic.
+		// handler to a panic.
 		st := newStar(indexed)
 		h := st.hosts[0]
 		h.Bind(7, st.record(h.Addr, "bound"))
 		h.BindDefault(st.record(h.Addr, "default"))
-		dropped := 0
-		h.drops = func(p *Packet, at sim.Time) { dropped++ }
 		h.Handle(&Packet{ID: 1, Flow: 7, Dst: h.Addr})
 		h.Handle(&Packet{ID: 2, Flow: 9, Dst: h.Addr})
 		h.BindDefault(nil)
-		h.Handle(&Packet{ID: 3, Flow: 9, Dst: h.Addr})
-		h.drops = nil
 		want := fmt.Sprintf("netsim: node %d: no handler for flow 9", h.Addr)
 		if got := panicText(func() { h.Handle(&Packet{ID: 4, Flow: 9, Dst: h.Addr}) }); got != want {
 			t.Errorf("%s: unbound flow: panic %q, want %q", name, got, want)
@@ -112,8 +108,8 @@ func TestNodeForwarding(t *testing.T) {
 			"0.000000000s 1000 rebound flow=7 id=5",
 			"0.000000000s 1000 other flow=8 id=6",
 		}
-		if !reflect.DeepEqual(st.log, wantLog) || dropped != 1 {
-			t.Errorf("%s: local delivery log %q (drops %d), want %q (drops 1)", name, st.log, dropped, wantLog)
+		if !reflect.DeepEqual(st.log, wantLog) {
+			t.Errorf("%s: local delivery log %q, want %q", name, st.log, wantLog)
 		}
 		if len(h.local) != 2 {
 			t.Errorf("%s: %d bindings after a re-Bind, want 2", name, len(h.local))
@@ -169,21 +165,12 @@ func TestNodeForwardingIndexedMatchesHandBuilt(t *testing.T) {
 	}
 }
 
-func TestNodeDefaultHandlerAndDropObserver(t *testing.T) {
-	s := sim.NewScheduler()
-	n := NewNode(s, 5)
+func TestNodeDefaultHandler(t *testing.T) {
+	n := NewNode(5)
 	caught := 0
 	n.BindDefault(HandlerFunc(func(p *Packet) { caught++ }))
 	n.Handle(&Packet{Flow: 9, Dst: 5})
 	if caught != 1 {
 		t.Fatal("default handler not used")
-	}
-
-	n2 := NewNode(s, 6)
-	dropped := 0
-	n2.drops = func(p *Packet, at sim.Time) { dropped++ }
-	n2.Handle(&Packet{Flow: 9, Dst: 6})
-	if dropped != 1 {
-		t.Fatal("local drop observer not used")
 	}
 }

@@ -15,9 +15,8 @@ type Queue interface {
 
 // fifo is the common packet store shared by the queue disciplines.
 type fifo struct {
-	pkts  []*Packet
-	head  int
-	bytes int
+	pkts []*Packet
+	head int
 }
 
 // fifoSeedCap is the initial packet-slice capacity a bounded queue
@@ -40,7 +39,6 @@ func (q *fifo) seed(limit int) {
 
 func (q *fifo) push(p *Packet) {
 	q.pkts = append(q.pkts, p)
-	q.bytes += p.Size
 }
 
 func (q *fifo) pop() *Packet {
@@ -50,7 +48,6 @@ func (q *fifo) pop() *Packet {
 	p := q.pkts[q.head]
 	q.pkts[q.head] = nil
 	q.head++
-	q.bytes -= p.Size
 	// Compact once the dead prefix dominates, keeping amortized O(1).
 	if q.head > 64 && q.head*2 >= len(q.pkts) {
 		n := copy(q.pkts, q.pkts[q.head:])
@@ -71,7 +68,6 @@ func (q *fifo) reset() {
 	}
 	q.pkts = q.pkts[:0]
 	q.head = 0
-	q.bytes = 0
 }
 
 // DropTail is a FIFO queue with a hard packet limit: the discipline the

@@ -6,11 +6,13 @@
 // measurement only when the two traces exhibit similar loss patterns
 // (the paper's §3.1 protocol).
 //
-// A probe is not a packet here. Each one is a send event that asks the
-// path whether it survives and, if it does, a delivery event after the
-// path's one-way delay that marks its slot in the run's receipt table.
-// planetlab.Path ignores packet size, so in this model the 48 B and 400 B
-// runs differ only in when they sample the path, not in how the path
+// A probe is not a packet here. Each one is a single send event: the path
+// decides at the send instant whether the probe survives and, if it does,
+// its one-way delay, and nothing the probe does afterwards feeds back into
+// the path. So the send also decides the arrival: a survivor that lands by
+// the run's horizon is received, anything else is recorded lost there and
+// then. planetlab.Path ignores packet size, so in this model the 48 B and
+// 400 B runs differ only in when they sample the path, not in how the path
 // treats them.
 package probe
 
@@ -47,9 +49,8 @@ type Result struct {
 	Sent     int64
 	Received int64
 
-	// LossSendTimes are the (exactly reconstructed) send times of the lost
-	// probes, in order: the send time of missing probe k is
-	// start + k·interval.
+	// LossSendTimes are the send times of the lost probes, in order: the
+	// send time of missing probe k is exactly start + k·interval.
 	LossSendTimes []sim.Time
 
 	// PathRTT is carried through for RTT normalization in analysis.
@@ -99,8 +100,10 @@ func (r Result) BackToBackFraction() float64 {
 // Probe k leaves at start + k·Interval for every such instant before
 // start + Duration; the first leaves inline, the rest from a send event
 // that re-arms itself. The send due at or after the stop time fires and
-// arms nothing. Deliveries get one RTT plus a second to land; one still
-// queued then counts as lost.
+// arms nothing. Each send decides its probe's arrival: a survivor counts
+// as received when its one-way delay lands it by the horizon, one RTT plus
+// a second after the stop time; a probe the path drops or that would land
+// later is lost. The run leaves no event queued.
 func Run(sched *sim.Scheduler, path *planetlab.Path, cfg RunConfig) Result {
 	if sched == nil || path == nil {
 		panic("probe: Run requires scheduler and path")
@@ -113,14 +116,14 @@ func Run(sched *sim.Scheduler, path *planetlab.Path, cfg RunConfig) Result {
 		panic("probe: Run needs a positive packet size")
 	}
 
-	start := sched.Now()
-	stop := start.Add(cfg.Duration)
-	// One slot per probe the schedule can send; a delivery event carries a
-	// pointer to its probe's slot, so neither callback allocates.
-	received := make([]bool, (cfg.Duration+cfg.Interval-1)/cfg.Interval)
-	deliver := func(slot any) { *slot.(*bool) = true }
+	stop := sched.Now().Add(cfg.Duration)
+	horizon := stop.Add(path.Params.RTT + sim.Second)
+	res := Result{
+		PktSize:  cfg.PktSize,
+		Interval: cfg.Interval,
+		PathRTT:  path.Params.RTT,
+	}
 	var (
-		sent int64
 		next sim.Timer
 		send func()
 	)
@@ -129,32 +132,19 @@ func Run(sched *sim.Scheduler, path *planetlab.Path, cfg RunConfig) Result {
 		if now >= stop {
 			return
 		}
-		if path.Transmit(now) {
-			sched.AfterArg(path.OneWayDelay(), deliver, &received[sent])
+		if path.Transmit(now) && now.Add(path.OneWayDelay()) <= horizon {
+			res.Received++
+		} else {
+			res.LossSendTimes = append(res.LossSendTimes, now)
 		}
-		sent++
+		res.Sent++
 		next = sched.After(cfg.Interval, send)
 	}
 	send()
-	sched.RunUntil(stop.Add(path.Params.RTT + sim.Second))
+	sched.RunUntil(horizon)
 	// An interval longer than the drain leaves the stop-time send queued;
 	// it must not fire in the scheduler's next run.
 	sched.Cancel(next)
-
-	res := Result{
-		PktSize:  cfg.PktSize,
-		Interval: cfg.Interval,
-		Sent:     sent,
-		PathRTT:  path.Params.RTT,
-	}
-	for seq, ok := range received[:sent] {
-		if ok {
-			res.Received++
-		} else {
-			res.LossSendTimes = append(res.LossSendTimes,
-				start.Add(sim.Duration(seq)*cfg.Interval))
-		}
-	}
 	return res
 }
 

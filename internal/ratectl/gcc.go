@@ -127,9 +127,6 @@ func (s *GCCSender) Start() {
 
 func (s *GCCSender) onEmit() {
 	s.timer = sim.Timer{}
-	if !s.running {
-		return
-	}
 	s.pktID++
 	p := s.cfg.Pool.Get()
 	p.ID = s.pktID
@@ -194,9 +191,6 @@ func (s *GCCSender) armNoFeedback() {
 
 func (s *GCCSender) onNoFeedback() {
 	s.nfTimer = sim.Timer{}
-	if !s.running {
-		return
-	}
 	s.rate /= 2
 	if s.rate < s.cfg.MinRate {
 		s.rate = s.cfg.MinRate
@@ -352,9 +346,6 @@ func (r *GCCReceiver) scheduleFirstFeedback() {
 
 func (r *GCCReceiver) onFeedbackTick() {
 	r.fbTimer = sim.Timer{}
-	if !r.running {
-		return
-	}
 	r.sendFeedback()
 	r.fbTimer = r.sched.After(r.cfg.FeedbackInterval, r.fbFn)
 }

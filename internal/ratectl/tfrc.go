@@ -98,9 +98,6 @@ func (s *TFRCSender) Start() {
 }
 
 func (s *TFRCSender) emit() {
-	if !s.running {
-		return
-	}
 	s.pktID++
 	s.out.Handle(&netsim.Packet{
 		ID:        s.pktID,
@@ -178,9 +175,6 @@ func (s *TFRCSender) armNoFeedback() {
 	s.sched.Cancel(s.nfTimer)
 	s.nfTimer = s.sched.After(4*s.rtt, func() {
 		s.nfTimer = sim.Timer{}
-		if !s.running {
-			return
-		}
 		s.rate /= 2
 		s.RateReductions++
 		floor := float64(s.cfg.PktSize) / (8 * s.rtt.Seconds())

@@ -219,7 +219,7 @@ func (p *Program) Instantiate(sched *sim.Scheduler, seed int64) (*Network, error
 		next:  p.next,
 	}
 	for _, ns := range p.spec.Nodes {
-		nd := netsim.NewNode(sched, p.addr[ns.Name])
+		nd := netsim.NewNode(p.addr[ns.Name])
 		nd.SetIndex(p.index, len(p.spec.Nodes))
 		n.nodes[ns.Name] = nd
 	}
