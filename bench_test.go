@@ -26,7 +26,7 @@ const benchSeed = 1
 // 650-path mesh derivation.
 func BenchmarkTable1Sites(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		mesh := planetlab.NewMesh(planetlab.MeshConfig{Seed: 1})
+		mesh := planetlab.NewMesh(1)
 		if len(mesh.Sites) != 26 {
 			b.Fatal("bad mesh")
 		}
@@ -133,7 +133,6 @@ func BenchmarkFigure7(b *testing.B) {
 func BenchmarkFigure8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := core.RunFigure8(core.Fig8Config{
-			Seed:       benchSeed,
 			TotalBytes: 16 << 20,
 			FlowCounts: []int{2, 4, 8, 16, 32},
 			RTTs: []sim.Duration{2 * sim.Millisecond, 10 * sim.Millisecond,

@@ -67,9 +67,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		name string
 		v    float64
 	}{{"-rate-span", *rateSpan}, {"-rtt-span", *rttSpan}, {"-loss-span", *lossSpan}} {
-		if s.v < 0 || s.v >= 1 {
+		if !(s.v >= 0 && s.v < 1) { // NaN fails too
 			return cli.Usagef(stderr, "fleet", "%s must lie in [0, 1), got %v", s.name, s.v)
 		}
+	}
+	if *shards < 0 {
+		return cli.Usagef(stderr, "fleet", "-shards must not be negative, got %d", *shards)
 	}
 	var names []string
 	if *scenario != "all" {

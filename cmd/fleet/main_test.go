@@ -73,6 +73,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"zero worlds", []string{"-worlds", "0"}, "-worlds"},
 		{"span too wide", []string{"-rate-span", "1.0"}, "-rate-span"},
 		{"negative span", []string{"-loss-span", "-0.5"}, "-loss-span"},
+		{"NaN span", []string{"-rate-span", "NaN"}, "-rate-span"},
+		{"negative shards", []string{"-shards", "-5"}, "-shards"},
 		{"warmup past duration", []string{"-duration", "5s", "-warmup", "6s"}, "-warmup"},
 	}
 	for _, tc := range cases {

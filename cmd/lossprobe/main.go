@@ -49,6 +49,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *duration <= 0 || *interval <= 0 {
 		return cli.Usagef(stderr, "lossprobe", "-duration and -interval must be positive")
 	}
+	if *workers < 0 {
+		return cli.Usagef(stderr, "lossprobe", "-workers must not be negative, got %d", *workers)
+	}
 	// -src and -dst name one path together; either one alone would
 	// silently fall back to random paths.
 	srcSet, dstSet := false, false
@@ -60,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cli.Usagef(stderr, "lossprobe", "-src and -dst must be given together")
 	}
 
-	mesh := planetlab.NewMesh(planetlab.MeshConfig{Seed: *seed})
+	mesh := planetlab.NewMesh(*seed)
 	if *list {
 		for i, s := range mesh.Sites {
 			fmt.Fprintf(stdout, "%2d  %-45s %s\n", i, s.Host, s.Location)

@@ -81,6 +81,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"unknown flag", []string{"-no-such-flag"}, "flag provided but not defined"},
 		{"zero paths", []string{"-paths", "0"}, "-paths"},
 		{"zero duration", []string{"-duration", "0s"}, "-duration"},
+		{"negative workers", []string{"-workers", "-2"}, "-workers"},
 		{"src without dst", []string{"-src", "1"}, "-src and -dst"},
 		{"dst without src", []string{"-dst", "2"}, "-src and -dst"},
 		{"negative src", []string{"-src", "-1", "-dst", "2"}, "invalid site pair"},

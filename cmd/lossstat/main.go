@@ -9,6 +9,7 @@ package main
 
 import (
 	"io"
+	"math"
 	"os"
 	"time"
 
@@ -18,6 +19,11 @@ import (
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
+
+// maxBins caps the PDF's bin count, -range/-bin. The histogram holds one
+// 8-byte counter per bin, so the cap bounds what the flags can make the
+// analysis allocate at 8 MB, far beyond any plot's resolution.
+const maxBins = 1 << 20
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -37,11 +43,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *rtt <= 0 {
 		return cli.Usagef(stderr, "lossstat", "-rtt must be positive, got %v", *rtt)
 	}
-	if *bin <= 0 {
-		return cli.Usagef(stderr, "lossstat", "-bin must be positive, got %v", *bin)
+	// Written so that NaN fails each test.
+	if !(*bin > 0) || math.IsInf(*bin, 1) {
+		return cli.Usagef(stderr, "lossstat", "-bin must be positive and finite, got %v", *bin)
 	}
-	if *rng <= *bin {
-		return cli.Usagef(stderr, "lossstat", "-range %v must exceed -bin %v", *rng, *bin)
+	if !(*rng > *bin) || math.IsInf(*rng, 1) {
+		return cli.Usagef(stderr, "lossstat", "-range %v must be finite and exceed -bin %v", *rng, *bin)
+	}
+	if bins := *rng / *bin; !(bins <= maxBins) {
+		return cli.Usagef(stderr, "lossstat", "-range/-bin asks for %.3g bins, above the limit %d", bins, maxBins)
 	}
 	if fs.NArg() != 1 {
 		return cli.Usagef(stderr, "lossstat", "usage: lossstat [flags] trace.csv")

@@ -84,6 +84,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"zero rtt", []string{"-rtt", "0s", "x.csv"}, "-rtt"},
 		{"negative bin", []string{"-bin", "-0.1", "x.csv"}, "-bin"},
 		{"range below bin", []string{"-bin", "0.5", "-range", "0.2", "x.csv"}, "-range"},
+		{"NaN bin", []string{"-bin", "NaN", "x.csv"}, "-bin"},
+		{"infinite bin", []string{"-bin", "+Inf", "x.csv"}, "-bin"},
+		{"NaN range", []string{"-range", "NaN", "x.csv"}, "-range"},
+		{"infinite range", []string{"-range", "+Inf", "x.csv"}, "-range"},
+		// Rejected before any allocation: 1e-9 would ask for 2e9 bins.
+		{"too many bins", []string{"-bin", "1e-9", "x.csv"}, "above the limit"},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer

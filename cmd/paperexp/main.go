@@ -88,6 +88,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *reps < 1 {
 		return cli.Usagef(stderr, "paperexp", "-reps must be at least 1, got %d", *reps)
 	}
+	if *workers < 0 {
+		return cli.Usagef(stderr, "paperexp", "-workers must not be negative, got %d", *workers)
+	}
 	// Profiling hooks, so hot-path work on the experiment drivers starts
 	// from a measured profile instead of a guess:
 	//
@@ -422,7 +425,7 @@ func (e *executor) figure7(w io.Writer) (uint64, error) {
 }
 
 func (e *executor) figure8(w io.Writer) (uint64, error) {
-	cfg := core.Fig8Config{Seed: e.seed, Workers: e.workers}
+	cfg := core.Fig8Config{Workers: e.workers}
 	if e.quick {
 		cfg.TotalBytes = 8 << 20
 		cfg.Runs = 3
@@ -503,7 +506,6 @@ func (e *executor) transfers(w io.Writer) (uint64, error) {
 
 func (e *executor) tcptrace(w io.Writer) (uint64, error) {
 	res, err := tcptrace.Run(tcptrace.Config{
-		Seed:     e.seed,
 		Flows:    16,
 		Duration: e.dur(60*sim.Second, 20*sim.Second),
 	})

@@ -89,6 +89,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"fig unknown among valid", []string{"-fig", "2,3,42"}, "unknown -fig value 42"},
 		{"reps zero", []string{"-fig", "1", "-reps", "0"}, "-reps must be at least 1"},
 		{"reps negative", []string{"-fig", "1", "-reps", "-3"}, "-reps must be at least 1"},
+		{"workers negative", []string{"-fig", "1", "-workers", "-3"}, "-workers must not be negative"},
 		{"unknown scenario", []string{"-scenario", "moebius-strip"}, `unknown scenario "moebius-strip"`},
 		{"unknown scenario among valid", []string{"-scenario", "dumbbell,nope"}, `unknown scenario "nope"`},
 	}
@@ -175,5 +176,38 @@ func TestRunScenarioArtifact(t *testing.T) {
 	}
 	if !strings.Contains(out, "# topology:") || !strings.Contains(out, "frac<0.01RTT") {
 		t.Fatalf("scenario render incomplete:\n%s", out)
+	}
+}
+
+// seedBlind lists the artifacts whose output does not depend on -seed,
+// each with the reason. An artifact that gains a seed must leave the
+// list; TestSeedBlindArtifacts fails until it does.
+var seedBlind = map[string]struct {
+	args []string
+	why  string
+}{
+	"figure8": {[]string{"-fig", "8", "-quick"},
+		"apps.RunParallel draws nothing random; a cell's runs differ only by apps.Sweep's i·25 µs RTT shift"},
+	"xtrace": {[]string{"-xtrace", "-quick"},
+		"tcptrace.Run draws nothing random; its flow RTTs are a fixed ±20% spread and its starts 250 ms apart"},
+}
+
+// TestSeedBlindArtifacts runs each seed-blind artifact at two seeds and
+// requires the same output, timing lines aside.
+func TestSeedBlindArtifacts(t *testing.T) {
+	for name, a := range seedBlind {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			out := func(seed string) string {
+				var stdout, stderr bytes.Buffer
+				if code := run(append([]string{"-seed", seed}, a.args...), &stdout, &stderr); code != 0 {
+					t.Fatalf("-seed %s: exit %d, stderr:\n%s", seed, code, stderr.String())
+				}
+				return stripTimings(stdout.String())
+			}
+			if s1, s2 := out("1"), out("2"); s1 != s2 {
+				t.Fatalf("%s now depends on -seed; drop it from seedBlind (%s):\n%s\nvs\n%s", name, a.why, s1, s2)
+			}
+		})
 	}
 }

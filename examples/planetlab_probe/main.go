@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	mesh := planetlab.NewMesh(planetlab.MeshConfig{Seed: 7})
+	mesh := planetlab.NewMesh(7)
 	pick := sim.NewRand(11)
 
 	fmt.Println("probing 8 random directed paths of the 26-site mesh")

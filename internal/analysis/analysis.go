@@ -16,15 +16,15 @@ import (
 	"repro/internal/trace"
 )
 
+// dispersionWindow is the window, in RTT units, of the index of dispersion.
+const dispersionWindow = 1.0
+
 // Config controls the PDF construction. The defaults are the paper's.
 type Config struct {
 	// BinWidth is the PDF resolution in RTT units (default 0.02).
 	BinWidth float64
 	// MaxInterval is the plotted range in RTT units (default 2.0).
 	MaxInterval float64
-	// DispersionWindow is the window (in RTT units) for the index of
-	// dispersion (default 1.0).
-	DispersionWindow float64
 	// KSReservoir bounds how many intervals a Streaming analyzer retains
 	// for the KS test (default DefaultKSReservoir). Batch Analyze ignores
 	// it — the batch path holds every interval anyway.
@@ -37,9 +37,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxInterval == 0 {
 		c.MaxInterval = 2.0
-	}
-	if c.DispersionWindow == 0 {
-		c.DispersionWindow = 1.0
 	}
 	if c.KSReservoir == 0 {
 		c.KSReservoir = DefaultKSReservoir
@@ -69,7 +66,7 @@ type Report struct {
 	FracBelow025 float64 // < 0.25 RTT
 	FracBelow1   float64 // < 1 RTT
 
-	// IndexOfDispersion of event counts in DispersionWindow-RTT windows;
+	// IndexOfDispersion of event counts in one-RTT windows;
 	// ≈1 for Poisson, ≫1 for bursty processes.
 	IndexOfDispersion float64
 
@@ -128,7 +125,7 @@ func Analyze(times []sim.Time, rtt sim.Duration, cfg Config) (*Report, error) {
 		prev = times[i]
 	}
 
-	r.IndexOfDispersion = stats.IndexOfDispersion(norm, cfg.DispersionWindow)
+	r.IndexOfDispersion = stats.IndexOfDispersion(norm, dispersionWindow)
 	r.fillFromIntervals(cfg)
 	return r, nil
 }

@@ -175,7 +175,7 @@ func TestSummarizeBursts(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	var c Config
 	c.fillDefaults()
-	if c.BinWidth != 0.02 || c.MaxInterval != 2.0 || c.DispersionWindow != 1.0 {
+	if c.BinWidth != 0.02 || c.MaxInterval != 2.0 {
 		t.Fatalf("defaults = %+v", c)
 	}
 	// 100 bins as in the paper.

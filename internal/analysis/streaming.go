@@ -133,7 +133,7 @@ func (s *Streaming) Reset(rtt sim.Duration, cfg Config) error {
 
 	s.n = 0
 	s.last = 0
-	s.disp.Reset(cfg.DispersionWindow)
+	s.disp.Reset(dispersionWindow)
 	s.tally.reset(cfg)
 	return nil
 }

@@ -14,17 +14,14 @@ import (
 // all-to-all shuffle of a MapReduce job. M mapper hosts each transfer a
 // partition to every one of R reducer hosts — M·R simultaneous TCP flows
 // crossing a shared core and contending again on each reducer's access
-// link (the classic incast pattern).
+// link (the classic incast pattern). The core runs at shuffleCoreRate and
+// every host's access link at shuffleAccessRate.
 type ShuffleConfig struct {
 	Mappers  int // default 8
 	Reducers int // default 8
 	// BytesPerPartition is the volume of each mapper→reducer transfer
 	// (default 2 MB).
 	BytesPerPartition int64
-	PktSize           int // default 1000
-
-	CoreRate   int64 // shared core capacity (default 1 Gbps)
-	AccessRate int64 // per-host access capacity (default 100 Mbps)
 
 	// RTT is the base host-to-host round trip (default 10 ms, a
 	// datacenter-ish value scaled up so sub-RTT effects are visible).
@@ -37,6 +34,13 @@ type ShuffleConfig struct {
 	Timeout sim.Duration
 }
 
+// Shuffle link capacities in bits/second: the shared core and each host's
+// access link.
+const (
+	shuffleCoreRate   = 1_000_000_000
+	shuffleAccessRate = 100_000_000
+)
+
 func (c *ShuffleConfig) fillDefaults() {
 	if c.Mappers == 0 {
 		c.Mappers = 8
@@ -46,15 +50,6 @@ func (c *ShuffleConfig) fillDefaults() {
 	}
 	if c.BytesPerPartition == 0 {
 		c.BytesPerPartition = 2 << 20
-	}
-	if c.PktSize == 0 {
-		c.PktSize = 1000
-	}
-	if c.CoreRate == 0 {
-		c.CoreRate = 1_000_000_000
-	}
-	if c.AccessRate == 0 {
-		c.AccessRate = 100_000_000
 	}
 	if c.RTT == 0 {
 		c.RTT = 10 * sim.Millisecond
@@ -97,13 +92,13 @@ func (r ShuffleResult) Normalized() float64 {
 // RTT (four access crossings per round trip). Flow m·Reducers+r carries
 // mapper m's partition to reducer r.
 func shuffleSpec(cfg ShuffleConfig) topo.Spec {
-	coreBuf := max(netsim.BDP(cfg.CoreRate, cfg.RTT, cfg.PktSize)/2, 16)
-	accessBuf := max(netsim.BDP(cfg.AccessRate, cfg.RTT, cfg.PktSize)/2, 16)
-	access := topo.Dir{Rate: cfg.AccessRate, Delay: cfg.RTT / 4, Queue: topo.QueueSpec{Limit: accessBuf}}
+	coreBuf := max(netsim.BDP(shuffleCoreRate, cfg.RTT, pktSize)/2, 16)
+	accessBuf := max(netsim.BDP(shuffleAccessRate, cfg.RTT, pktSize)/2, 16)
+	access := topo.Dir{Rate: shuffleAccessRate, Delay: cfg.RTT / 4, Queue: topo.QueueSpec{Limit: accessBuf}}
 	s := topo.Spec{
 		Name:  "shuffle",
 		Nodes: []topo.NodeSpec{{Name: "L", Addr: 1}, {Name: "R", Addr: 2}},
-		Links: []topo.LinkSpec{{A: "L", B: "R", AB: topo.Dir{Rate: cfg.CoreRate, Queue: topo.QueueSpec{Limit: coreBuf}}}},
+		Links: []topo.LinkSpec{{A: "L", B: "R", AB: topo.Dir{Rate: shuffleCoreRate, Queue: topo.QueueSpec{Limit: coreBuf}}}},
 	}
 	for m := 0; m < cfg.Mappers; m++ {
 		name := fmt.Sprintf("m%d", m)
@@ -137,7 +132,7 @@ func RunShuffle(cfg ShuffleConfig) ShuffleResult {
 	}
 
 	// One TCP flow per (mapper, reducer) pair.
-	pkts := (cfg.BytesPerPartition + int64(cfg.PktSize) - 1) / int64(cfg.PktSize)
+	pkts := (cfg.BytesPerPartition + pktSize - 1) / pktSize
 	remaining := net.NumFlows()
 	done := func(at sim.Time) {
 		remaining--
@@ -148,7 +143,7 @@ func RunShuffle(cfg ShuffleConfig) ShuffleResult {
 	flows := make([]*tcp.Flow, net.NumFlows())
 	for i := range flows {
 		flows[i] = tcp.NewPairFlow(sched, net.FlowSender(i), net.FlowReceiver(i), i+1, tcp.Config{
-			PktSize:      cfg.PktSize,
+			PktSize:      pktSize,
 			TotalPackets: pkts,
 			Paced:        cfg.Paced,
 			InitialRTT:   cfg.RTT,
@@ -164,7 +159,7 @@ func RunShuffle(cfg ShuffleConfig) ShuffleResult {
 	res := ShuffleResult{
 		PerReducer: make([]sim.Duration, cfg.Reducers),
 		LowerBound: sim.Duration(float64(cfg.BytesPerPartition*int64(cfg.Mappers)*8) /
-			float64(cfg.AccessRate) * float64(sim.Second)),
+			float64(shuffleAccessRate) * float64(sim.Second)),
 		Finished: true,
 	}
 	for i, f := range flows {

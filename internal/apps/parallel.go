@@ -15,15 +15,18 @@ import (
 	"repro/internal/topo"
 )
 
-// ParallelConfig describes one parallel-transfer experiment.
+// pktSize is the TCP segment size in bytes of every apps workload.
+const pktSize = 1000
+
+// ParallelConfig describes one parallel-transfer experiment. Its
+// bottleneck buffer is half the bandwidth-delay product, at least 10
+// packets.
 type ParallelConfig struct {
 	// TotalBytes is the data volume split across flows (64 MB in the
 	// paper).
 	TotalBytes int64
 	// Flows is the number of parallel TCP connections.
 	Flows int
-	// PktSize is the TCP segment size in bytes.
-	PktSize int
 	// Paced selects the rate-based implementation for all flows.
 	Paced bool
 	// RTT is each flow's two-way propagation delay (all flows share it,
@@ -31,9 +34,6 @@ type ParallelConfig struct {
 	RTT sim.Duration
 	// BottleneckRate is the shared capacity in bits/second.
 	BottleneckRate int64
-	// Buffer is the bottleneck buffer in packets; 0 derives 1/2 BDP
-	// (min 10).
-	Buffer int
 	// Timeout aborts the run; 0 means 10 minutes of simulated time.
 	Timeout sim.Duration
 }
@@ -45,17 +45,8 @@ func (c *ParallelConfig) fillDefaults() {
 	if c.Flows == 0 {
 		c.Flows = 4
 	}
-	if c.PktSize == 0 {
-		c.PktSize = 1000
-	}
 	if c.BottleneckRate == 0 {
 		c.BottleneckRate = 100_000_000
-	}
-	if c.Buffer == 0 {
-		c.Buffer = netsim.BDP(c.BottleneckRate, c.RTT, c.PktSize) / 2
-		if c.Buffer < 10 {
-			c.Buffer = 10
-		}
 	}
 	if c.Timeout == 0 {
 		c.Timeout = 10 * 60 * sim.Second
@@ -116,10 +107,10 @@ func RunParallel(cfg ParallelConfig, a *exp.Arena) ParallelResult {
 		BottleneckDelay: 0,
 		AccessRate:      10 * cfg.BottleneckRate,
 		AccessDelays:    delays,
-		Buffer:          cfg.Buffer,
+		Buffer:          max(netsim.BDP(cfg.BottleneckRate, cfg.RTT, pktSize)/2, 10),
 	})
 
-	totalPkts := (cfg.TotalBytes + int64(cfg.PktSize) - 1) / int64(cfg.PktSize)
+	totalPkts := (cfg.TotalBytes + pktSize - 1) / pktSize
 	perFlow := totalPkts / int64(cfg.Flows)
 	rem := totalPkts % int64(cfg.Flows)
 	flows := make([]*tcp.Flow, cfg.Flows)
@@ -129,7 +120,7 @@ func RunParallel(cfg ParallelConfig, a *exp.Arena) ParallelResult {
 			quota++
 		}
 		flows[i] = tcp.NewPairFlow(sched, d.SenderNode(i), d.ReceiverNode(i), i+1, tcp.Config{
-			PktSize:      cfg.PktSize,
+			PktSize:      pktSize,
 			TotalPackets: quota,
 			Paced:        cfg.Paced,
 			InitialRTT:   cfg.RTT,

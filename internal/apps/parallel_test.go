@@ -10,7 +10,6 @@ func smallCfg() ParallelConfig {
 	return ParallelConfig{
 		TotalBytes:     4 << 20, // 4 MB keeps tests fast
 		Flows:          4,
-		PktSize:        1000,
 		RTT:            20 * sim.Millisecond,
 		BottleneckRate: 50_000_000,
 	}
@@ -119,12 +118,8 @@ func TestParallelDefaults(t *testing.T) {
 	var c ParallelConfig
 	c.RTT = 50 * sim.Millisecond
 	c.fillDefaults()
-	if c.TotalBytes != 64<<20 || c.Flows != 4 || c.PktSize != 1000 ||
-		c.BottleneckRate != 100_000_000 {
+	if c.TotalBytes != 64<<20 || c.Flows != 4 || c.BottleneckRate != 100_000_000 {
 		t.Fatalf("defaults = %+v", c)
-	}
-	if c.Buffer <= 0 {
-		t.Fatal("buffer not derived")
 	}
 }
 

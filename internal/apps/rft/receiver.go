@@ -131,7 +131,7 @@ func (r *Receiver) Handle(p *netsim.Packet) {
 		// A duplicate after completion means the completion ACK was
 		// lost and the sender is probing; re-ACK (rate-limited) so the
 		// pair converges.
-		if r.complete && now.Sub(r.lastAckAt) >= r.cfg.AckInterval/2 {
+		if r.complete && now.Sub(r.lastAckAt) >= r.cfg.ackInterval()/2 {
 			r.sendAck(now)
 		}
 		return
@@ -162,8 +162,8 @@ func (r *Receiver) Handle(p *netsim.Packet) {
 		r.running = true
 		// Seeded phase jitter, like the GCC feedback cadence, so
 		// co-located transfers spread their reports over the interval.
-		jitter := sim.Duration(uint64(sim.SubSeed(r.cfg.Seed, 1)) % uint64(r.cfg.AckInterval))
-		r.ackTimer = r.sched.After(r.cfg.AckInterval/2+jitter/2, r.ackFn)
+		jitter := sim.Duration(uint64(sim.SubSeed(r.cfg.Seed, 1)) % uint64(r.cfg.ackInterval()))
+		r.ackTimer = r.sched.After(r.cfg.ackInterval()/2+jitter/2, r.ackFn)
 	}
 }
 
@@ -173,7 +173,7 @@ func (r *Receiver) onAckTick() {
 		return
 	}
 	r.sendAck(r.sched.Now())
-	r.ackTimer = r.sched.After(r.cfg.AckInterval, r.ackFn)
+	r.ackTimer = r.sched.After(r.cfg.ackInterval(), r.ackFn)
 }
 
 // sendAck emits one client report: cumulative ACK, distinct count, and

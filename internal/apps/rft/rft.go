@@ -34,9 +34,16 @@ import (
 const DecreaseCoolOff = 6
 
 // acksPerRTT is the nominal client ACK cadence relative to the RTT: the
-// default AckInterval is InitialRTT/acksPerRTT, making DecreaseCoolOff
-// ACKs span 1.5 RTTs.
+// ACK interval is InitialRTT/acksPerRTT, making DecreaseCoolOff ACKs span
+// 1.5 RTTs.
 const acksPerRTT = 4
+
+// The AIMD target starts at initialRate (1 Mbps) and a decrease never
+// takes it below minRate, both in bytes/second.
+const (
+	initialRate = 125_000
+	minRate     = 12_500
+)
 
 // aiChunksPerAck is the additive-increase step in chunks per clean ACK,
 // sized so the rate grows by roughly one chunk per ACK-interval slot of
@@ -71,18 +78,10 @@ type Config struct {
 	// Chunks is the file length in chunks (default 1024).
 	Chunks int64
 
-	// InitialRTT seeds the sender's pacing, retransmission suppression
-	// and the default ACK cadence before the first report (default
-	// 100 ms).
+	// InitialRTT seeds the sender's pacing and retransmission
+	// suppression before the first report, and sets the client ACK
+	// cadence (default 100 ms).
 	InitialRTT sim.Duration
-	// AckInterval is the receiver's client ACK cadence (default
-	// InitialRTT/4, floored at 1 ms).
-	AckInterval sim.Duration
-	// InitialRate is the starting target in bytes/second (default
-	// 125000, i.e. 1 Mbps).
-	InitialRate float64
-	// MinRate floors the target in bytes/second (default 12500).
-	MinRate float64
 	// MaxRate caps the target in bytes/second (default none).
 	MaxRate float64
 	// Seed desynchronizes the receiver's ACK phase, like the GCC
@@ -103,18 +102,12 @@ func (c *Config) fillDefaults() {
 	if c.InitialRTT == 0 {
 		c.InitialRTT = 100 * sim.Millisecond
 	}
-	if c.AckInterval == 0 {
-		c.AckInterval = c.InitialRTT / acksPerRTT
-		if c.AckInterval < sim.Millisecond {
-			c.AckInterval = sim.Millisecond
-		}
-	}
-	if c.InitialRate == 0 {
-		c.InitialRate = 125_000
-	}
-	if c.MinRate == 0 {
-		c.MinRate = 12_500
-	}
+}
+
+// ackInterval is the receiver's client ACK cadence: InitialRTT/acksPerRTT,
+// floored at 1 ms.
+func (c *Config) ackInterval() sim.Duration {
+	return max(c.InitialRTT/acksPerRTT, sim.Millisecond)
 }
 
 // validate rejects configurations the transfer cannot run.
@@ -219,7 +212,7 @@ func NewSender(sched *sim.Scheduler, out netsim.Handler, cfg Config) *Sender {
 // rewindTransfer resets the per-transfer state: rate, RTT estimate, AIMD
 // phase, chunk cursor, resend schedule and suppression clocks.
 func (s *Sender) rewindTransfer() {
-	s.rate = s.cfg.InitialRate
+	s.rate = initialRate
 	s.rtt = s.cfg.InitialRTT
 	s.hasRTT = false
 	s.coolOff = 0
@@ -321,7 +314,7 @@ func (s *Sender) onEmit() {
 		s.send(s.cfg.Chunks-1, true)
 		s.lastAdvance = now
 	}
-	s.timer = s.sched.After(s.cfg.AckInterval, s.emitFn)
+	s.timer = s.sched.After(s.cfg.ackInterval(), s.emitFn)
 }
 
 // send transmits one chunk and stamps its suppression clock.
@@ -405,7 +398,7 @@ func (s *Sender) Handle(p *netsim.Packet) {
 			// inflates with queueing — scale the step down so the growth
 			// stays aiChunksPerAck*acksPerRTT chunks per actual RTT.
 			step := aiChunksPerAck * acksPerRTT * float64(s.cfg.ChunkSize) *
-				float64(s.cfg.AckInterval) / float64(s.rtt)
+				float64(s.cfg.ackInterval()) / float64(s.rtt)
 			s.rate += step
 		}
 		if s.cfg.MaxRate > 0 && s.rate > s.cfg.MaxRate {
@@ -413,10 +406,7 @@ func (s *Sender) Handle(p *netsim.Packet) {
 		}
 	} else {
 		if s.coolOff == 0 && now.Sub(s.lastDecrease) >= s.rtt*3/2 {
-			s.rate /= 2
-			if s.rate < s.cfg.MinRate {
-				s.rate = s.cfg.MinRate
-			}
+			s.rate = max(s.rate/2, minRate)
 			s.coolOff = DecreaseCoolOff
 			s.lastDecrease = now
 			s.slowStart = false

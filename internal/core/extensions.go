@@ -152,13 +152,8 @@ func runECNCoverage(cfg ECNCoverageConfig, mode ECNMode, a *exp.Arena) (*ECNCove
 	// Spread RTTs ±20% around the nominal so flows are not artificially
 	// phase-locked (the paper's scenarios always have RTT diversity). The
 	// world is still sized at, and every flow starts from, the nominal RTT.
-	delays := make([]sim.Duration, cfg.Flows)
-	for i := range delays {
-		frac := 0.8 + 0.4*float64(i)/float64(max(cfg.Flows-1, 1))
-		delays[i] = sim.Duration(frac * float64(extensionRTT) / 2)
-	}
 	p := scenarios.Dumbbell{
-		Delays:        delays,
+		Delays:        netsim.SpreadAccessDelays(cfg.Flows, extensionRTT),
 		RTT:           extensionRTT,
 		BufferBDPFrac: 0.5,
 		Spread:        100 * sim.Millisecond,

@@ -10,6 +10,10 @@ import (
 	"repro/internal/sim"
 )
 
+// fig4MinLosses is the fewest losses a validated path needs to contribute
+// to the aggregate.
+const fig4MinLosses = 5
+
 // Fig4Config reproduces the PlanetLab measurement campaign: CBR probes
 // over randomly picked directed paths of the 26-site mesh, two runs per
 // path (48 B and 400 B) with cross-validation, loss intervals normalized
@@ -24,9 +28,6 @@ type Fig4Config struct {
 	// Duration is the per-run measurement length (default 5 minutes, as
 	// in the paper; benches scale this down).
 	Duration sim.Duration
-	// MinLosses is the minimum number of losses for a path to contribute
-	// to the aggregate (default 5).
-	MinLosses int
 	// Workers bounds how many paths are measured concurrently (each path
 	// is an independent simulated world with its own scheduler and rng
 	// stream, so the result is identical for any worker count); 0 means
@@ -43,9 +44,6 @@ func (c *Fig4Config) fillDefaults() {
 	}
 	if c.Duration == 0 {
 		c.Duration = 5 * 60 * sim.Second
-	}
-	if c.MinLosses == 0 {
-		c.MinLosses = 5
 	}
 }
 
@@ -79,7 +77,7 @@ type pathOutcome struct {
 // arena's analyzer. The aggregate is identical for any worker count.
 func RunFigure4(cfg Fig4Config) (*Fig4Result, error) {
 	cfg.fillDefaults()
-	mesh := planetlab.NewMesh(planetlab.MeshConfig{Seed: cfg.Seed})
+	mesh := planetlab.NewMesh(cfg.Seed)
 	pick := sim.NewRand(sim.SubSeed(cfg.Seed, 21))
 
 	pairs := mesh.RandomPairs(pick, cfg.Paths)
@@ -97,7 +95,7 @@ func RunFigure4(cfg Fig4Config) (*Fig4Result, error) {
 				Duration: cfg.Duration,
 			})
 			out := pathOutcome{valid: m.Valid, events: sched.Fired()}
-			if !m.Valid || len(m.Small.LossSendTimes) < cfg.MinLosses {
+			if !m.Valid || len(m.Small.LossSendTimes) < fig4MinLosses {
 				return out, nil
 			}
 			an, err := a.Analyzer(m.Small.PathRTT, analysis.Config{})

@@ -8,17 +8,16 @@ import (
 )
 
 // Fig8Config reproduces the parallel-transfer latency experiment: a fixed
-// total volume (64 MB) split over N parallel flows at several RTTs, with
-// the completion latency normalized by the theoretic lower bound.
+// total volume (64 MB) split over N window-based flows at several RTTs
+// across the apps package's 100 Mbps bottleneck, with the completion
+// latency normalized by the theoretic lower bound. The experiment draws
+// nothing random, so it takes no seed: its runs differ only by the
+// deterministic RTT shift apps.Sweep applies.
 type Fig8Config struct {
-	Seed           int64
-	TotalBytes     int64          // default 64 MB
-	FlowCounts     []int          // default {2,4,8,16,32}
-	RTTs           []sim.Duration // default {2,10,50,200} ms
-	BottleneckRate int64          // default 100 Mbps
-	PktSize        int            // default 1000
-	Runs           int            // perturbed repetitions per cell (default 5)
-	Paced          bool           // run the rate-based variant instead
+	TotalBytes int64          // default 64 MB
+	FlowCounts []int          // default {2,4,8,16,32}
+	RTTs       []sim.Duration // default {2,10,50,200} ms
+	Runs       int            // perturbed repetitions per cell (default 5)
 	// Workers bounds how many grid cells run concurrently (each cell is a
 	// set of independent simulated worlds, so the surface is identical for
 	// any worker count); 0 means GOMAXPROCS.
@@ -37,12 +36,6 @@ func (c *Fig8Config) fillDefaults() {
 			2 * sim.Millisecond, 10 * sim.Millisecond,
 			50 * sim.Millisecond, 200 * sim.Millisecond,
 		}
-	}
-	if c.BottleneckRate == 0 {
-		c.BottleneckRate = 100_000_000
-	}
-	if c.PktSize == 0 {
-		c.PktSize = 1000
 	}
 	if c.Runs == 0 {
 		c.Runs = 5
@@ -90,18 +83,15 @@ func RunFigure8(cfg Fig8Config) *Fig8Result {
 		}
 	}
 
-	results := exp.Sweep(exp.Options{Seed: cfg.Seed, Workers: cfg.Workers}, grid,
+	results := exp.Sweep(exp.Options{Workers: cfg.Workers}, grid,
 		func(r exp.Run[cellCfg], a *exp.Arena) (Fig8Cell, error) {
 			// Every run of every cell this worker executes reuses one
 			// scheduler freelist, one packet population and (per flow
 			// count) one cached dumbbell world from the arena.
 			vals, events := apps.Sweep(apps.ParallelConfig{
-				TotalBytes:     cfg.TotalBytes,
-				Flows:          r.Config.flows,
-				PktSize:        cfg.PktSize,
-				RTT:            r.Config.rtt,
-				BottleneckRate: cfg.BottleneckRate,
-				Paced:          cfg.Paced,
+				TotalBytes: cfg.TotalBytes,
+				Flows:      r.Config.flows,
+				RTT:        r.Config.rtt,
 			}, cfg.Runs, a)
 			s := stats.Summarize(vals)
 			return Fig8Cell{

@@ -342,7 +342,6 @@ func TestSweepFigure7DeficitEstimate(t *testing.T) {
 func TestRunFigure8LatencySurface(t *testing.T) {
 	t.Parallel()
 	cfg := Fig8Config{
-		Seed:       5,
 		TotalBytes: 8 << 20, // 8 MB keeps the test quick
 		FlowCounts: []int{2, 8},
 		RTTs:       []sim.Duration{10 * sim.Millisecond, 200 * sim.Millisecond},
@@ -379,7 +378,6 @@ func TestRunFigure8LatencySurface(t *testing.T) {
 func TestRunFigure8WorkerInvariance(t *testing.T) {
 	t.Parallel()
 	cfg := Fig8Config{
-		Seed:       6,
 		TotalBytes: 2 << 20,
 		FlowCounts: []int{2, 4},
 		RTTs:       []sim.Duration{10 * sim.Millisecond, 50 * sim.Millisecond},

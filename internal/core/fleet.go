@@ -34,8 +34,6 @@ type FleetConfig struct {
 	// flows is thousands of small worlds, not hundreds of huge ones.
 	Duration sim.Duration
 	Warmup   sim.Duration
-	// PktSize is the transport segment size (scenario default when zero).
-	PktSize int
 
 	// RateSpan, RTTSpan and LossSpan widen each scenario from a point to a
 	// parameter neighborhood: world i draws its topo jitter scales
@@ -250,7 +248,6 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 				Seed:      seed,
 				Duration:  cfg.Duration,
 				Warmup:    cfg.Warmup,
-				PktSize:   cfg.PktSize,
 				RateScale: jitterScale(seed, fleetTagRate, cfg.RateSpan),
 				RTTScale:  jitterScale(seed, fleetTagRTT, cfg.RTTSpan),
 				LossScale: jitterScale(seed, fleetTagLoss, cfg.LossSpan),

@@ -37,8 +37,6 @@ type DumbbellConfig struct {
 	// queue for the ECN ablation). When nil, a DropTail of size Buffer is
 	// used.
 	Queue Queue
-	// ReverseQueue optionally overrides the reverse-path bottleneck queue.
-	ReverseQueue Queue
 }
 
 // Endpoint addressing scheme: senders are 1000+i, receivers are 2000+i,
@@ -78,6 +76,18 @@ func RandomAccessDelays(rng *rand.Rand, n int, lo, hi sim.Duration) []sim.Durati
 	out := make([]sim.Duration, n)
 	for i := range out {
 		out[i] = lo + sim.Duration(rng.Int63n(int64(hi-lo)+1))
+	}
+	return out
+}
+
+// SpreadAccessDelays gives n endpoint pairs access latencies whose RTTs
+// spread evenly over ±20% of rtt, so flows are not artificially
+// phase-locked: pair i gets (0.8 + 0.4·i/max(n−1, 1))·rtt/2.
+func SpreadAccessDelays(n int, rtt sim.Duration) []sim.Duration {
+	out := make([]sim.Duration, n)
+	for i := range out {
+		frac := 0.8 + 0.4*float64(i)/float64(max(n-1, 1))
+		out[i] = sim.Duration(frac * float64(rtt) / 2)
 	}
 	return out
 }

@@ -25,7 +25,6 @@ type modProgram uint8
 
 const (
 	modSteps modProgram = iota
-	modOscillate
 	modWalk
 )
 
@@ -55,15 +54,12 @@ type LinkModulator struct {
 	idx       int
 	loopEvery sim.Duration // 0 = run the schedule once
 
-	// Oscillation and random walk share the bounds and tick interval.
+	// Random walk.
 	min, max int64
 	interval sim.Duration
-	period   sim.Duration // oscillation only
-
-	// Random walk.
-	rng     *rand.Rand
-	logStep float64
-	cur     float64
+	rng      *rand.Rand
+	logStep  float64
+	cur      float64
 
 	base    sim.Time // Start time (advanced by loopEvery on each wrap)
 	tick    func()   // created once; every retune re-arms it
@@ -101,23 +97,6 @@ func NewStepModulator(sched *sim.Scheduler, link *Link, steps []RateStep, loopEv
 	}
 	m.steps = steps
 	m.loopEvery = loopEvery
-	return m
-}
-
-// NewOscillator builds a sampled-sinusoid rate schedule: every interval the
-// link rate is set to the sinusoid through [min, max] with the given
-// period. Bounds must satisfy 0 < min ≤ max; period and interval must be
-// positive. The modulator is inert until Start.
-func NewOscillator(sched *sim.Scheduler, link *Link, min, max int64, period, interval sim.Duration) *LinkModulator {
-	m := newModulator(sched, link, modOscillate)
-	if min <= 0 || max < min {
-		panic(fmt.Sprintf("netsim: oscillator bounds [%d, %d] invalid", min, max))
-	}
-	if period <= 0 || interval <= 0 {
-		panic("netsim: oscillator period and interval must be positive")
-	}
-	m.min, m.max = min, max
-	m.period, m.interval = period, interval
 	return m
 }
 
@@ -159,9 +138,9 @@ func newModulator(sched *sim.Scheduler, link *Link, p modProgram) *LinkModulator
 }
 
 // Start arms the schedule at the current simulated time: step schedules
-// fire their first entry at its offset from now, oscillators and walks
-// tick an interval from now (the link keeps its configured rate until
-// then). Starting twice panics.
+// fire their first entry at its offset from now, walks tick an interval
+// from now (the link keeps its configured rate until then). Starting
+// twice panics.
 func (m *LinkModulator) Start() {
 	if m.started {
 		panic("netsim: modulator started twice")
@@ -194,13 +173,6 @@ func (m *LinkModulator) onTick() {
 			m.base = m.base.Add(m.loopEvery)
 		}
 		m.timer = m.sched.Rearm(m.base.Add(m.steps[m.idx].At))
-	case modOscillate:
-		elapsed := m.sched.Now() - m.base
-		phase := 2 * math.Pi * float64(elapsed) / float64(m.period)
-		mid := float64(m.min+m.max) / 2
-		amp := float64(m.max-m.min) / 2
-		m.setRate(mid + amp*math.Sin(phase))
-		m.timer = m.sched.Rearm(m.sched.Now().Add(m.interval))
 	case modWalk:
 		u := 2*m.rng.Float64() - 1
 		m.cur = clampF(m.cur*math.Exp(u*m.logStep), float64(m.min), float64(m.max))

@@ -70,31 +70,6 @@ func TestStepModulatorLoops(t *testing.T) {
 	}
 }
 
-// TestOscillatorStaysInBounds samples a full period and checks the rate
-// tracks the sinusoid: bounded, above the midpoint in the first
-// half-period, below it in the second.
-func TestOscillatorBounds(t *testing.T) {
-	s := sim.NewScheduler()
-	l := testLink(discard())
-	const min, max = 4_000_000, 20_000_000
-	m := NewOscillator(s, l, min, max, 4*sim.Second, 100*sim.Millisecond)
-	m.Start()
-
-	mid := int64((min + max) / 2)
-	for i := 1; i <= 40; i++ {
-		s.RunUntil(sim.Time(sim.Duration(i) * 100 * sim.Millisecond))
-		if l.Rate < min || l.Rate > max {
-			t.Fatalf("tick %d: rate %d outside [%d, %d]", i, l.Rate, min, max)
-		}
-		if i > 2 && i < 18 && l.Rate <= mid {
-			t.Fatalf("tick %d: rate %d not in the sinusoid's upper half", i, l.Rate)
-		}
-		if i > 22 && i < 38 && l.Rate >= mid {
-			t.Fatalf("tick %d: rate %d not in the sinusoid's lower half", i, l.Rate)
-		}
-	}
-}
-
 // TestRandomWalk: bounded, seeded-deterministic, and actually moving.
 func TestRandomWalk(t *testing.T) {
 	walk := func(seed int64) []int64 {
@@ -295,14 +270,13 @@ func TestModulatorValidation(t *testing.T) {
 		"short loop": func() {
 			NewStepModulator(s, l, []RateStep{{At: 2 * sim.Second, Rate: 1}}, sim.Second)
 		},
-		"osc bounds":    func() { NewOscillator(s, l, 10, 5, sim.Second, sim.Second) },
-		"osc period":    func() { NewOscillator(s, l, 1, 2, 0, sim.Second) },
+		"walk bounds":   func() { NewRandomWalk(s, l, 10, 5, 1.5, sim.Second, rng) },
 		"walk factor":   func() { NewRandomWalk(s, l, 1, 2, 1.0, sim.Second, rng) },
 		"walk nil rng":  func() { NewRandomWalk(s, l, 1, 2, 1.5, sim.Second, nil) },
 		"walk interval": func() { NewRandomWalk(s, l, 1, 2, 1.5, 0, rng) },
-		"nil link":      func() { NewOscillator(s, nil, 1, 2, sim.Second, sim.Second) },
+		"nil link":      func() { NewRandomWalk(s, nil, 1, 2, 1.5, sim.Second, rng) },
 		"double start": func() {
-			m := NewOscillator(sim.NewScheduler(), testLink(discard()), 1, 2, sim.Second, sim.Second)
+			m := NewRandomWalk(sim.NewScheduler(), testLink(discard()), 1, 2, 1.5, sim.Second, rng)
 			m.Start()
 			m.Start()
 		},

@@ -184,22 +184,6 @@ func TestREDAboveMaxThDropsAll(t *testing.T) {
 	}
 }
 
-func TestREDGentleRegion(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	gentle := NewRED(REDConfig{Limit: 10000, MinTh: 5, MaxTh: 10, MaxP: 0.1, Gentle: true}, rng)
-	accepted := 0
-	for i := 0; i < 2000; i++ {
-		if gentle.Enqueue(mkPkt(uint64(i), 100)) {
-			accepted++
-		}
-	}
-	// Gentle RED should accept noticeably more than zero once avg passes
-	// maxTh (plain RED would drop every arrival there).
-	if accepted < 20 {
-		t.Fatalf("gentle RED accepted only %d", accepted)
-	}
-}
-
 func TestREDECNMarksInsteadOfDropping(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	q := NewRED(REDConfig{Limit: 10000, MinTh: 2, MaxTh: 6, MaxP: 0.5, ECN: true}, rng)

@@ -17,13 +17,8 @@ type RED struct {
 	MinTh float64 // lower average-queue threshold, packets
 	MaxTh float64 // upper average-queue threshold, packets
 	MaxP  float64 // drop probability at MaxTh
-	Wq    float64 // EWMA weight for the average queue size
+	Wq    float64 // EWMA weight for the average queue size (Floyd's 0.002)
 	ECN   bool    // mark ECN-capable packets instead of dropping
-
-	// Gentle enables the "gentle RED" variant: between maxTh and 2·maxTh
-	// the drop probability rises linearly from MaxP to 1 instead of jumping
-	// to 1, which reduces parameter sensitivity.
-	Gentle bool
 
 	// PersistMark implements the persistent-ECN extension the paper
 	// proposes (its reference [22]): once a mark or drop decision fires,
@@ -48,15 +43,14 @@ type RED struct {
 }
 
 // REDConfig carries the tunables for NewRED. Zero fields get the defaults
-// recommended by Floyd: wq=0.002, maxP=0.1, minTh=5, maxTh=3·minTh.
+// recommended by Floyd: maxP=0.1, minTh=5, maxTh=3·minTh; the EWMA weight
+// is always Floyd's wq=0.002.
 type REDConfig struct {
-	Limit  int
-	MinTh  float64
-	MaxTh  float64
-	MaxP   float64
-	Wq     float64
-	ECN    bool
-	Gentle bool
+	Limit int
+	MinTh float64
+	MaxTh float64
+	MaxP  float64
+	ECN   bool
 	// PacketsPerSecond is the drain rate of the attached link in packets,
 	// used to decay the average queue size across idle periods. Optional.
 	PacketsPerSecond float64
@@ -80,17 +74,13 @@ func NewRED(cfg REDConfig, rng *rand.Rand) *RED {
 		MinTh:       cfg.MinTh,
 		MaxTh:       cfg.MaxTh,
 		MaxP:        cfg.MaxP,
-		Wq:          cfg.Wq,
+		Wq:          0.002,
 		ECN:         cfg.ECN,
-		Gentle:      cfg.Gentle,
 		PersistMark: cfg.PersistMark,
 		rng:         rng,
 		ptc:         cfg.PacketsPerSecond,
 	}
 	q.seed(cfg.Limit)
-	if q.Wq == 0 {
-		q.Wq = 0.002
-	}
 	if q.MaxP == 0 {
 		q.MaxP = 0.1
 	}
@@ -119,14 +109,10 @@ func (q *RED) Reset(cfg REDConfig, seed int64) {
 	q.MinTh = cfg.MinTh
 	q.MaxTh = cfg.MaxTh
 	q.MaxP = cfg.MaxP
-	q.Wq = cfg.Wq
+	q.Wq = 0.002
 	q.ECN = cfg.ECN
-	q.Gentle = cfg.Gentle
 	q.PersistMark = cfg.PersistMark
 	q.ptc = cfg.PacketsPerSecond
-	if q.Wq == 0 {
-		q.Wq = 0.002
-	}
 	if q.MaxP == 0 {
 		q.MaxP = 0.1
 	}
@@ -194,10 +180,6 @@ func (q *RED) Enqueue(p *Packet) bool {
 	case q.avg < q.MaxTh:
 		q.count++
 		pb := q.MaxP * (q.avg - q.MinTh) / (q.MaxTh - q.MinTh)
-		drop = q.uniformized(pb)
-	case q.Gentle && q.avg < 2*q.MaxTh:
-		q.count++
-		pb := q.MaxP + (1-q.MaxP)*(q.avg-q.MaxTh)/q.MaxTh
 		drop = q.uniformized(pb)
 	default:
 		q.count = 0

@@ -6,69 +6,46 @@ import (
 	"repro/internal/sim"
 )
 
-// MeshConfig controls the synthetic mesh derivation.
-type MeshConfig struct {
-	// Seed determines every per-path parameter.
-	Seed int64
-	// RouteInflation multiplies great-circle propagation time to account
-	// for indirect fiber routes (default 1.7).
-	RouteInflation float64
-	// MinRTT clamps path RTTs from below (default 2 ms, the paper's
-	// minimum).
-	MinRTT sim.Duration
-	// MaxRTT clamps from above (default 350 ms; the paper saw >300 ms).
-	MaxRTT sim.Duration
-}
-
-func (c *MeshConfig) fillDefaults() {
-	if c.RouteInflation == 0 {
-		c.RouteInflation = 1.7
-	}
-	if c.MinRTT == 0 {
-		c.MinRTT = 2 * sim.Millisecond
-	}
-	if c.MaxRTT == 0 {
-		c.MaxRTT = 350 * sim.Millisecond
-	}
-}
+// Path derivation constants: great-circle propagation time is inflated by
+// routeInflation for indirect fiber routes, and path RTTs are clamped to
+// [minRTT, maxRTT] (the paper's minimum was 2 ms, and it saw >300 ms).
+const (
+	routeInflation = 1.7
+	minRTT         = 2 * sim.Millisecond
+	maxRTT         = 350 * sim.Millisecond
+)
 
 // Mesh is the synthetic testbed over the paper's 26 sites. It holds only
-// the sites and the configuration: each of the 650 directed paths is
+// the sites and the seed: each of the 650 directed paths is
 // derived on demand, a pure function of the seed and the site pair, so a
 // mesh costs nothing for the paths nobody asks for and is safe to share
 // across goroutines.
 type Mesh struct {
 	Sites []Site
-	cfg   MeshConfig
+	seed  int64
 }
 
 // NewMesh returns the mesh over the paper's 26 sites; paths are derived
-// when asked for.
-func NewMesh(cfg MeshConfig) *Mesh {
-	cfg.fillDefaults()
-	return &Mesh{Sites: Sites(), cfg: cfg}
+// when asked for, and seed determines every per-path parameter.
+func NewMesh(seed int64) *Mesh {
+	return &Mesh{Sites: Sites(), seed: seed}
 }
 
 // derivePath computes deterministic per-path parameters from the seed and
 // the site pair.
 func (m *Mesh) derivePath(i, j int) PathParams {
-	rng := rand.New(rand.NewSource(sim.SubSeed(m.cfg.Seed, int64(i*1000+j))))
+	rng := rand.New(rand.NewSource(sim.SubSeed(m.seed, int64(i*1000+j))))
 
 	a, b := m.Sites[i], m.Sites[j]
 	km := GreatCircleKm(a.Lat, a.Lon, b.Lat, b.Lon)
 	// Light in fiber ≈ 200,000 km/s; inflate for route indirection, then
 	// add a path-specific extra of up to +60% for queueing/peering.
-	propSec := km / 200000.0 * m.cfg.RouteInflation
+	propSec := km / 200000.0 * routeInflation
 	rtt := sim.Duration(2 * propSec * float64(sim.Second))
 	rtt += sim.Duration(rng.Float64() * 0.6 * float64(rtt))
 	// Same-metro pairs still have a couple of ms.
 	rtt += sim.Duration(2+rng.Intn(4)) * sim.Millisecond
-	if rtt < m.cfg.MinRTT {
-		rtt = m.cfg.MinRTT
-	}
-	if rtt > m.cfg.MaxRTT {
-		rtt = m.cfg.MaxRTT
-	}
+	rtt = min(max(rtt, minRTT), maxRTT)
 
 	// Congestion-episode parameters. Episode durations are tied to the
 	// path RTT (drop bursts last a fraction of the bottleneck's RTT —
@@ -105,7 +82,7 @@ func (m *Mesh) PathParams(i, j int) PathParams {
 // independent, deterministic random stream.
 func (m *Mesh) NewPathProcess(i, j int) *Path {
 	params := m.PathParams(i, j)
-	rng := rand.New(rand.NewSource(sim.SubSeed(m.cfg.Seed+1, int64(i*1000+j))))
+	rng := rand.New(rand.NewSource(sim.SubSeed(m.seed+1, int64(i*1000+j))))
 	return NewPath(params, rng)
 }
 

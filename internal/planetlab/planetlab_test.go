@@ -55,7 +55,7 @@ func TestGreatCircle(t *testing.T) {
 }
 
 func TestMeshRTTRange(t *testing.T) {
-	m := NewMesh(MeshConfig{Seed: 42})
+	m := NewMesh(42)
 	var rtts []sim.Duration
 	for i := range m.Sites {
 		for j := range m.Sites {
@@ -86,9 +86,9 @@ func TestMeshRTTRange(t *testing.T) {
 }
 
 func TestMeshDeterministic(t *testing.T) {
-	a := NewMesh(MeshConfig{Seed: 7})
-	b := NewMesh(MeshConfig{Seed: 7})
-	c := NewMesh(MeshConfig{Seed: 8})
+	a := NewMesh(7)
+	b := NewMesh(7)
+	c := NewMesh(8)
 	if a.PathParams(0, 1) != b.PathParams(0, 1) {
 		t.Fatal("same seed, different params")
 	}
@@ -107,7 +107,7 @@ func TestMeshDeterministic(t *testing.T) {
 }
 
 func TestMeshSelfPathPanics(t *testing.T) {
-	m := NewMesh(MeshConfig{Seed: 1})
+	m := NewMesh(1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
@@ -117,7 +117,7 @@ func TestMeshSelfPathPanics(t *testing.T) {
 }
 
 func TestMeshRandomPair(t *testing.T) {
-	m := NewMesh(MeshConfig{Seed: 1})
+	m := NewMesh(1)
 	rng := sim.NewRand(5)
 	for k := 0; k < 1000; k++ {
 		i, j := m.RandomPair(rng)
@@ -241,7 +241,7 @@ func TestPathOneWayDelay(t *testing.T) {
 }
 
 func TestMeshEpisodeDurationsSubRTT(t *testing.T) {
-	m := NewMesh(MeshConfig{Seed: 9})
+	m := NewMesh(9)
 	for i := 0; i < 26; i++ {
 		for j := 0; j < 26; j++ {
 			if i == j {
@@ -257,7 +257,7 @@ func TestMeshEpisodeDurationsSubRTT(t *testing.T) {
 }
 
 func TestRandomPairsDistinctAndCapped(t *testing.T) {
-	m := NewMesh(MeshConfig{Seed: 1})
+	m := NewMesh(1)
 	rng := rand.New(rand.NewSource(7))
 	pairs := m.RandomPairs(rng, 10)
 	seen := map[[2]int]bool{}
@@ -291,7 +291,7 @@ func TestMeshPinned(t *testing.T) {
 		seed int64
 		want uint64
 	}{{1, 0x4fc988f99a7e21d4}, {7, 0xb44698e3cf221f1e}} {
-		m := NewMesh(MeshConfig{Seed: c.seed})
+		m := NewMesh(c.seed)
 		h := fnv.New64a()
 		var buf [8]byte
 		fold := func(v uint64) {
@@ -319,7 +319,7 @@ func TestMeshPinned(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		m := NewMesh(MeshConfig{Seed: 1})
+		m := NewMesh(1)
 		for k := 0; k < 8; k++ {
 			m.PathParams(k, k+1)
 		}

@@ -18,7 +18,7 @@ import (
 // Results (the fold without the fired count) are those of the earlier
 // prober that armed a delivery event per surviving probe.
 func TestRunPinned(t *testing.T) {
-	mesh := planetlab.NewMesh(planetlab.MeshConfig{Seed: 1})
+	mesh := planetlab.NewMesh(1)
 	meshPath := func(i, j int) func() *planetlab.Path {
 		return func() *planetlab.Path { return mesh.NewPathProcess(i, j) }
 	}

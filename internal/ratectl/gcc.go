@@ -29,15 +29,6 @@ type GCCConfig struct {
 	// InitialRTT seeds the sender's pacing before the first feedback
 	// (default 100 ms).
 	InitialRTT sim.Duration
-	// InitialRate is the starting target in bytes/second (default 125000,
-	// i.e. 1 Mbps).
-	InitialRate float64
-	// MinRate floors the target in bytes/second (default 12500).
-	MinRate float64
-	// MaxRate caps the target in bytes/second (default none).
-	MaxRate float64
-	// FeedbackInterval is the receiver's report cadence (default 100 ms).
-	FeedbackInterval sim.Duration
 	// Estimator selects the delay-gradient filter (default Kalman).
 	Estimator EstimatorKind
 	// Seed desynchronizes the flow's feedback phase: the first report is
@@ -50,21 +41,21 @@ type GCCConfig struct {
 	Pool *netsim.PacketPool
 }
 
+// GCC rate constants: the target starts at gccInitialRate (1 Mbps) and
+// never falls below gccMinRate, both in bytes/second, and has no cap; the
+// receiver reports every gccFeedbackInterval.
+const (
+	gccInitialRate      = 125_000
+	gccMinRate          = 12_500
+	gccFeedbackInterval = 50 * sim.Millisecond
+)
+
 func (c *GCCConfig) fillDefaults() {
 	if c.PktSize == 0 {
 		c.PktSize = 1000
 	}
 	if c.InitialRTT == 0 {
 		c.InitialRTT = 100 * sim.Millisecond
-	}
-	if c.InitialRate == 0 {
-		c.InitialRate = 125_000
-	}
-	if c.MinRate == 0 {
-		c.MinRate = 12_500
-	}
-	if c.FeedbackInterval == 0 {
-		c.FeedbackInterval = 50 * sim.Millisecond
 	}
 }
 
@@ -108,7 +99,7 @@ func NewGCCSender(sched *sim.Scheduler, out netsim.Handler, cfg GCCConfig) *GCCS
 		panic("ratectl: NewGCCSender requires scheduler and output")
 	}
 	cfg.fillDefaults()
-	s := &GCCSender{sched: sched, out: out, cfg: cfg, rate: cfg.InitialRate, rtt: cfg.InitialRTT}
+	s := &GCCSender{sched: sched, out: out, cfg: cfg, rate: gccInitialRate, rtt: cfg.InitialRTT}
 	s.emitFn = s.onEmit
 	s.nfFn = s.onNoFeedback
 	s.startFn = s.Start
@@ -167,14 +158,7 @@ func (s *GCCSender) Handle(p *netsim.Packet) {
 		}
 	}
 
-	rate := fb.TargetRate
-	if rate < s.cfg.MinRate {
-		rate = s.cfg.MinRate
-	}
-	if s.cfg.MaxRate > 0 && rate > s.cfg.MaxRate {
-		rate = s.cfg.MaxRate
-	}
-	s.rate = rate
+	s.rate = max(fb.TargetRate, gccMinRate)
 	if s.OnRate != nil {
 		s.OnRate(s.rate, s.sched.Now())
 	}
@@ -186,15 +170,12 @@ func (s *GCCSender) Handle(p *netsim.Packet) {
 // so a sender cannot keep blasting a dead path at its last known target.
 func (s *GCCSender) armNoFeedback() {
 	s.sched.Cancel(s.nfTimer)
-	s.nfTimer = s.sched.After(8*s.cfg.FeedbackInterval, s.nfFn)
+	s.nfTimer = s.sched.After(8*gccFeedbackInterval, s.nfFn)
 }
 
 func (s *GCCSender) onNoFeedback() {
 	s.nfTimer = sim.Timer{}
-	s.rate /= 2
-	if s.rate < s.cfg.MinRate {
-		s.rate = s.cfg.MinRate
-	}
+	s.rate = max(s.rate/2, gccMinRate)
 	if s.OnRate != nil {
 		s.OnRate(s.rate, s.sched.Now())
 	}
@@ -273,8 +254,8 @@ func NewGCCReceiver(sched *sim.Scheduler, out netsim.Handler, cfg GCCConfig) *GC
 		r.est = &r.kalman
 	}
 	r.det.Reset()
-	r.aimd.Reset(cfg.InitialRate, cfg.MinRate, cfg.MaxRate)
-	r.lossCtl.Reset(cfg.InitialRate, cfg.MinRate, cfg.MaxRate)
+	r.aimd.Reset(gccInitialRate, gccMinRate, 0)
+	r.lossCtl.Reset(gccInitialRate, gccMinRate, 0)
 	return r
 }
 
@@ -340,14 +321,14 @@ func (r *GCCReceiver) Handle(p *netsim.Packet) {
 // scheduleFirstFeedback arms the report timer with the seeded phase
 // jitter, so co-located flows spread their reports over the interval.
 func (r *GCCReceiver) scheduleFirstFeedback() {
-	jitter := sim.Duration(uint64(sim.SubSeed(r.cfg.Seed, 1)) % uint64(r.cfg.FeedbackInterval))
-	r.fbTimer = r.sched.After(r.cfg.FeedbackInterval/2+jitter/2, r.fbFn)
+	jitter := sim.Duration(uint64(sim.SubSeed(r.cfg.Seed, 1)) % uint64(gccFeedbackInterval))
+	r.fbTimer = r.sched.After(gccFeedbackInterval/2+jitter/2, r.fbFn)
 }
 
 func (r *GCCReceiver) onFeedbackTick() {
 	r.fbTimer = sim.Timer{}
 	r.sendFeedback()
-	r.fbTimer = r.sched.After(r.cfg.FeedbackInterval, r.fbFn)
+	r.fbTimer = r.sched.After(gccFeedbackInterval, r.fbFn)
 }
 
 func (r *GCCReceiver) sendFeedback() {

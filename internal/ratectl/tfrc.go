@@ -20,8 +20,6 @@ type TFRCConfig struct {
 
 	// InitialRTT seeds the rate before the first feedback (default 100 ms).
 	InitialRTT sim.Duration
-	// MaxRate caps the sending rate in bytes/second (default none).
-	MaxRate float64
 }
 
 func (c *TFRCConfig) fillDefaults() {
@@ -158,13 +156,10 @@ func (s *TFRCSender) Handle(p *netsim.Packet) {
 		}
 		s.rate = x
 	}
-	// Never fall below one packet per 8 RTTs or exceed the configured cap.
+	// Never fall below one packet per 8 RTTs.
 	floor := float64(s.cfg.PktSize) / (8 * r)
 	if s.rate < floor {
 		s.rate = floor
-	}
-	if s.cfg.MaxRate > 0 && s.rate > s.cfg.MaxRate {
-		s.rate = s.cfg.MaxRate
 	}
 	s.armNoFeedback()
 }

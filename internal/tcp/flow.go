@@ -20,7 +20,7 @@ func NewPairFlow(sched *sim.Scheduler, snd, rcv *netsim.Node, flowID int, cfg Co
 	cfg.Dst = rcv.Addr
 
 	s := NewSender(sched, snd, cfg)
-	r := NewReceiver(sched, rcv, flowID, cfg.Dst, cfg.Src, cfg.AckSize)
+	r := NewReceiver(sched, rcv, flowID, cfg.Dst, cfg.Src)
 	r.SetPool(cfg.Pool)
 	rcv.Bind(flowID, r)
 	snd.Bind(flowID, s)

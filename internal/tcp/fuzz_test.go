@@ -86,7 +86,7 @@ func FuzzReceiverWindow(f *testing.F) {
 		sched := sim.NewScheduler()
 		var got *netsim.Packet
 		out := netsim.HandlerFunc(func(p *netsim.Packet) { got = p })
-		r := NewReceiver(sched, out, 1, 200, 100, 40)
+		r := NewReceiver(sched, out, 1, 200, 100)
 		ref := &refReceiver{ooo: make(map[int64]bool)}
 		var last int64 // most recent ahead-of-point sequence
 

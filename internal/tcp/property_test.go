@@ -41,7 +41,7 @@ func newLossyPipe(cfg Config, drop func(seq int64, nth int) bool) *lossyPipe {
 		p.sched.After(delay, func() { p.snd.Handle(pkt) })
 	})
 	p.snd = NewSender(p.sched, fwd, cfg)
-	p.rcv = NewReceiver(p.sched, rev, 1, 200, 100, 40)
+	p.rcv = NewReceiver(p.sched, rev, 1, 200, 100)
 	return p
 }
 
@@ -145,7 +145,7 @@ func TestCumAckMonotone(t *testing.T) {
 	sched := sim.NewScheduler()
 	var acks []int64
 	out := netsim.HandlerFunc(func(p *netsim.Packet) { acks = append(acks, p.Ack) })
-	r := NewReceiver(sched, out, 1, 200, 100, 40)
+	r := NewReceiver(sched, out, 1, 200, 100)
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 5000; i++ {
 		r.Handle(&netsim.Packet{Flow: 1, Kind: netsim.Data,

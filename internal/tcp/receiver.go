@@ -16,7 +16,6 @@ type Receiver struct {
 	flow  int
 	src   int // this receiver's node address
 	dst   int // the sender's node address
-	ack   int // ack packet size in bytes
 
 	cumAck int64 // next expected sequence
 	// ooo is the reorder window: a power-of-two ring of flags indexed
@@ -44,16 +43,13 @@ type Receiver struct {
 // NewReceiver builds a receiver for one flow. out is where ACKs are
 // injected (normally the receiver-side node); src is this node's address,
 // dst the sender's.
-func NewReceiver(sched *sim.Scheduler, out netsim.Handler, flow, src, dst, ackSize int) *Receiver {
+func NewReceiver(sched *sim.Scheduler, out netsim.Handler, flow, src, dst int) *Receiver {
 	if sched == nil || out == nil {
 		panic("tcp: NewReceiver requires scheduler and output")
 	}
-	if ackSize <= 0 {
-		ackSize = 40
-	}
 	return &Receiver{
 		sched: sched, out: out,
-		flow: flow, src: src, dst: dst, ack: ackSize,
+		flow: flow, src: src, dst: dst,
 		ooo: make([]bool, minWindow),
 	}
 }
@@ -134,7 +130,7 @@ func (r *Receiver) sendAck(data *netsim.Packet) {
 	ack.ID = r.pktID
 	ack.Flow = r.flow
 	ack.Kind = netsim.Ack
-	ack.Size = r.ack
+	ack.Size = ackSize
 	ack.Seq = data.Seq
 	ack.Ack = r.cumAck
 	ack.Src = r.src

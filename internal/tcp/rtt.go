@@ -8,16 +8,7 @@ import "repro/internal/sim"
 type rttEstimator struct {
 	srtt   sim.Duration
 	rttvar sim.Duration
-	last   sim.Duration // most recent raw sample (for delay-based control)
 	valid  bool
-
-	// MinRTO clamps the computed RTO from below (ns-2 era TCPs used
-	// 200 ms–1 s; we default to 200 ms in Config).
-	MinRTO sim.Duration
-	// MaxRTO clamps from above.
-	MaxRTO sim.Duration
-	// InitialRTO is used before the first sample.
-	InitialRTO sim.Duration
 }
 
 // Sample feeds one RTT measurement.
@@ -25,7 +16,6 @@ func (e *rttEstimator) Sample(rtt sim.Duration) {
 	if rtt <= 0 {
 		return
 	}
-	e.last = rtt
 	if !e.valid {
 		e.srtt = rtt
 		e.rttvar = rtt / 2
@@ -49,23 +39,18 @@ func (e *rttEstimator) SRTT(fallback sim.Duration) sim.Duration {
 	return e.srtt
 }
 
-// HasSample reports whether at least one measurement was taken.
-func (e *rttEstimator) HasSample() bool { return e.valid }
-
-// LastSample reports the most recent raw RTT measurement.
-func (e *rttEstimator) LastSample() sim.Duration { return e.last }
-
-// RTO reports the current retransmission timeout (before backoff).
+// RTO reports the current retransmission timeout (before backoff),
+// clamped to [minRTO, maxRTO]; initialRTO before the first sample.
 func (e *rttEstimator) RTO() sim.Duration {
 	if !e.valid {
-		return e.InitialRTO
+		return initialRTO
 	}
 	rto := e.srtt + 4*e.rttvar
-	if rto < e.MinRTO {
-		rto = e.MinRTO
+	if rto < minRTO {
+		rto = minRTO
 	}
-	if e.MaxRTO > 0 && rto > e.MaxRTO {
-		rto = e.MaxRTO
+	if rto > maxRTO {
+		rto = maxRTO
 	}
 	return rto
 }

@@ -1,52 +1,26 @@
 // Package tcp implements the transport protocols the paper studies on top
-// of the netsim substrate: window-based TCP (NewReno by default, Reno as a
-// variant) with slow start, congestion avoidance, fast retransmit and fast
-// recovery, plus the two implementation styles the paper contrasts —
-// ordinary (bursty) window transmission and TCP Pacing, which spreads the
-// congestion window evenly over the RTT and is the paper's canonical
-// "rate-based implementation". An optional ECN mode implements the
-// congestion reaction used by the paper's proposed extension.
+// of the netsim substrate: window-based NewReno TCP (RFC 2582) with slow
+// start, congestion avoidance, fast retransmit and fast recovery, plus the
+// two implementation styles the paper contrasts — ordinary (bursty) window
+// transmission and TCP Pacing, which spreads the congestion window evenly
+// over the RTT and is the paper's canonical "rate-based implementation".
+// An optional ECN mode implements the congestion reaction used by the
+// paper's proposed extension. The RTO clamps and the ACK size are package
+// constants.
 package tcp
 
 import (
-	"fmt"
-
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
-// Variant selects the recovery algorithm.
-type Variant int
-
-// Supported congestion-control variants.
+// Protocol constants.
 const (
-	// NewReno stays in fast recovery across partial ACKs (RFC 2582), the
-	// paper's window-based baseline.
-	NewReno Variant = iota
-	// Reno exits recovery on the first new ACK (RFC 2581).
-	Reno
-	// Vegas replaces the loss-driven window growth with delay-based
-	// adjustment (Brakmo's TCP Vegas, the family the paper's reference
-	// [23] — FAST TCP — belongs to): the sender estimates its queue
-	// backlog from srtt − baseRTT and holds it between alpha and beta
-	// packets, which keeps the bottleneck queue short and avoids the
-	// bursty overflow losses entirely. Loss recovery still works (NewReno
-	// machinery) for losses caused by competing traffic.
-	Vegas
+	ackSize    = 40                    // ACK packet size in bytes
+	minRTO     = 200 * sim.Millisecond // floor of the computed RTO
+	maxRTO     = 60 * sim.Second       // ceiling of the RTO, backoff included
+	initialRTO = sim.Second            // RTO before the first RTT sample
 )
-
-func (v Variant) String() string {
-	switch v {
-	case NewReno:
-		return "newreno"
-	case Reno:
-		return "reno"
-	case Vegas:
-		return "vegas"
-	default:
-		return fmt.Sprintf("variant(%d)", int(v))
-	}
-}
 
 // Config parameterizes a Sender.
 type Config struct {
@@ -55,9 +29,6 @@ type Config struct {
 	Dst  int // receiver node address
 
 	PktSize int // data packet size in bytes (default 1000, like ns-2)
-	AckSize int // ack size in bytes (default 40)
-
-	Variant Variant
 
 	// Paced turns the sender into the paper's rate-based implementation:
 	// instead of transmitting the whole usable window back to back, data
@@ -86,17 +57,11 @@ type Config struct {
 	InitialSSThresh float64      // default 1e9 (effectively unbounded)
 	MaxCwnd         float64      // default 1e9
 	InitialRTT      sim.Duration // pacing estimate before the first RTT sample (default 100 ms)
-	MinRTO          sim.Duration // default 200 ms
-	MaxRTO          sim.Duration // default 60 s
-	InitialRTO      sim.Duration // default 1 s
 }
 
 func (c *Config) fillDefaults() {
 	if c.PktSize == 0 {
 		c.PktSize = 1000
-	}
-	if c.AckSize == 0 {
-		c.AckSize = 40
 	}
 	if c.PaceQuantum <= 0 {
 		c.PaceQuantum = 1
@@ -112,15 +77,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.InitialRTT == 0 {
 		c.InitialRTT = 100 * sim.Millisecond
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 200 * sim.Millisecond
-	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = 60 * sim.Second
-	}
-	if c.InitialRTO == 0 {
-		c.InitialRTO = sim.Second
 	}
 }
 
@@ -141,7 +97,7 @@ type Sender struct {
 	cumAck      int64 // highest cumulative ack received (next expected seq)
 	dupAcks     int
 	inRec       bool  // in fast recovery
-	recover     int64 // NewReno: highest seq sent when recovery started
+	recover     int64 // highest seq sent when recovery started
 	recoverFrom int64 // cumAck when recovery started (Impatient timer rule)
 
 	est     rttEstimator
@@ -158,11 +114,6 @@ type Sender struct {
 
 	timedSeq int64 // sequence currently being timed for RTT, -1 if none
 	timedAt  sim.Time
-
-	baseRTT     sim.Duration // minimum observed RTT (Vegas propagation estimate)
-	lastVegas   sim.Time     // time of the last Vegas window adjustment
-	vegasSlow   bool         // Vegas: still in its slow-start phase
-	vegasParity bool         // Vegas slow start doubles every other RTT
 
 	lastECNCut sim.Time // time of the last ECN-triggered reduction
 	pktID      uint64
@@ -196,58 +147,9 @@ func NewSender(sched *sim.Scheduler, out netsim.Handler, cfg Config) *Sender {
 		ssthresh: cfg.InitialSSThresh,
 		timedSeq: -1,
 	}
-	s.est.MinRTO = cfg.MinRTO
-	s.est.MaxRTO = cfg.MaxRTO
-	s.est.InitialRTO = cfg.InitialRTO
-	s.vegasSlow = cfg.Variant == Vegas
 	s.rtoFn = s.onTimeout
 	s.paceFn = s.onPaceTick
 	return s
-}
-
-// vegas alpha/beta thresholds in packets of estimated backlog.
-const (
-	vegasAlpha = 2.0
-	vegasBeta  = 4.0
-)
-
-// vegasAdjust applies the delay-based window update, at most once per RTT.
-func (s *Sender) vegasAdjust() {
-	if !s.est.HasSample() {
-		return
-	}
-	sample := s.est.LastSample()
-	if s.baseRTT == 0 || sample < s.baseRTT {
-		s.baseRTT = sample
-	}
-	now := s.sched.Now()
-	if s.lastVegas != 0 && now.Sub(s.lastVegas) < s.est.SRTT(s.cfg.InitialRTT) {
-		return
-	}
-	s.lastVegas = now
-	// Estimated backlog: cwnd · (1 − baseRTT/sample) packets queued.
-	diff := s.cwnd * (1 - float64(s.baseRTT)/float64(sample))
-	switch {
-	case s.vegasSlow:
-		// Exit slow start as soon as one packet of queue forms (Vegas'
-		// gamma threshold); otherwise double every other RTT.
-		if diff > 1 {
-			s.vegasSlow = false
-			s.ssthresh = s.cwnd
-			break
-		}
-		s.vegasParity = !s.vegasParity
-		if s.vegasParity {
-			s.cwnd *= 2
-		}
-	case diff < vegasAlpha:
-		s.cwnd++
-	case diff > vegasBeta:
-		s.cwnd = maxF(s.cwnd-1, 2)
-	}
-	if s.cwnd > s.cfg.MaxCwnd {
-		s.cwnd = s.cfg.MaxCwnd
-	}
 }
 
 // Start begins transmission at the current simulated time.
@@ -361,7 +263,7 @@ func (s *Sender) sendData(seq int64, retrans bool) {
 	// A go-back-N resend after a timeout arrives here through the normal
 	// send path; it is still a retransmission, and Karn's rule must not
 	// time it (a short sample from the original copy's ACK would corrupt
-	// the RTT estimate and, for Vegas, the baseRTT).
+	// the RTT estimate).
 	if seq < s.maxSent {
 		retrans = true
 	} else {
@@ -406,8 +308,8 @@ func (s *Sender) armRTO(restart bool) {
 		s.rtoTimer = sim.Timer{}
 	}
 	d := s.est.RTO() << s.backoff
-	if s.cfg.MaxRTO > 0 && d > s.cfg.MaxRTO {
-		d = s.cfg.MaxRTO
+	if d > maxRTO {
+		d = maxRTO
 	}
 	s.rtoTimer = s.sched.After(d, s.rtoFn)
 }
@@ -481,16 +383,16 @@ func (s *Sender) onNewAck(p *netsim.Packet) {
 	}
 
 	if s.inRec {
-		if p.Ack > s.recover || s.cfg.Variant == Reno {
-			// Full ACK (or Reno, which exits on any new ACK): deflate to
-			// ssthresh, but never beyond what is actually in flight plus
-			// one (RFC 2582 §3 step 5's burst-avoidance option).
+		if p.Ack > s.recover {
+			// Full ACK: deflate to ssthresh, but never beyond what is
+			// actually in flight plus one (RFC 2582 §3 step 5's
+			// burst-avoidance option).
 			pipe := float64(s.nextSeq - p.Ack)
 			s.cwnd = minF(s.ssthresh, pipe+1)
 			s.inRec = false
 			s.dupAcks = 0
 		} else {
-			// NewReno partial ACK: the next hole is lost too. Retransmit
+			// Partial ACK: the next hole is lost too. Retransmit
 			// it, deflate by the amount acked, keep recovering. Following
 			// the RFC 6582 "Impatient" variant, only the first partial ACK
 			// restarts the retransmission timer — a recovery with many
@@ -507,9 +409,6 @@ func (s *Sender) onNewAck(p *netsim.Packet) {
 			s.trySend()
 			return
 		}
-	} else if s.cfg.Variant == Vegas {
-		s.dupAcks = 0
-		s.vegasAdjust()
 	} else {
 		s.dupAcks = 0
 		// Congestion window growth.

@@ -42,17 +42,8 @@ func newPipe(t *testing.T, cfg Config) *pipe {
 		p.sched.After(p.delay, func() { p.snd.Handle(pkt) })
 	})
 	p.snd = NewSender(p.sched, fwd, cfg)
-	p.rcv = NewReceiver(p.sched, rev, 1, 200, 100, cfg.AckSize)
+	p.rcv = NewReceiver(p.sched, rev, 1, 200, 100)
 	return p
-}
-
-func TestVariantString(t *testing.T) {
-	if NewReno.String() != "newreno" || Reno.String() != "reno" {
-		t.Fatal("variant strings")
-	}
-	if Variant(9).String() != "variant(9)" {
-		t.Fatal("unknown variant string")
-	}
 }
 
 func TestLosslessTransferCompletes(t *testing.T) {
@@ -187,24 +178,6 @@ func TestNewRenoRecoversMultipleLossesWithoutTimeout(t *testing.T) {
 	}
 }
 
-func TestRenoExitsRecoveryOnPartialAck(t *testing.T) {
-	p := newPipe(t, Config{TotalPackets: 300, InitialCwnd: 20, Variant: Reno})
-	p.drop[5] = true
-	p.drop[7] = true
-	p.snd.Start()
-	p.sched.Run()
-	if !p.snd.Done() {
-		t.Fatal("did not complete")
-	}
-	// Reno exits on the partial ACK and must either fast-retransmit again
-	// or time out for the second hole; both cost at least 2 congestion
-	// events or a timeout.
-	if p.snd.CongestionEvents < 2 && p.snd.Timeouts == 0 {
-		t.Fatalf("Reno recovered 2 holes with %d events and no timeout",
-			p.snd.CongestionEvents)
-	}
-}
-
 func TestLimitedTransmitRescuesSmallWindow(t *testing.T) {
 	// A 2-packet window would produce only one duplicate ACK — without
 	// Limited Transmit (RFC 3042) the flow must RTO. With it, each of the
@@ -253,13 +226,10 @@ func TestCongestionAvoidanceLinearGrowth(t *testing.T) {
 
 func TestRTTEstimator(t *testing.T) {
 	var e rttEstimator
-	e.MinRTO = 200 * sim.Millisecond
-	e.MaxRTO = 60 * sim.Second
-	e.InitialRTO = sim.Second
 	if e.RTO() != sim.Second {
 		t.Fatalf("initial RTO = %v", e.RTO())
 	}
-	if e.HasSample() {
+	if e.valid {
 		t.Fatal("no sample yet")
 	}
 	e.Sample(100 * sim.Millisecond)
@@ -278,7 +248,7 @@ func TestRTTEstimator(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		e.Sample(100 * sim.Millisecond)
 	}
-	if e.RTO() != e.MinRTO {
+	if e.RTO() != minRTO {
 		t.Fatalf("rto floor = %v", e.RTO())
 	}
 	e.Sample(0) // ignored
@@ -298,7 +268,7 @@ func TestReceiverOutOfOrderCumAck(t *testing.T) {
 	sched := sim.NewScheduler()
 	var acks []int64
 	out := netsim.HandlerFunc(func(p *netsim.Packet) { acks = append(acks, p.Ack) })
-	r := NewReceiver(sched, out, 1, 200, 100, 40)
+	r := NewReceiver(sched, out, 1, 200, 100)
 	mk := func(seq int64) *netsim.Packet {
 		return &netsim.Packet{Flow: 1, Kind: netsim.Data, Seq: seq, Size: 1000}
 	}
@@ -330,7 +300,7 @@ func TestReceiverIgnoresWrongFlowAndKind(t *testing.T) {
 	sched := sim.NewScheduler()
 	n := 0
 	out := netsim.HandlerFunc(func(p *netsim.Packet) { n++ })
-	r := NewReceiver(sched, out, 1, 200, 100, 40)
+	r := NewReceiver(sched, out, 1, 200, 100)
 	r.Handle(&netsim.Packet{Flow: 2, Kind: netsim.Data})
 	r.Handle(&netsim.Packet{Flow: 1, Kind: netsim.Ack})
 	if n != 0 || r.Received != 0 {
@@ -378,8 +348,7 @@ func TestECNReactionHalvesWindow(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	var c Config
 	c.fillDefaults()
-	if c.PktSize != 1000 || c.AckSize != 40 || c.InitialCwnd != 2 ||
-		c.PaceQuantum != 1 || c.MinRTO != 200*sim.Millisecond {
+	if c.PktSize != 1000 || c.InitialCwnd != 2 || c.PaceQuantum != 1 {
 		t.Fatalf("defaults: %+v", c)
 	}
 }

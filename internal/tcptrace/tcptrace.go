@@ -20,35 +20,29 @@ import (
 	"repro/internal/trace"
 )
 
-// Config sets up the side-by-side measurement.
+// The measured world: a 50 Mbps DropTail bottleneck with 10× access
+// links, flow RTTs spread ±20% around traceRTT, 1000-byte segments, and
+// the first traceWarmup left out of both traces.
+const (
+	traceRate    = 50_000_000
+	traceRTT     = 60 * sim.Millisecond
+	tracePktSize = 1000
+	traceWarmup  = 5 * sim.Second
+)
+
+// Config sets up the side-by-side measurement. The run draws nothing
+// random, so it takes no seed.
 type Config struct {
-	Seed           int64
-	Flows          int          // default 8
-	BottleneckRate int64        // default 50 Mbps
-	RTT            sim.Duration // default 60 ms
-	PktSize        int          // default 1000
-	Duration       sim.Duration // default 60 s
-	Warmup         sim.Duration // default 5 s
+	Flows    int          // default 8
+	Duration sim.Duration // default 60 s
 }
 
 func (c *Config) fillDefaults() {
 	if c.Flows == 0 {
 		c.Flows = 8
 	}
-	if c.BottleneckRate == 0 {
-		c.BottleneckRate = 50_000_000
-	}
-	if c.RTT == 0 {
-		c.RTT = 60 * sim.Millisecond
-	}
-	if c.PktSize == 0 {
-		c.PktSize = 1000
-	}
 	if c.Duration == 0 {
 		c.Duration = 60 * sim.Second
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 5 * sim.Second
 	}
 }
 
@@ -82,24 +76,16 @@ func Run(cfg Config) (*Result, error) {
 	a := exp.NewArena()
 	sched := a.Scheduler()
 
-	delays := make([]sim.Duration, cfg.Flows)
-	for i := range delays {
-		// ±20% RTT spread, as in the core experiments.
-		frac := 0.8 + 0.4*float64(i)/float64(max(cfg.Flows-1, 1))
-		delays[i] = sim.Duration(frac * float64(cfg.RTT) / 2)
-	}
-	buffer := netsim.BDP(cfg.BottleneckRate, cfg.RTT, cfg.PktSize) / 2
-	if buffer < 8 {
-		buffer = 8
-	}
+	delays := netsim.SpreadAccessDelays(cfg.Flows, traceRTT)
+	buffer := netsim.BDPBuffer(0.5, traceRate, traceRTT, tracePktSize)
 	d := topo.NewDumbbell(a, sched, netsim.DumbbellConfig{
-		BottleneckRate: cfg.BottleneckRate,
-		AccessRate:     10 * cfg.BottleneckRate,
+		BottleneckRate: traceRate,
+		AccessRate:     10 * traceRate,
 		AccessDelays:   delays,
 		Buffer:         buffer,
 	})
 
-	warm := sim.Time(cfg.Warmup)
+	warm := sim.Time(traceWarmup)
 	truth := &trace.Recorder{}
 	d.Forward.OnDrop = func(p *netsim.Packet, at sim.Time) {
 		if at >= warm {
@@ -113,7 +99,7 @@ func Run(cfg Config) (*Result, error) {
 	flows := make([]*tcp.Flow, cfg.Flows)
 	for i := range flows {
 		flows[i] = tcp.NewPairFlow(sched, d.SenderNode(i), d.ReceiverNode(i), i+1, tcp.Config{
-			PktSize:         cfg.PktSize,
+			PktSize:         tracePktSize,
 			InitialRTT:      2 * delays[i],
 			InitialSSThresh: float64(buffer),
 		})
@@ -140,11 +126,11 @@ func Run(cfg Config) (*Result, error) {
 	// analysis (the router trace is already ordered).
 	inferred.SortByTime()
 
-	truthRep, err := analysis.AnalyzeTrace(truth, cfg.RTT, analysis.Config{})
+	truthRep, err := analysis.AnalyzeTrace(truth, traceRTT, analysis.Config{})
 	if err != nil {
 		return nil, err
 	}
-	tcpRep, err := analysis.AnalyzeTrace(inferred, cfg.RTT, analysis.Config{})
+	tcpRep, err := analysis.AnalyzeTrace(inferred, traceRTT, analysis.Config{})
 	if err != nil {
 		return nil, err
 	}

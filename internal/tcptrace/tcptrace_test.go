@@ -7,7 +7,7 @@ import (
 )
 
 func TestRunComparesMethodologies(t *testing.T) {
-	res, err := Run(Config{Seed: 1, Flows: 16, Duration: 40 * sim.Second})
+	res, err := Run(Config{Flows: 16, Duration: 40 * sim.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +44,11 @@ func TestRunComparesMethodologies(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a, err := Run(Config{Seed: 3, Flows: 12, Duration: 20 * sim.Second})
+	a, err := Run(Config{Flows: 12, Duration: 20 * sim.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(Config{Seed: 3, Flows: 12, Duration: 20 * sim.Second})
+	b, err := Run(Config{Flows: 12, Duration: 20 * sim.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestRunDeterministic(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	var c Config
 	c.fillDefaults()
-	if c.Flows != 8 || c.BottleneckRate != 50_000_000 || c.PktSize != 1000 {
+	if c.Flows != 8 || c.Duration != 60*sim.Second {
 		t.Fatalf("defaults: %+v", c)
 	}
 }

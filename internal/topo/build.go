@@ -36,11 +36,12 @@ type Network struct {
 	rtts  []sim.Duration                     // per-flow base RTT
 }
 
-// Build wires spec onto sched. RED queues declared in the spec draw their
-// random streams from seed (via sim.SubSeed keyed by link position), so a
-// built world is a pure function of (spec, seed). It returns an error —
-// not a panic — on an inconsistent spec, a disconnected flow pair, or an
-// unroutable topology, naming the offending element.
+// Build wires spec onto sched. Loss chains and random walks declared in
+// the spec draw their random streams from seed (via sim.SubSeed keyed by
+// link position), so a built world is a pure function of (spec, seed).
+// It returns an error — not a panic — on an inconsistent spec, a
+// disconnected flow pair, or an unroutable topology, naming the offending
+// element.
 //
 // Build is Compile followed by Instantiate. Callers that stamp out or
 // rewind many worlds of the same shape should hold the *Program (or go
@@ -63,8 +64,8 @@ func flowName(f FlowSpec) string {
 	return f.From + "→" + f.To
 }
 
-// buildQueue realizes a QueueSpec. seed feeds RED's random stream.
-func buildQueue(q QueueSpec, seed int64) netsim.Queue {
+// buildQueue realizes a QueueSpec.
+func buildQueue(q QueueSpec) netsim.Queue {
 	if q.Custom != nil {
 		return q.Custom
 	}
@@ -72,27 +73,7 @@ func buildQueue(q QueueSpec, seed int64) netsim.Queue {
 	if limit <= 0 {
 		limit = DefaultQueueLimit
 	}
-	if r := q.RED; r != nil {
-		return netsim.NewRED(redConfig(r, limit), sim.NewRand(seed))
-	}
 	return netsim.NewDropTail(limit)
-}
-
-// redConfig translates a REDSpec plus resolved limit into netsim's config,
-// shared by fresh builds (buildQueue) and in-place rewinds (Network.Reset)
-// so both paths configure RED identically.
-func redConfig(r *REDSpec, limit int) netsim.REDConfig {
-	return netsim.REDConfig{
-		Limit:            limit,
-		MinTh:            r.MinTh,
-		MaxTh:            r.MaxTh,
-		MaxP:             r.MaxP,
-		Wq:               r.Wq,
-		ECN:              r.ECN,
-		Gentle:           r.Gentle,
-		PersistMark:      r.PersistMark,
-		PacketsPerSecond: r.PacketsPerSecond,
-	}
 }
 
 // pathDelay sums the one-way propagation delays along the installed route

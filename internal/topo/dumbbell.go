@@ -31,11 +31,8 @@ func DumbbellSpec(cfg netsim.DumbbellConfig) Spec {
 	)
 
 	fwd := QueueSpec{Custom: cfg.Queue, Limit: cfg.Buffer}
-	rev := QueueSpec{Custom: cfg.ReverseQueue, Limit: cfg.Buffer}
-	if rev.Custom == nil && rev.Limit < 1024 {
-		// Generous reverse buffer: ACKs should not drop unless asked.
-		rev.Limit = 1024
-	}
+	// Generous reverse buffer: ACKs should not drop.
+	rev := QueueSpec{Limit: max(cfg.Buffer, 1024)}
 	s.Links = append(s.Links, LinkSpec{
 		A: leftRouterName, B: rightRouterName,
 		AB: Dir{Rate: cfg.BottleneckRate, Delay: cfg.BottleneckDelay, Queue: fwd},
@@ -90,7 +87,7 @@ type Dumbbell struct {
 // cached per pair count too, retuned in place instead of re-derived — a
 // dumbbell's structure is a pure function of how many pairs it has, and
 // rebuilding the node-name strings and link slices was most of what a
-// warm run still paid. Dumbbells with Custom queues are never cached
+// warm run still paid. Dumbbells with a Custom queue are never cached
 // (neither spec nor world). It panics on an invalid config: a malformed
 // dumbbell is a programming error in the caller.
 func NewDumbbell(a *exp.Arena, sched *sim.Scheduler, cfg netsim.DumbbellConfig) *Dumbbell {
@@ -101,7 +98,7 @@ func NewDumbbell(a *exp.Arena, sched *sim.Scheduler, cfg netsim.DumbbellConfig) 
 		panic("topo: dumbbell needs at least one endpoint pair")
 	}
 	var spec Spec
-	if cfg.Queue == nil && cfg.ReverseQueue == nil {
+	if cfg.Queue == nil {
 		key := "topo/dumbspec/" + strconv.Itoa(len(cfg.AccessDelays))
 		if v, ok := a.Scratch(key).(*Spec); ok {
 			retuneDumbbellSpec(v, cfg)
@@ -127,15 +124,12 @@ func NewDumbbell(a *exp.Arena, sched *sim.Scheduler, cfg netsim.DumbbellConfig) 
 // per-pair access rate and delays. The structure — nodes, link endpoints
 // and order, flow pairs, queue discipline kinds — is untouched, which is
 // precisely the invariant Network.Reset requires. The caller guarantees
-// cfg has no Custom queues and the same pair count the spec was built
+// cfg has no Custom queue and the same pair count the spec was built
 // with. The spec's slices may be aliased by the cached world
 // (Network.Reset re-adopts the spec each run), so this never reslices,
 // only overwrites Dir values.
 func retuneDumbbellSpec(s *Spec, cfg netsim.DumbbellConfig) {
-	rev := QueueSpec{Limit: cfg.Buffer}
-	if rev.Limit < 1024 {
-		rev.Limit = 1024
-	}
+	rev := QueueSpec{Limit: max(cfg.Buffer, 1024)}
 	s.Links[0].AB = Dir{Rate: cfg.BottleneckRate, Delay: cfg.BottleneckDelay, Queue: QueueSpec{Limit: cfg.Buffer}}
 	s.Links[0].BA = Dir{Rate: cfg.BottleneckRate, Delay: cfg.BottleneckDelay, Queue: rev}
 	for i, delay := range cfg.AccessDelays {

@@ -14,7 +14,7 @@ import (
 )
 
 // DynamicsSpec declares a time-varying program for one link direction.
-// Exactly one of Steps, Oscillate or Walk must be set. The builder turns
+// Exactly one of Steps or Walk must be set. The builder turns
 // it into a netsim.LinkModulator started at build time, with the
 // random-walk stream seeded from the build seed and the link's position —
 // a dynamic Spec stays a pure function of (Spec, seed).
@@ -32,19 +32,8 @@ type DynamicsSpec struct {
 	// simulated time; it must be at least the last step's offset. Zero
 	// runs the schedule once and then holds the final parameters.
 	Loop sim.Duration
-	// Oscillate, when non-nil, samples a sinusoid between its bounds.
-	Oscillate *OscillateSpec
 	// Walk, when non-nil, runs a seeded multiplicative random walk.
 	Walk *WalkSpec
-}
-
-// OscillateSpec is a sampled-sinusoid rate program: every Interval the
-// rate is set to the sinusoid through [Min, Max] with the given Period.
-type OscillateSpec struct {
-	// Min and Max bound the rate in bits per second (0 < Min ≤ Max).
-	Min, Max int64
-	// Period is the sinusoid's full cycle; Interval the sampling step.
-	Period, Interval sim.Duration
 }
 
 // WalkSpec is a seeded multiplicative random walk — the shape of wireless
@@ -61,18 +50,8 @@ type WalkSpec struct {
 
 // validate reports the first inconsistency in the dynamics program.
 func (d *DynamicsSpec) validate() error {
-	set := 0
-	if d.Steps != nil {
-		set++
-	}
-	if d.Oscillate != nil {
-		set++
-	}
-	if d.Walk != nil {
-		set++
-	}
-	if set != 1 {
-		return fmt.Errorf("dynamics must set exactly one of Steps, Oscillate, Walk (got %d)", set)
+	if (d.Steps != nil) == (d.Walk != nil) {
+		return fmt.Errorf("dynamics must set exactly one of Steps or Walk")
 	}
 	switch {
 	case d.Steps != nil:
@@ -89,17 +68,6 @@ func (d *DynamicsSpec) validate() error {
 		}
 		if d.Loop < 0 || (d.Loop > 0 && d.Loop < d.Steps[len(d.Steps)-1].At) {
 			return fmt.Errorf("dynamics loop %v shorter than the schedule", d.Loop)
-		}
-	case d.Oscillate != nil:
-		o := d.Oscillate
-		if d.Loop != 0 {
-			return fmt.Errorf("dynamics Loop only applies to Steps")
-		}
-		if o.Min <= 0 || o.Max < o.Min {
-			return fmt.Errorf("oscillation bounds [%d, %d] invalid", o.Min, o.Max)
-		}
-		if o.Period <= 0 || o.Interval <= 0 {
-			return fmt.Errorf("oscillation period and interval must be positive")
 		}
 	case d.Walk != nil:
 		w := d.Walk
@@ -147,9 +115,6 @@ func buildDynamics(sched *sim.Scheduler, link *netsim.Link, d *DynamicsSpec, see
 	switch {
 	case d.Steps != nil:
 		m = netsim.NewStepModulator(sched, link, d.Steps, d.Loop)
-	case d.Oscillate != nil:
-		o := d.Oscillate
-		m = netsim.NewOscillator(sched, link, o.Min, o.Max, o.Period, o.Interval)
 	default:
 		w := d.Walk
 		m = netsim.NewRandomWalk(sched, link, w.Min, w.Max, w.Factor, w.Interval, sim.NewRand(seed))

@@ -39,8 +39,8 @@ func TestDynamicsValidation(t *testing.T) {
 	}{
 		{"empty dynamics", &topo.DynamicsSpec{}, nil, "exactly one"},
 		{"two programs", &topo.DynamicsSpec{
-			Steps:     []netsim.RateStep{{At: 0, Rate: 1}},
-			Oscillate: &topo.OscillateSpec{Min: 1, Max: 2, Period: sim.Second, Interval: sim.Second},
+			Steps: []netsim.RateStep{{At: 0, Rate: 1}},
+			Walk:  &topo.WalkSpec{Min: 1, Max: 2, Factor: 1.5, Interval: sim.Second},
 		}, nil, "exactly one"},
 		{"no steps", &topo.DynamicsSpec{Steps: []netsim.RateStep{}}, nil, "schedule is empty"},
 		{"unsorted steps", &topo.DynamicsSpec{
@@ -51,15 +51,12 @@ func TestDynamicsValidation(t *testing.T) {
 			Loop:  sim.Second,
 		}, nil, "loop"},
 		{"loop without steps", &topo.DynamicsSpec{
-			Oscillate: &topo.OscillateSpec{Min: 1, Max: 2, Period: sim.Second, Interval: sim.Second},
-			Loop:      sim.Second,
+			Walk: &topo.WalkSpec{Min: 1, Max: 2, Factor: 1.5, Interval: sim.Second},
+			Loop: sim.Second,
 		}, nil, "Loop only applies"},
-		{"oscillate bounds", &topo.DynamicsSpec{
-			Oscillate: &topo.OscillateSpec{Min: 5, Max: 2, Period: sim.Second, Interval: sim.Second},
+		{"walk bounds", &topo.DynamicsSpec{
+			Walk: &topo.WalkSpec{Min: 5, Max: 2, Factor: 1.5, Interval: sim.Second},
 		}, nil, "bounds"},
-		{"oscillate period", &topo.DynamicsSpec{
-			Oscillate: &topo.OscillateSpec{Min: 1, Max: 2, Interval: sim.Second},
-		}, nil, "period"},
 		{"walk factor", &topo.DynamicsSpec{
 			Walk: &topo.WalkSpec{Min: 1, Max: 2, Factor: 1, Interval: sim.Second},
 		}, nil, "factor"},
@@ -89,8 +86,8 @@ func TestMirroredReverseInheritsDynamics(t *testing.T) {
 		Nodes: []topo.NodeSpec{{Name: "a"}, {Name: "b"}},
 		Links: []topo.LinkSpec{{A: "a", B: "b", AB: topo.Dir{
 			Rate: 1_000_000, Delay: sim.Millisecond,
-			Dynamics: &topo.DynamicsSpec{Oscillate: &topo.OscillateSpec{
-				Min: 500_000, Max: 2_000_000, Period: sim.Second, Interval: 100 * sim.Millisecond,
+			Dynamics: &topo.DynamicsSpec{Walk: &topo.WalkSpec{
+				Min: 500_000, Max: 2_000_000, Factor: 1.2, Interval: 100 * sim.Millisecond,
 			}},
 			Loss: topo.BernoulliLoss(0.1),
 		}}},

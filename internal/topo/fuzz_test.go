@@ -52,10 +52,6 @@ func (b *specBytes) dir() topo.Dir {
 		Queue: topo.QueueSpec{Limit: b.small()},
 	}
 	opts := b.byte()
-	if opts&1 != 0 {
-		d.Queue.RED = &topo.REDSpec{MinTh: float64(b.small()), MaxTh: float64(b.small()), MaxP: b.prob(),
-			Wq: b.prob(), ECN: opts&8 != 0, Gentle: opts&16 != 0}
-	}
 	if opts&2 != 0 {
 		d.Loss = &topo.LossSpec{PGB: b.prob(), PBG: b.prob(), KGood: b.prob(), KBad: b.prob()}
 	}
@@ -68,10 +64,6 @@ func (b *specBytes) dir() topo.Dir {
 				dyn.Steps = append(dyn.Steps, netsim.RateStep{At: sim.Duration(b.small()) * sim.Millisecond,
 					Rate: int64(b.small()) * 100_000, Delay: sim.Duration(b.small()) * sim.Millisecond})
 			}
-		}
-		if kinds&2 != 0 {
-			dyn.Oscillate = &topo.OscillateSpec{Min: int64(b.small()) * 100_000, Max: int64(b.small()) * 100_000,
-				Period: sim.Duration(b.small()) * sim.Millisecond, Interval: sim.Duration(b.small()) * sim.Millisecond}
 		}
 		if kinds&4 != 0 {
 			dyn.Walk = &topo.WalkSpec{Min: int64(b.small()) * 100_000, Max: int64(b.small()) * 100_000,
@@ -104,8 +96,8 @@ func FuzzCompile(f *testing.F) {
 	f.Add([]byte{})
 	// a–b–c chain, auto addresses, one mirrored 1 Mbps link pair, flow a→c.
 	f.Add([]byte{3, 1, 0, 0, 2, 0, 0, 3, 0, 0, 2, 1, 2, 10, 1, 0, 0, 0, 0, 0, 0, 2, 3, 10, 1, 0, 0, 0, 0, 0, 0, 1, 1, 3, 0})
-	// One a–b link with RED, loss and a two-step schedule; c unreachable.
-	f.Add([]byte{3, 1, 0, 0, 2, 0, 0, 3, 0, 0, 1, 1, 2, 10, 1, 50, 7, 5, 15, 10, 0, 1, 20, 0, 50, 0, 1, 2, 0, 5, 0, 10, 20, 0, 0, 0, 0, 0, 0, 1, 1, 2, 0})
+	// One a–b link with loss and a two-step schedule; c unreachable.
+	f.Add([]byte{3, 1, 0, 0, 2, 0, 0, 3, 0, 0, 1, 1, 2, 10, 1, 50, 6, 1, 20, 0, 50, 0, 1, 2, 0, 5, 0, 10, 20, 0, 0, 0, 0, 0, 0, 1, 1, 2, 0})
 	// Refused: duplicate node, pinned address above the limit, self-loop,
 	// unknown flow kind.
 	f.Add([]byte{2, 1, 0, 0, 1, 0, 0})

@@ -63,7 +63,7 @@ func scaleProb(p, s float64) float64 {
 }
 
 // ScaleSpec returns spec with the given multipliers applied: link rates
-// (including dynamics schedules, oscillation and walk bounds) by rate,
+// (including dynamics schedules and walk bounds) by rate,
 // propagation delays by rtt, and the Gilbert–Elliott Good→Bad entry
 // probability by loss (the bad-state dwell is untouched, so loss jitter
 // changes how often bursts start, not their shape). Queue limits are
@@ -107,12 +107,6 @@ func scaleDir(d Dir, rate, rtt, loss float64) Dir {
 				}
 				c.Steps[i] = s
 			}
-		}
-		if dyn.Oscillate != nil {
-			o := *dyn.Oscillate
-			o.Min = ScaleRate(o.Min, rate)
-			o.Max = ScaleRate(o.Max, rate)
-			c.Oscillate = &o
 		}
 		if dyn.Walk != nil {
 			w := *dyn.Walk

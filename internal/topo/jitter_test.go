@@ -37,9 +37,9 @@ func jitterSpec() Spec {
 					Rate:  30_000_000,
 					Delay: 5 * sim.Millisecond,
 					Dynamics: &DynamicsSpec{
-						Oscillate: &OscillateSpec{
+						Walk: &WalkSpec{
 							Min: 8_000_000, Max: 30_000_000,
-							Period: 4 * sim.Second, Interval: 100 * sim.Millisecond,
+							Factor: 1.2, Interval: 100 * sim.Millisecond,
 						},
 					},
 				},
@@ -121,12 +121,12 @@ func TestScaleSpecScalesParametrics(t *testing.T) {
 		t.Fatal("zero mirror direction must stay zero")
 	}
 
-	osc := out.Links[1].AB.Dynamics.Oscillate
-	if osc.Min != 4_000_000 || osc.Max != 15_000_000 {
-		t.Fatalf("oscillate bounds = %d..%d, want 4000000..15000000", osc.Min, osc.Max)
+	fwd := out.Links[1].AB.Dynamics.Walk
+	if fwd.Min != 4_000_000 || fwd.Max != 15_000_000 {
+		t.Fatalf("walk bounds = %d..%d, want 4000000..15000000", fwd.Min, fwd.Max)
 	}
-	if osc.Period != 4*sim.Second || osc.Interval != 100*sim.Millisecond {
-		t.Fatal("oscillate timing must stay nominal")
+	if fwd.Factor != 1.2 || fwd.Interval != 100*sim.Millisecond {
+		t.Fatal("walk factor and timing must stay nominal")
 	}
 	walk := out.Links[1].BA.Dynamics.Walk
 	if walk.Min != 1_000_000 || walk.Max != 8_000_000 {

@@ -225,11 +225,11 @@ func (p *Program) Instantiate(sched *sim.Scheduler, seed int64) (*Network, error
 	}
 
 	// Ports in compiled order (A→B then B→A per link), with the identical
-	// seed derivation Build uses: the queue consumes the direction seed
-	// directly and the loss chain and modulator draw SubSeed children of it.
+	// seed derivation Build uses: the loss chain and modulator draw SubSeed
+	// children of the direction seed.
 	for _, pd := range p.dirs {
 		dirSeed := sim.SubSeed(seed, pd.tag)
-		q := buildQueue(pd.dir.Queue, dirSeed)
+		q := buildQueue(pd.dir.Queue)
 		link := netsim.NewLink(pd.dir.Rate, pd.dir.Delay, n.nodes[pd.e.to])
 		port := netsim.NewPort(sched, q, link)
 		if ls := pd.dir.Loss; ls != nil {
@@ -297,7 +297,7 @@ func (n *Network) computeRTTs() error {
 // and address pins), same links (endpoints, order and queue discipline
 // kind per direction, Custom queues excluded entirely) and same flow
 // endpoint pairs. Everything parametric may differ between resets: rates,
-// delays, queue limits, RED tunables, loss parameters and presence,
+// delays, queue limits, loss parameters and presence,
 // dynamics, flow labels. That asymmetry is what replication sweeps need —
 // each replication perturbs delays or buffers but never the shape.
 func (n *Network) Reset(spec Spec, seed int64) error {
@@ -317,8 +317,8 @@ func (n *Network) Reset(spec Spec, seed int64) error {
 	n.spec = spec
 
 	// Rewind each direction in creation order, reproducing Instantiate's
-	// seed derivation and event ordering: the queue reseeds on the
-	// direction seed, the loss chain on SubSeed(dirSeed, 1), and the
+	// seed derivation and event ordering: the loss chain reseeds on
+	// SubSeed(dirSeed, 1), and the
 	// modulator — whose Start is the only event scheduled during a build —
 	// is recreated on SubSeed(dirSeed, 2) after the link's rate and delay
 	// are restored, so a reset world's event sequence numbers match a
@@ -336,11 +336,7 @@ func (n *Network) Reset(spec Spec, seed int64) error {
 			if limit <= 0 {
 				limit = DefaultQueueLimit
 			}
-			if r := d.Queue.RED; r != nil {
-				port.Queue.(*netsim.RED).Reset(redConfig(r, limit), dirSeed)
-			} else {
-				port.Queue.(*netsim.DropTail).Reset(limit)
-			}
+			port.Queue.(*netsim.DropTail).Reset(limit)
 			port.Link.Rate = d.Rate
 			port.Link.Delay = d.Delay
 			if ls := d.Loss; ls != nil {
@@ -406,9 +402,6 @@ func (p *Program) structuralMatch(spec Spec) error {
 			if nd[j].Queue.Custom != nil || od[j].Queue.Custom != nil {
 				return fmt.Errorf("topo: reset: link %d has a Custom queue; custom disciplines cannot be rewound", i)
 			}
-			if (nd[j].Queue.RED != nil) != (od[j].Queue.RED != nil) {
-				return fmt.Errorf("topo: reset: link %d changes queue discipline kind", i)
-			}
 		}
 	}
 	if len(spec.Flows) != len(old.Flows) {
@@ -444,12 +437,9 @@ func structuralKey(spec Spec) string {
 		b.WriteByte('~')
 		b.WriteString(l.B)
 		for _, d := range [2]Dir{l.AB, l.mirrored()} {
-			switch {
-			case d.Queue.Custom != nil:
+			if d.Queue.Custom != nil {
 				b.WriteByte('c')
-			case d.Queue.RED != nil:
-				b.WriteByte('r')
-			default:
+			} else {
 				b.WriteByte('d')
 			}
 		}

@@ -378,7 +378,7 @@ func runHeteroMesh(cfg topo.ScenarioConfig, a *exp.Arena) (*topo.ScenarioResult,
 	// Path RTTs come from the synthetic PlanetLab mesh: pick site pairs
 	// deterministically and fold each pair's wide-area latency into its
 	// two access links, with the 2·coreDelay backbone in the middle.
-	mesh := planetlab.NewMesh(planetlab.MeshConfig{Seed: cfg.Seed})
+	mesh := planetlab.NewMesh(cfg.Seed)
 	rng := sim.NewRand(sim.SubSeed(cfg.Seed, 1))
 	sitePairs := mesh.RandomPairs(rng, pairs)
 

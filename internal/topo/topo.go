@@ -78,41 +78,18 @@ type Dir struct {
 	Loss *LossSpec
 }
 
-// QueueSpec selects and sizes a queueing discipline. Precedence: Custom,
-// then RED, then DropTail(Limit).
+// QueueSpec selects and sizes a queueing discipline: Custom if set,
+// otherwise DropTail(Limit). A RED bottleneck enters a Spec as a Custom
+// queue its experiment builds and seeds.
 type QueueSpec struct {
-	// Limit is the DropTail capacity in packets (also RED's hard limit
-	// when RED is set). Zero means DefaultQueueLimit.
+	// Limit is the DropTail capacity in packets. Zero means
+	// DefaultQueueLimit.
 	Limit int
-	// RED, when non-nil, makes this an early-detection queue.
-	RED *REDSpec
 	// Custom, when non-nil, uses a pre-built queue instance as-is. The
 	// instance must not be shared between directions or links. Used to
 	// carry experiment-owned queues (e.g. a seeded RED the caller also
 	// inspects) into the topology.
 	Custom netsim.Queue
-}
-
-// REDSpec carries the RED tunables of netsim.REDConfig in declarative
-// form. The builder seeds each RED queue's random stream from the Build
-// seed and the link's position, so a Spec with RED queues stays a pure
-// function of (Spec, seed).
-type REDSpec struct {
-	// MinTh and MaxTh are the average-queue thresholds in packets.
-	MinTh, MaxTh float64
-	// MaxP is the drop/mark probability at MaxTh.
-	MaxP float64
-	// Wq is the EWMA weight (zero takes Floyd's 0.002 default).
-	Wq float64
-	// ECN marks ECN-capable packets instead of dropping.
-	ECN bool
-	// Gentle enables the gentle-RED ramp above MaxTh.
-	Gentle bool
-	// PersistMark, in seconds, enables the paper's persistent-ECN marking.
-	PersistMark float64
-	// PacketsPerSecond is the drain rate used to age the average across
-	// idle periods (optional, like netsim.REDConfig.PacketsPerSecond).
-	PacketsPerSecond float64
 }
 
 // FlowKind selects the transport family a flow runs. It is a parametric
@@ -123,7 +100,7 @@ type FlowKind uint8
 
 // Transport families.
 const (
-	// FlowTCP is the loss-based Reno-style transport (the default).
+	// FlowTCP is the loss-based NewReno transport (the default).
 	FlowTCP FlowKind = iota
 	// FlowGCC is the delay-based GCC-style transport from internal/ratectl.
 	FlowGCC
@@ -240,7 +217,7 @@ func (s Spec) validate() error {
 }
 
 // validateLinkParams checks one link's parametric fields — rates, delays,
-// queue limits, RED thresholds, dynamics and loss parameters. It is the
+// queue limits, dynamics and loss parameters. It is the
 // half of validation a Reset must repeat (parameters may change between
 // resets); the structural half is covered by Program.structuralMatch, so
 // the reset path skips validate's map-building entirely.
@@ -252,7 +229,7 @@ func validateLinkParams(name string, l LinkSpec) error {
 	// its own rate; a BA with delay/queue but no rate would be
 	// silently discarded, hiding an intended asymmetric link.
 	if l.BA.Rate == 0 &&
-		(l.BA.Delay != 0 || l.BA.Queue.Limit != 0 || l.BA.Queue.RED != nil || l.BA.Queue.Custom != nil ||
+		(l.BA.Delay != 0 || l.BA.Queue.Limit != 0 || l.BA.Queue.Custom != nil ||
 			l.BA.Dynamics != nil || l.BA.Loss != nil) {
 		return fmt.Errorf("topo: %s link %q→%q reverse direction sets delay/queue/dynamics but no rate", name, l.B, l.A)
 	}
@@ -268,11 +245,6 @@ func validateLinkParams(name string, l LinkSpec) error {
 		}
 		if d.dir.Queue.Limit < 0 {
 			return fmt.Errorf("topo: %s link %q→%q has negative queue limit", name, d.a, d.b)
-		}
-		if r := d.dir.Queue.RED; r != nil && d.dir.Queue.Custom == nil {
-			if r.MinTh < 0 || r.MaxTh < r.MinTh || r.MaxP <= 0 || r.MaxP > 1 {
-				return fmt.Errorf("topo: %s link %q→%q has inconsistent RED thresholds", name, d.a, d.b)
-			}
 		}
 		if dyn := d.dir.Dynamics; dyn != nil {
 			if err := dyn.validate(); err != nil {

@@ -14,10 +14,10 @@ import (
 )
 
 // chainSpec builds a three-hop parking-lot-shaped chain with two endpoint
-// pairs, optionally putting a RED queue on the middle hop. With a RED spec
-// the middle hop also gets half the rate of the outer hops, making the
+// pairs, optionally putting a caller-built queue on the middle hop. With
+// one the middle hop also gets half the rate of the outer hops, making the
 // inner queue the chain's bottleneck.
-func chainSpec(buffer int, innerRED *topo.REDSpec) topo.Spec {
+func chainSpec(buffer int, inner netsim.Queue) topo.Spec {
 	s := topo.Spec{Name: "chain"}
 	for _, n := range []string{"R0", "R1", "R2", "R3", "s0", "s1", "r0", "r1"} {
 		s.Nodes = append(s.Nodes, topo.NodeSpec{Name: n})
@@ -27,12 +27,12 @@ func chainSpec(buffer int, innerRED *topo.REDSpec) topo.Spec {
 			AB: topo.Dir{Rate: rate, Delay: sim.Millisecond, Queue: q}}
 	}
 	innerRate := int64(4_000_000)
-	if innerRED != nil {
+	if inner != nil {
 		innerRate = 2_000_000
 	}
 	s.Links = append(s.Links,
 		hop("R0", "R1", 4_000_000, topo.QueueSpec{Limit: buffer}),
-		hop("R1", "R2", innerRate, topo.QueueSpec{Limit: buffer, RED: innerRED}),
+		hop("R1", "R2", innerRate, topo.QueueSpec{Limit: buffer, Custom: inner}),
 		hop("R2", "R3", 4_000_000, topo.QueueSpec{Limit: buffer}),
 		topo.LinkSpec{A: "s0", B: "R0", AB: topo.Dir{Rate: 100_000_000, Delay: 2 * sim.Millisecond}},
 		topo.LinkSpec{A: "s1", B: "R0", AB: topo.Dir{Rate: 100_000_000, Delay: 5 * sim.Millisecond}},
@@ -89,11 +89,6 @@ func TestBuildValidationErrors(t *testing.T) {
 				AB: topo.Dir{Rate: 1},
 				BA: topo.Dir{Delay: 50 * sim.Millisecond}}}},
 			"reverse direction sets delay/queue/dynamics but no rate"},
-		{"bad RED", topo.Spec{Name: "x",
-			Nodes: []topo.NodeSpec{{Name: "a"}, {Name: "b"}},
-			Links: []topo.LinkSpec{{A: "a", B: "b",
-				AB: topo.Dir{Rate: 1, Queue: topo.QueueSpec{RED: &topo.REDSpec{MinTh: 5, MaxTh: 1, MaxP: 0.1}}}}}},
-			"RED thresholds"},
 		{"disconnected flow", topo.Spec{Name: "x",
 			Nodes: []topo.NodeSpec{{Name: "a"}, {Name: "b"}, {Name: "c"}},
 			Links: []topo.LinkSpec{{A: "a", B: "b", AB: topo.Dir{Rate: 1}}},
@@ -236,19 +231,19 @@ func TestChainConservation(t *testing.T) {
 	}
 }
 
-// TestREDOnInnerHop: a RED queue declared on a middle hop of a chain
-// drops early (or marks) with the builder-derived seeded stream, and the
-// world stays a pure function of (spec, seed).
+// TestREDOnInnerHop: a seeded RED queue carried onto a middle hop of a
+// chain as a Custom queue drops early with its own random stream, packets
+// are conserved, and the world is a pure function of the RED seed.
 func TestREDOnInnerHop(t *testing.T) {
 	t.Parallel()
-	red := &topo.REDSpec{MinTh: 2, MaxTh: 16, MaxP: 0.1}
 	// Moderate overload (~1.3× the 2 Mbps inner hop) keeps the average
 	// queue inside RED's randomized band instead of pinning it at the
 	// hard limit, so the seeded stream actually decides which packets go.
 	run := func(seed int64) (delivered int, innerDrops []uint64) {
 		sched := sim.NewScheduler()
+		red := netsim.NewRED(netsim.REDConfig{Limit: 20, MinTh: 2, MaxTh: 16, MaxP: 0.1}, sim.NewRand(seed))
 		spec := chainSpec(20, red)
-		net, err := topo.Build(sched, spec, seed)
+		net, err := topo.Build(sched, spec, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
