@@ -11,7 +11,7 @@ import (
 // BenchmarkFleetMerge measures the cross-world merge path alone: one
 // Aggregate.Absorb per op — histogram, Welford-moment, dispersion-window
 // and reservoir merges over a finished per-world analyzer. This is the
-// work the fleet turnstile serializes, so it bounds fleet scalability,
+// work the fleet's in-order merge serializes, so it bounds fleet scalability,
 // and it must stay allocation-free in steady state (the aggregate's
 // reservoir is pre-filled to its bound below, after which replacement
 // draws happen in place).

@@ -21,6 +21,11 @@ import (
 	"repro/internal/sim"
 )
 
+// maxFlows caps -flows and -flows-per-class. Each flow is a source, a sink
+// and their per-packet state in the one simulated world, so the flag sizes
+// the run; 4096 is two orders of magnitude above any figure's flow count.
+const maxFlows = 4096
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -29,8 +34,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := cli.NewFlagSet("lossim", stderr)
 	var (
 		env      = fs.String("env", "ns2", "environment: ns2 (Figure 2) or dummynet (Figure 3)")
-		flows    = fs.Int("flows", 16, "TCP flows (ns2 only)")
-		perClass = fs.Int("flows-per-class", 4, "flows per RTT class (dummynet only)")
+		flows    = fs.Int("flows", 16, fmt.Sprintf("TCP flows (ns2 only), in [1, %d]", maxFlows))
+		perClass = fs.Int("flows-per-class", 4, fmt.Sprintf("flows per RTT class (dummynet only), in [1, %d]", maxFlows))
 		duration = fs.Duration("duration", 60*time.Second, "simulated duration")
 		warmup   = fs.Duration("warmup", 10*time.Second, "warmup excluded from the trace, in (0, duration)")
 		buffer   = fs.Float64("buffer-bdp", 0.5, "bottleneck buffer as a fraction of BDP, > 0 (paper sweeps 1/8..2)")
@@ -56,11 +61,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if set {
 		return cli.Usagef(stderr, "lossim", "-%s does not apply to -env %s", other, *env)
 	}
-	if *flows < 1 {
-		return cli.Usagef(stderr, "lossim", "-flows must be at least 1, got %d", *flows)
+	if *flows < 1 || *flows > maxFlows {
+		return cli.Usagef(stderr, "lossim", "-flows must be in [1, %d], got %d", maxFlows, *flows)
 	}
-	if *perClass < 1 {
-		return cli.Usagef(stderr, "lossim", "-flows-per-class must be at least 1, got %d", *perClass)
+	if *perClass < 1 || *perClass > maxFlows {
+		return cli.Usagef(stderr, "lossim", "-flows-per-class must be in [1, %d], got %d", maxFlows, *perClass)
 	}
 	if *duration <= 0 {
 		return cli.Usagef(stderr, "lossim", "-duration must be positive, got %v", *duration)

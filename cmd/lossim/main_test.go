@@ -60,6 +60,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"unknown env", []string{"-env", "marsnet"}, "marsnet"},
 		{"zero flows", []string{"-flows", "0"}, "-flows"},
 		{"zero per-class", []string{"-env", "dummynet", "-flows-per-class", "-3"}, "-flows-per-class"},
+		// The cap is tested only through its rejection, which builds nothing.
+		{"flows above cap", []string{"-flows", "100000000"}, "-flows must be in [1, 4096]"},
+		{"flows just above cap", []string{"-flows", "4097"}, "-flows must be in"},
+		{"per-class above cap", []string{"-env", "dummynet", "-flows-per-class", "4097"}, "-flows-per-class must be in [1, 4096]"},
 		{"negative duration", []string{"-duration", "-5s"}, "-duration"},
 		{"warmup past duration", []string{"-duration", "5s", "-warmup", "5s"}, "-warmup"},
 		// A zero would otherwise be replaced by the figure's default.

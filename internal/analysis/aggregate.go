@@ -29,10 +29,10 @@ import (
 //     the union of per-world intervals fits the bound, a deterministic
 //     weighted subsample beyond it (stats.Reservoir.Merge).
 //
-// Like Streaming, an Aggregate belongs to one goroutine. In a fleet that
-// goroutine is the merge turnstile, which absorbs worlds in index order —
-// that ordering is what makes the aggregate byte-identical across shard
-// counts.
+// Like Streaming, an Aggregate is not safe for concurrent use. In a fleet
+// the merges run one at a time under exp.Fleet's window mutex, which
+// absorbs worlds in index order — that ordering is what makes the
+// aggregate byte-identical across shard counts.
 type Aggregate struct {
 	cfg    Config
 	worlds int

@@ -14,8 +14,8 @@ const TransferSampleBound = 4096
 // (or per-replication) transfer outcomes that fold across shards with
 // stats machinery, so a fleet can report FCT percentiles over millions of
 // transfers while each world retains only a bounded sample. Merging is
-// deterministic in merge order — the fleet's world-order turnstile makes
-// the pooled aggregate shard-invariant.
+// deterministic in merge order — the fleet's world-order merge makes the
+// pooled aggregate shard-invariant.
 type TransferAgg struct {
 	// Transfers counts completed transfers and Bytes their payload
 	// volume.

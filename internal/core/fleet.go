@@ -214,8 +214,8 @@ func (r *FleetReport) countSkip(err error) {
 // RunFleet executes a fleet campaign: Worlds scenario instances, each on
 // its own SubSeed with its own jitter draws, run across Shards workers on
 // pooled arenas and merged in world order through analysis.Aggregate —
-// the exp.Fleet turnstile keeps memory bounded by the shard count and the
-// result invariant to it. A world that fails to produce an analyzable
+// exp.Fleet's reorder window keeps memory bounded by the shard count and
+// the world-order merge keeps the result invariant to it. A world that fails to produce an analyzable
 // loss trace is counted in Skipped, not fatal; RunFleet errors only when
 // configuration is invalid or every world was skipped.
 func RunFleet(cfg FleetConfig) (*FleetReport, error) {
@@ -268,14 +268,14 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 			if v.Analyzer == nil {
 				return fmt.Errorf("core: world %d (%s) returned no analyzer", i, scs[i%len(scs)].Name)
 			}
-			// The analyzer points into the worker's arena; absorb it here,
-			// on the worker goroutine, before the arena's next world.
+			// The analyzer is the one arena-owned field; exp.Fleet keeps it
+			// parked with the result until this merge returns.
 			if err := agg.Absorb(v.Analyzer); err != nil {
 				return fmt.Errorf("core: world %d (%s): %w", i, scs[i%len(scs)].Name, err)
 			}
 			bursts.Add(v.Bursts)
 			// Transfer aggregates are detached values; the world-order
-			// turnstile makes this merge shard-invariant like the rest.
+			// merge makes this fold shard-invariant like the rest.
 			if v.Transfers != nil {
 				if rep.Transfers == nil {
 					rep.Transfers = rft.NewTransferAgg()

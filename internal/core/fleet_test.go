@@ -83,7 +83,7 @@ func TestFleetJitterChangesWorlds(t *testing.T) {
 
 // TestFleetBoundedMemory pins the memory contract: the live heap after a
 // fleet does not grow with the world count, because each world's analyzer
-// is absorbed into the bounded aggregate before its arena is recycled. An
+// is absorbed into the bounded aggregate before it is recycled. An
 // 8x bigger fleet must not retain measurably more than a small one.
 func TestFleetBoundedMemory(t *testing.T) {
 	if testing.Short() {

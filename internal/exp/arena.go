@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"sync"
+
 	"repro/internal/analysis"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -24,10 +26,12 @@ import (
 //     sweeps bit-identical to fresh-world sweeps for any worker count.
 //   - Anything a run RETAINS past its return (a Report kept in a result
 //     slice) must be detached first — analysis.Report.Clone — because the
-//     arena recycles its scratch on the next run. The one exception is a
-//     run that owns its arena outright (topo.NewWorld with a nil arena
-//     allocates a fresh one and never reuses it): its recorder and
-//     analyzer live as long as the result that points at them.
+//     arena recycles its scratch on the next run. Two exceptions: a run
+//     that owns its arena outright (topo.NewWorld with a nil arena
+//     allocates a fresh one and never reuses it), whose recorder and
+//     analyzer live as long as the result that points at them; and a
+//     Fleet world's analyzer, which Fleet takes out of the arena and
+//     parks with the result until the world has merged.
 //
 // All fields are lazy: a worker that never asks for a piece never pays
 // for it, and a Sweep whose runs ignore the arena costs one empty struct
@@ -94,21 +98,49 @@ func (a *Arena) Recorder() *trace.Recorder {
 }
 
 // Analyzer returns the arena's streaming analyzer, reset for a run with
-// the given RTT and config. The error mirrors analysis.Analyze's RTT
-// validation.
+// the given RTT and config. An arena without one draws a recycled analyzer
+// from analyzerPool, or makes one when the pool is empty. The error
+// mirrors analysis.Analyze's RTT validation.
 func (a *Arena) Analyzer(rtt sim.Duration, cfg analysis.Config) (*analysis.Streaming, error) {
 	if a.an == nil {
-		an, err := analysis.NewStreaming(rtt, cfg)
-		if err != nil {
-			return nil, err
+		if an, ok := analyzerPool.Get().(*analysis.Streaming); ok {
+			a.an = an
+		} else {
+			an, err := analysis.NewStreaming(rtt, cfg)
+			if err != nil {
+				return nil, err
+			}
+			a.an = an
+			return an, nil
 		}
-		a.an = an
-		return an, nil
 	}
 	if err := a.an.Reset(rtt, cfg); err != nil {
 		return nil, err
 	}
 	return a.an, nil
+}
+
+// analyzerPool recycles the analyzers fleets take out of their arenas.
+// Fleet parks a finished world's analyzer with its result, because the
+// result may point at it, and puts it here once the world has merged; the
+// arena's next Analyzer call draws from the pool, so parked worlds cost
+// analyzers without regrowing their histogram and reservoir buffers each
+// time. An arena that keeps its analyzer (every Sweep) draws at most once.
+var analyzerPool sync.Pool
+
+// takeAnalyzer detaches the arena's analyzer, if it has one, so a parked
+// world can keep it while the arena runs its next world.
+func (a *Arena) takeAnalyzer() *analysis.Streaming {
+	an := a.an
+	a.an = nil
+	return an
+}
+
+// releaseAnalyzer returns a merged world's analyzer to analyzerPool.
+func releaseAnalyzer(an *analysis.Streaming) {
+	if an != nil {
+		analyzerPool.Put(an)
+	}
 }
 
 // Scratch returns the value cached under key, or nil when nothing is

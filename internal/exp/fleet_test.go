@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/sim"
 )
 
@@ -45,7 +47,7 @@ func fleetFold(t *testing.T, shards, n int) ([]int, uint64) {
 	return order, fold
 }
 
-// TestFleetMergesInWorldOrder pins the turnstile: merges arrive 0..n-1
+// TestFleetMergesInWorldOrder pins the merge order: merges arrive 0..n-1
 // for every shard count, and the order-sensitive fold is shard-invariant.
 func TestFleetMergesInWorldOrder(t *testing.T) {
 	const n = 64
@@ -171,5 +173,178 @@ func TestFleetEmpty(t *testing.T) {
 		func(i int, seed int64, v int, err error) error { t.Error("merge called"); return nil })
 	if err != nil {
 		t.Fatalf("empty fleet: %v", err)
+	}
+}
+
+// fleetWithin runs fleet on its own goroutine and fails the test if it has
+// not returned within a generous timeout, so a worker that blocks where the
+// reorder window should have let it go on fails instead of hanging.
+func fleetWithin(t *testing.T, fleet func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- fleet() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(20 * time.Second):
+		t.Fatal("fleet did not return: a worker waited on a world it should not have")
+		return nil
+	}
+}
+
+// TestFleetWindowDecouplesShards pins the reorder window: with two shards,
+// world 0 blocks until world W-1 has finished its run, which only the
+// other shard can do by running worlds 1 … W-1 while world 0 is unmerged.
+// A blocking turnstile (W = shards) deadlocks here. Every world also
+// checks the window bound: it starts only once world i-W has merged.
+func TestFleetWindowDecouplesShards(t *testing.T) {
+	const shards, n = 2, 40
+	w := windowSize(shards, n)
+	if w <= shards {
+		t.Fatalf("window %d does not exceed the shard count %d", w, shards)
+	}
+	lastRan := make(chan struct{})
+	var merged atomic.Int64
+	err := fleetWithin(t, func() error {
+		return Fleet(FleetOptions{Shards: shards}, n,
+			func(i int, seed int64, a *Arena) (int, error) {
+				if m := int(merged.Load()); i >= m+w {
+					return 0, fmt.Errorf("world %d started with %d merged, window %d", i, m, w)
+				}
+				switch i {
+				case 0:
+					<-lastRan
+					// Nothing signals that the other shard has parked world
+					// W-1 and blocked in admit(W), so give it the time to.
+					// The assertions hold in every interleaving; without
+					// the pause the abort usually reaches that shard at
+					// forEach's stop poll instead of inside admit.
+					time.Sleep(20 * time.Millisecond)
+				case w - 1:
+					close(lastRan)
+				}
+				return i, nil
+			},
+			func(i int, seed int64, v int, err error) error {
+				if err != nil {
+					return err
+				}
+				merged.Add(1)
+				return nil
+			})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.Load() != n {
+		t.Fatalf("merged %d worlds, want %d", merged.Load(), n)
+	}
+}
+
+// TestFleetAbortWithFullWindow pins the abort path with the window full:
+// world 0 finishes only after world W-1 has, so its merge fails with
+// worlds 1 … W-1 parked behind it while the other shard waits in admit
+// for world W. Fleet returns that error, merges nothing after world 0,
+// starts no world past the window and leaves no worker waiting (it
+// returns at all).
+func TestFleetAbortWithFullWindow(t *testing.T) {
+	const shards, n = 2, 100
+	w := windowSize(shards, n)
+	stop := errors.New("stop")
+	lastRan := make(chan struct{})
+	var runs atomic.Int64
+	var merges []int
+	err := fleetWithin(t, func() error {
+		return Fleet(FleetOptions{Shards: shards}, n,
+			func(i int, seed int64, a *Arena) (int, error) {
+				runs.Add(1)
+				switch i {
+				case 0:
+					<-lastRan
+					// Nothing signals that the other shard has parked world
+					// W-1 and blocked in admit(W), so give it the time to.
+					// The assertions hold in every interleaving; without
+					// the pause the abort usually reaches that shard at
+					// forEach's stop poll instead of inside admit.
+					time.Sleep(20 * time.Millisecond)
+				case w - 1:
+					close(lastRan)
+				}
+				return i, nil
+			},
+			func(i int, seed int64, v int, err error) error {
+				merges = append(merges, i)
+				if i == 0 {
+					return stop
+				}
+				return nil
+			})
+	})
+	if !errors.Is(err, stop) {
+		t.Fatalf("err=%v, want stop", err)
+	}
+	if len(merges) != 1 || merges[0] != 0 {
+		t.Fatalf("merged worlds %v, want only world 0", merges)
+	}
+	if runs.Load() != int64(w) {
+		t.Fatalf("%d worlds ran, want the window's %d", runs.Load(), w)
+	}
+}
+
+// TestFleetAnalyzerHandoff pins the handoff of arena analyzers: a world's
+// analyzer stays with its parked result until the world merges, so no run
+// ever receives an analyzer whose world has not merged yet, and merge sees
+// the analyzer its world filled, untouched.
+func TestFleetAnalyzerHandoff(t *testing.T) {
+	const n = 120
+	for _, shards := range []int{1, 2, 4} {
+		var mu sync.Mutex
+		live := map[*analysis.Streaming]int{} // analyzer → world, from run to merge
+		err := fleetWithin(t, func() error {
+			return Fleet(FleetOptions{Seed: 7, Shards: shards}, n,
+				func(i int, seed int64, a *Arena) (*analysis.Streaming, error) {
+					an, err := a.Analyzer(100*sim.Millisecond, analysis.Config{})
+					if err != nil {
+						return nil, err
+					}
+					mu.Lock()
+					held, taken := live[an]
+					live[an] = i
+					mu.Unlock()
+					if taken {
+						return nil, fmt.Errorf("world %d got world %d's analyzer before it merged", i, held)
+					}
+					for k := 0; k < i%5+2; k++ {
+						an.ObserveTime(sim.Time(k) * sim.Time(sim.Millisecond))
+					}
+					if i%7 == 0 {
+						time.Sleep(time.Duration(i%3) * time.Millisecond)
+					}
+					return an, nil
+				},
+				func(i int, seed int64, an *analysis.Streaming, err error) error {
+					if err != nil {
+						return err
+					}
+					mu.Lock()
+					held, ok := live[an]
+					delete(live, an)
+					mu.Unlock()
+					if !ok || held != i {
+						return fmt.Errorf("world %d merged an analyzer recorded for world %d (%v)", i, held, ok)
+					}
+					rep, err := an.Finalize()
+					if err != nil {
+						return err
+					}
+					if rep.N != i%5+2 {
+						return fmt.Errorf("world %d: analyzer holds %d losses, want %d", i, rep.N, i%5+2)
+					}
+					return nil
+				})
+		})
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
 	}
 }

@@ -117,7 +117,7 @@ func TestReservoirRandomPartitionExact(t *testing.T) {
 
 // TestMomentsMergeCommutesApproximately: shard merge order must not move
 // the merged statistics beyond float tolerance — the fleet absorbs worlds
-// in a fixed turnstile order, but the statistics themselves cannot hide a
+// in a fixed world order, but the statistics themselves cannot hide a
 // catastrophic cancellation that only one order exposes.
 func TestMomentsMergeCommutesApproximately(t *testing.T) {
 	xs := testStream(13, 10_000)

@@ -88,11 +88,14 @@ type ScenarioResult struct {
 	// flows plus cross-traffic noise sources — for fleet-scale
 	// accounting.
 	Flows int
-	// Analyzer is the streaming analyzer that observed the run's losses.
-	// It points into the arena the run executed on and is valid ONLY until
-	// that arena's next use — the fleet layer absorbs it into a cross-world
-	// aggregate on the worker goroutine before the arena is recycled.
-	// Everything else in the result is detached and safe to retain.
+	// Analyzer is the streaming analyzer that observed the run's losses:
+	// the arena's (exp.Arena.Analyzer), and the only field that may point
+	// into the arena the run executed on. On a Sweep arena it is valid
+	// ONLY until that arena's next use. exp.Fleet takes it out of the
+	// arena and parks it with the result, so the fleet layer can absorb it
+	// into a cross-world aggregate after the arena has moved on to another
+	// world; Fleet recycles it once the merge returns. Everything else in
+	// the result is detached and safe to retain.
 	Analyzer *analysis.Streaming
 	// Transfers aggregates the run's reliable-file-transfer outcomes
 	// (flow completion times, goodput, retransmission totals); nil for

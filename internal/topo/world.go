@@ -132,7 +132,7 @@ func (w *World) Finish(name string, until sim.Duration, meanRTT sim.Duration) (*
 		Drops:         w.rec.Len(),
 		Events:        w.Sched.Fired(),
 		AmbiguousTies: w.Sched.AmbiguousTies(),
-		Analyzer:      an, // arena-owned; valid until the arena's next use
+		Analyzer:      an, // the arena's; see ScenarioResult.Analyzer
 	}
 	for _, n := range w.nets {
 		res.Forwarded += n.Forwarded()
