@@ -83,11 +83,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var w io.Writer = stdout
+	var f *os.File
 	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
+		var err error
+		if f, err = os.Create(*out); err != nil {
 			return cli.Failf(stderr, "lossim", "%v", err)
 		}
+		// Closes the file on the error paths; the success path checks
+		// Close itself, since a write may fail only there.
 		defer f.Close()
 		w = f
 	}
@@ -118,6 +121,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if err := res.Trace.WriteCSV(w); err != nil {
 		return cli.Failf(stderr, "lossim", "%v", err)
+	}
+	if f != nil {
+		if err := f.Close(); err != nil {
+			return cli.Failf(stderr, "lossim", "%v", err)
+		}
 	}
 	if *summary {
 		r := res.Report

@@ -117,3 +117,18 @@ func TestRunHelpExitsZero(t *testing.T) {
 		t.Fatalf("usage not printed: %s", stderr.String())
 	}
 }
+
+// TestRunReportsWriteError: a trace the output refuses exits 1 and names
+// the write error, not 0 with a truncated file behind it.
+func TestRunReportsWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	var stdout, stderr bytes.Buffer
+	code := run([]string{
+		"-flows", "4", "-duration", "4s", "-warmup", "1s", "-summary=false", "-o", "/dev/full",
+	}, &stdout, &stderr)
+	if code != 1 || !strings.Contains(stderr.String(), "write csv") || !strings.Contains(stderr.String(), "no space left on device") {
+		t.Fatalf("-o /dev/full: exit %d, stderr %q; want exit 1 naming the write error", code, stderr.String())
+	}
+}

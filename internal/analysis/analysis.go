@@ -102,30 +102,41 @@ func (r *Report) Clone() *Report {
 // rtt. times must be nondecreasing. It returns an error when fewer than
 // two losses exist (no intervals to analyze).
 func Analyze(times []sim.Time, rtt sim.Duration, cfg Config) (*Report, error) {
+	return analyze(len(times), func(i int) sim.Time { return times[i] }, rtt, cfg)
+}
+
+// analyze is Analyze over the n loss times at(0) … at(n-1), read in place.
+// Besides the report it allocates only the window counts of the index of
+// dispersion.
+func analyze(n int, at func(i int) sim.Time, rtt sim.Duration, cfg Config) (*Report, error) {
 	if rtt <= 0 {
 		return nil, fmt.Errorf("analysis: RTT must be positive, got %v", rtt)
 	}
-	if len(times) < 2 {
-		return nil, fmt.Errorf("analysis: need ≥2 losses, got %d", len(times))
+	if n < 2 {
+		return nil, fmt.Errorf("analysis: need ≥2 losses, got %d", n)
 	}
 	cfg.fillDefaults()
 
-	r := &Report{N: len(times), RTT: rtt}
+	r := &Report{N: n, RTT: rtt}
 	rttF := float64(rtt)
-	r.Intervals = make([]float64, 0, len(times)-1)
-	norm := make([]float64, len(times)) // times in RTT units for IoD
-	prev := times[0]
-	norm[0] = float64(times[0]) / rttF
-	for i := 1; i < len(times); i++ {
-		if times[i] < prev {
+	r.Intervals = make([]float64, 0, n-1)
+	prev := at(0)
+	for i := 1; i < n; i++ {
+		t := at(i)
+		if t < prev {
 			return nil, fmt.Errorf("analysis: times not sorted at %d", i)
 		}
-		r.Intervals = append(r.Intervals, float64(times[i].Sub(prev))/rttF)
-		norm[i] = float64(times[i]) / rttF
-		prev = times[i]
+		r.Intervals = append(r.Intervals, float64(t.Sub(prev))/rttF)
+		prev = t
 	}
 
-	r.IndexOfDispersion = stats.IndexOfDispersion(norm, dispersionWindow)
+	// Count losses per dispersion window, from the window of time 0 to the
+	// one holding the last loss; the times are sorted, so none lies past it.
+	counts := make([]float64, int(float64(prev)/rttF/dispersionWindow)+1)
+	for i := 0; i < n; i++ {
+		counts[int(float64(at(i))/rttF/dispersionWindow)]++
+	}
+	r.IndexOfDispersion = stats.IndexOfDispersion(counts)
 	r.fillFromIntervals(cfg)
 	return r, nil
 }
@@ -196,10 +207,11 @@ func cov(xs []float64, mean float64) float64 {
 // discarded events in sink mode holds only a prefix of what it counted;
 // analyzing that prefix as the trace is an error.
 func AnalyzeTrace(rec *trace.Recorder, rtt sim.Duration, cfg Config) (*Report, error) {
-	if retained := len(rec.Events()); retained != rec.Len() {
-		return nil, fmt.Errorf("analysis: recorder retained %d of %d counted events", retained, rec.Len())
+	events := rec.Events()
+	if len(events) != rec.Len() {
+		return nil, fmt.Errorf("analysis: recorder retained %d of %d counted events", len(events), rec.Len())
 	}
-	return Analyze(rec.Times(), rtt, cfg)
+	return analyze(len(events), func(i int) sim.Time { return events[i].At }, rtt, cfg)
 }
 
 // BurstinessVsPoisson summarizes how much burstier than Poisson the

@@ -2,10 +2,12 @@ package analysis
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -197,5 +199,47 @@ func TestAnalyzeTraceRefusesTruncatedRecorder(t *testing.T) {
 	_, err := AnalyzeTrace(rec, 100*sim.Millisecond, Config{})
 	if err == nil || !strings.Contains(err.Error(), "retained 2 of 3") {
 		t.Fatalf("AnalyzeTrace of a discarding recorder: %v", err)
+	}
+}
+
+// allocBytes reports the heap bytes one call of f allocates, averaged over
+// runs calls after a warm-up call, on one processor as
+// testing.AllocsPerRun measures.
+func allocBytes(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestAnalyzeTraceAllocs bounds the batch analysis of n events: the
+// report's n−1 intervals, the KS scratch, the dispersion window counts and
+// a few fixed-size pieces. A copy of the event times or of the normalized
+// times (8n bytes each) exceeds it.
+func TestAnalyzeTraceAllocs(t *testing.T) {
+	bursty, null := pinnedTraces()
+	for _, rec := range []*trace.Recorder{bursty, null} {
+		events := rec.Events()
+		rep, err := AnalyzeTrace(rec, pinnedRTT, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ks := allocBytes(3, func() { stats.KSExponential(rep.Intervals) })
+		windows := uint64(float64(events[len(events)-1].At)/float64(pinnedRTT)) + 1
+		budget := 8*uint64(len(rep.Intervals)) + ks + 8*windows + 24<<10
+		got := allocBytes(3, func() {
+			if _, err := AnalyzeTrace(rec, pinnedRTT, Config{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > budget {
+			t.Errorf("AnalyzeTrace of %d events allocated %d bytes, want ≤ %d (KS scratch %d, %d windows)",
+				len(events), got, budget, ks, windows)
+		}
 	}
 }

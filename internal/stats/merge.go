@@ -166,12 +166,28 @@ func (r *Reservoir) Reset(bound int) {
 func (r *Reservoir) Observe(x float64) {
 	r.seen++
 	if len(r.items) < r.bound {
-		r.items = append(r.items, x)
+		r.keep(x)
 		return
 	}
 	if j := r.next() % uint64(r.seen); j < uint64(r.bound) {
 		r.items[j] = x
 	}
+}
+
+// minReservoirCap is the capacity of a reservoir's first allocation.
+const minReservoirCap = 16
+
+// keep appends x to a sample below its bound. A full slice doubles, up to
+// the bound, so filling the sample allocates under twice its final
+// capacity in all; append's ~1.25× steps for large slices allocate about
+// five times it.
+func (r *Reservoir) keep(x float64) {
+	if len(r.items) == cap(r.items) {
+		items := make([]float64, len(r.items), min(max(2*len(r.items), minReservoirCap), r.bound))
+		copy(items, r.items)
+		r.items = items
+	}
+	r.items = append(r.items, x)
 }
 
 // next advances the SplitMix64 state.
@@ -217,7 +233,7 @@ func (r *Reservoir) Merge(o *Reservoir) {
 		}
 		r.seen += w
 		if len(r.items) < r.bound {
-			r.items = append(r.items, x)
+			r.keep(x)
 			continue
 		}
 		if j := r.next() % uint64(r.seen); j < uint64(r.bound) {

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -281,5 +282,29 @@ func TestReservoirMergeDeterministic(t *testing.T) {
 		if a.Items()[i] != b.Items()[i] {
 			t.Fatalf("item %d differs between identical merges: %v vs %v", i, a.Items()[i], b.Items()[i])
 		}
+	}
+}
+
+// TestReservoirFillAllocs bounds what filling a reservoir to its bound
+// allocates in all: the retained slice doubles, so the copies it leaves
+// behind add up to less than the final slice. append's ~1.25× steps for
+// large slices allocate about five times it.
+func TestReservoirFillAllocs(t *testing.T) {
+	const n = 1 << 17
+	xs := testStream(5, n)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var r Reservoir
+	r.Reset(n)
+	for _, x := range xs {
+		r.Observe(x)
+	}
+	runtime.ReadMemStats(&after)
+	if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(2*8*n+4<<10); got > budget {
+		t.Errorf("filling a reservoir with %d items allocated %d bytes, want ≤ %d", n, got, budget)
+	}
+	if len(r.Items()) != n || cap(r.Items()) != n {
+		t.Fatalf("len %d cap %d, want %d", len(r.Items()), cap(r.Items()), n)
 	}
 }

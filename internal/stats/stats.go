@@ -113,21 +113,9 @@ func Mean(xs []float64) float64 {
 // IndexOfDispersion returns Var/Mean of event counts in fixed windows — 1
 // for a Poisson process, ≫1 for a bursty process. It is the paper's
 // "more rigorous analysis" direction and our quantitative burstiness
-// check. times must be nondecreasing; window > 0.
-func IndexOfDispersion(times []float64, window float64) float64 {
-	if len(times) == 0 || window <= 0 {
-		return 0
-	}
-	end := times[len(times)-1]
-	nwin := int(end/window) + 1
-	counts := make([]float64, nwin)
-	for _, t := range times {
-		idx := int(t / window)
-		if idx >= nwin {
-			idx = nwin - 1
-		}
-		counts[idx]++
-	}
+// check. counts holds one entry per window, empty windows included, from
+// the first window to the one holding the last event.
+func IndexOfDispersion(counts []float64) float64 {
 	mean := Mean(counts)
 	if mean == 0 {
 		return 0
@@ -145,7 +133,7 @@ func IndexOfDispersion(times []float64, window float64) float64 {
 // events into fixed windows as they arrive (times must be nondecreasing,
 // which a single scheduler guarantees) and folds each closed window's
 // count into running Σc and Σc² instead of materializing a counts slice.
-// Value matches the batch IndexOfDispersion of the same event times up to
+// Value matches IndexOfDispersion of the same events' window counts up to
 // floating-point associativity. The zero value is unusable; call Reset.
 type DispersionCounter struct {
 	window   float64

@@ -75,6 +75,16 @@ func TestMean(t *testing.T) {
 	}
 }
 
+// windowCounts bins nondecreasing event times into windows of the given
+// width, from the window of time 0 to the one holding the last event.
+func windowCounts(times []float64, window float64) []float64 {
+	counts := make([]float64, int(times[len(times)-1]/window)+1)
+	for _, t := range times {
+		counts[int(t/window)]++
+	}
+	return counts
+}
+
 func TestIndexOfDispersionPoissonNearOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var times []float64
@@ -83,7 +93,7 @@ func TestIndexOfDispersionPoissonNearOne(t *testing.T) {
 		tt += rng.ExpFloat64()
 		times = append(times, tt)
 	}
-	iod := IndexOfDispersion(times, 10)
+	iod := IndexOfDispersion(windowCounts(times, 10))
 	if iod < 0.8 || iod > 1.2 {
 		t.Fatalf("Poisson IoD = %v, want ≈1", iod)
 	}
@@ -97,18 +107,22 @@ func TestIndexOfDispersionBurstyLarge(t *testing.T) {
 			times = append(times, float64(b*100)+float64(i)*1e-6)
 		}
 	}
-	iod := IndexOfDispersion(times, 10)
+	iod := IndexOfDispersion(windowCounts(times, 10))
 	if iod < 5 {
 		t.Fatalf("bursty IoD = %v, want ≫1", iod)
 	}
 }
 
 func TestIndexOfDispersionDegenerate(t *testing.T) {
-	if IndexOfDispersion(nil, 1) != 0 {
+	if IndexOfDispersion(nil) != 0 {
 		t.Fatal("empty IoD != 0")
 	}
-	if IndexOfDispersion([]float64{1, 2}, 0) != 0 {
-		t.Fatal("zero window IoD != 0")
+	if IndexOfDispersion([]float64{0, 0, 0}) != 0 {
+		t.Fatal("IoD of empty windows != 0")
+	}
+	// Equal counts have no variance.
+	if got := IndexOfDispersion([]float64{3, 3, 3}); got != 0 {
+		t.Fatalf("IoD of equal counts = %v, want 0", got)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package trace records and serializes the event traces the experiments
-// analyze: packet drops at routers (the paper's loss traces), per-packet
-// arrivals at probers, and flow throughput samples. Traces can round-trip
-// through CSV for the command-line tools.
+// analyze: loss events (packet drops at routers, the paper's loss traces,
+// or the losses a TCP sender infers from its retransmissions) and flow
+// throughput samples. Loss traces round-trip through CSV for the
+// command-line tools.
 package trace
 
 import (
@@ -10,13 +11,14 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math/bits"
 	"sort"
 	"strconv"
 
 	"repro/internal/sim"
 )
 
-// LossEvent is one dropped (or, in the PlanetLab model, lost-in-path)
+// LossEvent is one dropped (or, in a TCP-inferred trace, retransmitted)
 // packet: the unit of every burstiness analysis in the paper.
 type LossEvent struct {
 	At   sim.Time // when the drop happened
@@ -73,15 +75,6 @@ func (r *Recorder) Len() int { return r.n }
 // is owned by the recorder; callers must not mutate it.
 func (r *Recorder) Events() []LossEvent { return r.events }
 
-// Times extracts just the timestamps, in order.
-func (r *Recorder) Times() []sim.Time {
-	out := make([]sim.Time, len(r.events))
-	for i, e := range r.events {
-		out[i] = e.At
-	}
-	return out
-}
-
 // Reset discards all recorded events, keeping capacity and any installed
 // sink.
 func (r *Recorder) Reset() {
@@ -108,10 +101,15 @@ const maxCSVRow = 4*20 + 4
 // WriteCSV streams the trace to w: the header line, then one
 // "at_ns,flow,seq,size" line of decimal integers per event. A recorder
 // that discarded events in sink mode holds only a prefix of what it
-// counted, so writing it is an error, not a short file.
+// counted, so writing it is an error, not a short file. A destination
+// that can Grow (a bytes.Buffer) is grown once to the exact output
+// length, so it never re-copies what it already holds.
 func (r *Recorder) WriteCSV(w io.Writer) error {
 	if len(r.events) != r.n {
 		return fmt.Errorf("trace: write csv: recorder retained %d of %d counted events", len(r.events), r.n)
+	}
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(r.csvLen())
 	}
 	// Rows are formatted in place in the writer's free space; its write
 	// error is sticky, so only Flush is checked.
@@ -135,6 +133,42 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 	return nil
 }
 
+// csvLen is the byte length of WriteCSV's output: the header line, and per
+// row the decimal lengths of its four fields, three commas and a newline.
+func (r *Recorder) csvLen() int {
+	n := len(csvHeader) + 1
+	for _, e := range r.events {
+		n += decLen(int64(e.At)) + decLen(int64(e.Flow)) + decLen(e.Seq) + decLen(int64(e.Size)) + 4
+	}
+	return n
+}
+
+// pow10 holds 10^0 … 10^19, every power of ten a uint64 holds.
+var pow10 = func() (p [20]uint64) {
+	p[0] = 1
+	for i := 1; i < len(p); i++ {
+		p[i] = 10 * p[i-1]
+	}
+	return p
+}()
+
+// decLen is len(strconv.FormatInt(v, 10)).
+func decLen(v int64) int {
+	u, sign := uint64(v), 0
+	if v < 0 {
+		u, sign = -u, 1
+	}
+	// Setting the low bit keeps the digit count (no power of ten is odd
+	// but 1) and makes 0 count as one digit. With 1233/4096 ≈ log10(2),
+	// d is ⌊log10 u⌋ or one above it; one comparison settles which.
+	u |= 1
+	d := bits.Len64(u) * 1233 >> 12
+	if u < pow10[d] {
+		d--
+	}
+	return sign + d + 1
+}
+
 // ReadCSV parses a trace written by WriteCSV. The grammar is line-based:
 // the header line "at_ns,flow,seq,size", then one row of four
 // comma-separated decimal integers (optional sign, int64 range; flow and
@@ -155,8 +189,12 @@ func ReadCSV(rd io.Reader) (*Recorder, error) {
 		if err != nil && err != io.EOF {
 			return nil, fmt.Errorf("trace: read csv: %w", err)
 		}
-		line = bytes.TrimSuffix(line, []byte("\n"))
-		line = bytes.TrimSuffix(line, []byte("\r"))
+		if n := len(line); n > 0 && line[n-1] == '\n' {
+			line = line[:n-1]
+		}
+		if n := len(line); n > 0 && line[n-1] == '\r' {
+			line = line[:n-1]
+		}
 		switch {
 		case len(line) == 0:
 		case !header:
@@ -167,16 +205,18 @@ func ReadCSV(rd io.Reader) (*Recorder, error) {
 		default:
 			row++
 			if row == 1 {
-				// Rows lengthen as timestamps and sequence numbers grow, so
-				// the first row bounds the count from above: the event
-				// buffer is sized once and append never re-copies it.
+				// Rows of a time-ordered trace lengthen as timestamps and
+				// sequence numbers grow, so the first row's length usually
+				// bounds the count from above and the event buffer is sized
+				// once. Enough rows shorter than the first outgrow it, and
+				// append re-copies it.
 				r.events = make([]LossEvent, 0, remaining/(len(line)+1))
 			}
 			e, bad := parseCSVRow(line)
 			if bad != "" {
 				return nil, fmt.Errorf("trace: row %d: bad %s in %q", row, bad, line)
 			}
-			r.Add(e)
+			r.events = append(r.events, e)
 		}
 		if err == io.EOF {
 			break
@@ -185,6 +225,7 @@ func ReadCSV(rd io.Reader) (*Recorder, error) {
 	if !header {
 		return nil, fmt.Errorf("trace: empty file")
 	}
+	r.n = len(r.events)
 	return r, nil
 }
 
@@ -202,23 +243,47 @@ func remainingBytes(rd io.Reader) int {
 	return 0
 }
 
-// parseCSVRow decodes one "at_ns,flow,seq,size" line; bad names what is
-// wrong with a line it refuses and is empty otherwise.
+// csvFields names a row's columns, for error messages.
+var csvFields = [4]string{"at_ns", "flow", "seq", "size"}
+
+// parseCSVRow decodes one "at_ns,flow,seq,size" line in a single walk:
+// per field an optional sign, decimal digits, then a comma or, after the
+// last field, the end of the line. bad names what is wrong with a line it
+// refuses and is empty otherwise.
 func parseCSVRow(line []byte) (e LossEvent, bad string) {
 	var v [4]int64
-	for i, name := range [4]string{"at_ns", "flow", "seq", "size"} {
-		field := line
-		if i < 3 {
-			c := bytes.IndexByte(line, ',')
-			if c < 0 {
+	i := 0
+	for f := range v {
+		start := i
+		neg := i < len(line) && line[i] == '-'
+		if neg || i < len(line) && line[i] == '+' {
+			i++
+		}
+		digits := i
+		var n int64
+		for ; i < len(line) && line[i]-'0' <= 9; i++ {
+			n = n*10 + int64(line[i]-'0')
+		}
+		switch {
+		case f < 3 && (i == len(line) || line[i] != ','), f == 3 && i != len(line):
+			// The field holds a byte that is neither a digit nor its
+			// delimiter: a bad value, unless no delimiter follows at all.
+			if f < 3 && bytes.IndexByte(line[i:], ',') < 0 {
 				return e, "column count"
 			}
-			field, line = line[:c], line[c+1:]
+			return e, csvFields[f]
+		case i == digits || i-digits > 18:
+			// No digits, or more than 18, which n may have overflowed
+			// on: strconv accepts or refuses.
+			var err error
+			if n, err = strconv.ParseInt(string(line[start:i]), 10, 64); err != nil {
+				return e, csvFields[f]
+			}
+		case neg:
+			n = -n
 		}
-		var ok bool
-		if v[i], ok = parseInt(field); !ok {
-			return e, name
-		}
+		v[f] = n
+		i++ // past the comma
 	}
 	if int64(int(v[1])) != v[1] {
 		return e, "flow"
@@ -227,31 +292,6 @@ func parseCSVRow(line []byte) (e LossEvent, bad string) {
 		return e, "size"
 	}
 	return LossEvent{At: sim.Time(v[0]), Flow: int(v[1]), Seq: v[2], Size: int(v[3])}, ""
-}
-
-// parseInt is strconv.ParseInt(s, 10, 64) without the string: an optional
-// sign and up to 18 digits cannot overflow and are decoded in place;
-// anything else is strconv's to accept or refuse.
-func parseInt(s []byte) (int64, bool) {
-	digits := s
-	if len(digits) > 0 && (digits[0] == '-' || digits[0] == '+') {
-		digits = digits[1:]
-	}
-	if len(digits) == 0 || len(digits) > 18 {
-		n, err := strconv.ParseInt(string(s), 10, 64)
-		return n, err == nil
-	}
-	var n int64
-	for _, c := range digits {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int64(c-'0')
-	}
-	if s[0] == '-' {
-		n = -n
-	}
-	return n, true
 }
 
 // ThroughputSeries accumulates delivered bits into fixed bins.

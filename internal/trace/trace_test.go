@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -27,9 +28,9 @@ func TestRecorderBasics(t *testing.T) {
 	if r.Len() != 3 {
 		t.Fatalf("len = %d", r.Len())
 	}
-	ts := r.Times()
-	if len(ts) != 3 || ts[0] != sim.Time(sim.Second) {
-		t.Fatalf("times = %v", ts)
+	ev := r.Events()
+	if len(ev) != 3 || ev[0].At != sim.Time(sim.Second) || ev[2].Seq != 30 {
+		t.Fatalf("events = %+v", ev)
 	}
 	r.Reset()
 	if r.Len() != 0 {
@@ -287,9 +288,25 @@ func TestWriteCSVBytes(t *testing.T) {
 	sameEvents(t, "round trip", back, rec.Events())
 }
 
+// allocBytes reports the heap bytes one call of f allocates, averaged over
+// runs calls after a warm-up call, on one processor as
+// testing.AllocsPerRun measures.
+func allocBytes(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 // TestCSVAllocs bounds the CSV path's allocations by count, not by row:
 // the reader allocates its buffer, the recorder and one event slice sized
-// from the input length; the writer its buffer.
+// from the input length; the writer its buffer. Into an empty buffer the
+// writer allocates the output once, not a doubling series of copies.
 func TestCSVAllocs(t *testing.T) {
 	rec := &Recorder{}
 	for i := 0; i < 10_000; i++ {
@@ -309,6 +326,22 @@ func TestCSVAllocs(t *testing.T) {
 	}); n > 2 {
 		t.Errorf("WriteCSV of 10k rows into a grown buffer: %v allocations, want ≤ 2", n)
 	}
+	// One Grow to the output length (itself measured: the race detector's
+	// build of bytes.Buffer allocates more for it) and the 4 KiB write
+	// buffer; growing by doubling allocates about twice the output.
+	grow := allocBytes(10, func() {
+		var fresh bytes.Buffer
+		fresh.Grow(len(data))
+	})
+	budget := grow + 4<<10 + 1<<10
+	if got := allocBytes(10, func() {
+		var fresh bytes.Buffer
+		if err := rec.WriteCSV(&fresh); err != nil {
+			t.Fatal(err)
+		}
+	}); got > budget {
+		t.Errorf("WriteCSV of %d output bytes into an empty buffer allocated %d bytes, want ≤ %d", len(data), got, budget)
+	}
 	rd := bytes.NewReader(data)
 	if n := testing.AllocsPerRun(10, func() {
 		rd.Reset(data)
@@ -317,6 +350,25 @@ func TestCSVAllocs(t *testing.T) {
 		}
 	}); n > 8 {
 		t.Errorf("ReadCSV of 10k rows: %v allocations, want ≤ 8", n)
+	}
+}
+
+// TestDecLen holds the writer's size hint to strconv at every power of ten
+// and its neighbours, both signs and the int64 extremes.
+func TestDecLen(t *testing.T) {
+	vs := []int64{0, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+	for p := int64(1); ; p *= 10 {
+		vs = append(vs, p-1, p, p+1)
+		if p > math.MaxInt64/10 {
+			break
+		}
+	}
+	for _, v := range vs {
+		for _, x := range []int64{v, -v} {
+			if got, want := decLen(x), len(strconv.FormatInt(x, 10)); got != want {
+				t.Errorf("decLen(%d) = %d, want %d", x, got, want)
+			}
+		}
 	}
 }
 
