@@ -116,15 +116,15 @@ func BenchmarkEq12Table(b *testing.B) {
 // see EXPERIMENTS.md).
 func BenchmarkFigure7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunFigure7(core.Fig7Config{
+		sw, err := core.SweepFigure7(core.Fig7Config{
 			Seed:          benchSeed,
 			FlowsPerClass: 16,
 			Duration:      30 * sim.Second,
-		})
+		}, core.SweepOptions{Replications: 1, Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.Deficit, "deficit")
+		b.ReportMetric(sw.Results[0].Deficit, "deficit")
 	}
 }
 
@@ -231,19 +231,19 @@ func BenchmarkAblationBufferSweep(b *testing.B) {
 func BenchmarkAblationPacingQuantum(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, q := range []int{1, 4} {
-			res, err := core.RunFigure7(core.Fig7Config{
+			sw, err := core.SweepFigure7(core.Fig7Config{
 				Seed:          benchSeed,
 				FlowsPerClass: 8,
 				Duration:      20 * sim.Second,
 				PaceQuantum:   q,
-			})
+			}, core.SweepOptions{Replications: 1, Workers: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
 			if q == 1 {
-				b.ReportMetric(res.Deficit, "deficit_q1")
+				b.ReportMetric(sw.Results[0].Deficit, "deficit_q1")
 			} else {
-				b.ReportMetric(res.Deficit, "deficit_q4")
+				b.ReportMetric(sw.Results[0].Deficit, "deficit_q4")
 			}
 		}
 	}

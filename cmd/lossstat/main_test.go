@@ -72,6 +72,23 @@ func TestRunUsageAndMissingFile(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeLossTime: a trace whose first loss lies before
+// time 0 is a runtime failure that names the analysis error, not a panic.
+func TestRunRejectsNegativeLossTime(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "neg.csv")
+	csv := "at_ns,flow,seq,size\n-300000000,1,1,1\n0,1,2,1\n100,1,3,1\n"
+	if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-rtt", "100ms", path}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr: %s)", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "before time 0") {
+		t.Fatalf("stderr does not name the error: %s", stderr.String())
+	}
+}
+
 // TestRunRejectsBadFlags pins the shared internal/cli contract: unknown
 // flags AND invalid values both diagnose to stderr and exit 2.
 func TestRunRejectsBadFlags(t *testing.T) {

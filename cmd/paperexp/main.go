@@ -1,10 +1,9 @@
 // Command paperexp regenerates every table and figure of the paper as text
 // series. Each artifact has a sub-flag; -all runs the full evaluation with
 // paper-scale parameters. The selected artifacts are independent simulated
-// worlds, so they run concurrently through the internal/exp runner by
-// default (each rendering into its own buffer, printed in artifact order —
-// the output is identical to a sequential run); -seq streams them one by
-// one instead.
+// worlds, so they run concurrently through the internal/exp runner (each
+// rendering into its own buffer, printed in artifact order); -workers 1
+// runs them one at a time, with the same output.
 //
 // Usage:
 //
@@ -77,7 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		quick    = fs.Bool("quick", false, "scaled-down parameters (seconds instead of minutes)")
 		ascii    = fs.Bool("ascii", false, "ASCII plots for the PDF figures")
 		reps     = fs.Int("reps", 1, "replications per loss-PDF artifact (adds a mean ± 95% CI aggregate)")
-		seq      = fs.Bool("seq", false, "run artifacts sequentially, streaming output")
 		workers  = fs.Int("workers", 0, "concurrent artifacts (0 = GOMAXPROCS)")
 		cpuprof  = fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 		memprof  = fs.String("memprofile", "", "write a pprof heap profile (after GC) to this file on exit")
@@ -199,29 +197,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *seq || len(arts) == 1 {
-		// Like the parallel path, a failing artifact is reported and the
-		// rest still run; only the exit code remembers the failure.
-		code := 0
-		for _, a := range arts {
-			fmt.Fprintf(stdout, "==== %s ====\n", a.name)
-			start := time.Now()
-			events, err := a.fn(stdout)
-			if err != nil {
-				fmt.Fprintf(stderr, "paperexp: %s: %v\n", a.name, err)
-				code = 1
-				continue
-			}
-			elapsed := time.Since(start)
-			fmt.Fprintf(stdout, "---- %s done in %v%s ----\n\n", a.name,
-				elapsed.Round(time.Millisecond), rateSuffix(events, elapsed))
-		}
-		return code
-	}
-
-	// Parallel: every artifact renders into its own buffer on the worker
-	// pool; buffers are flushed in artifact order, so the byte stream
-	// matches the sequential run (modulo the timing lines).
+	// Every artifact renders into its own buffer on the worker pool;
+	// buffers are flushed in artifact order, so the byte stream is the same
+	// at every worker count (modulo the timing lines). A failing artifact
+	// is reported and the rest still print; only the exit code remembers
+	// the failure.
 	type rendered struct {
 		out     bytes.Buffer
 		elapsed time.Duration

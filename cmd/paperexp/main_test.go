@@ -33,8 +33,8 @@ func TestRunEq12Table(t *testing.T) {
 	}
 }
 
-// stripTimings removes the wall-clock lines so sequential and parallel
-// outputs can be compared byte for byte.
+// stripTimings removes the wall-clock lines so runs at different worker
+// counts can be compared byte for byte.
 var timingRe = regexp.MustCompile(`(?m)^---- .* done in .* ----$`)
 
 func stripTimings(s string) string { return timingRe.ReplaceAllString(s, "") }
@@ -42,9 +42,10 @@ func stripTimings(s string) string { return timingRe.ReplaceAllString(s, "") }
 func TestRunParallelMatchesSequential(t *testing.T) {
 	// Two fast artifacts: Table 1 and the Eq. 1/2 visibility table. The
 	// parallel scheduler must not change a byte of the rendered series,
-	// and must print them in artifact order.
+	// and must print them in artifact order; -workers 1 is the sequential
+	// run.
 	var par, seql, stderr bytes.Buffer
-	if code := run([]string{"-fig", "1,5", "-seq"}, &seql, &stderr); code != 0 {
+	if code := run([]string{"-fig", "1,5", "-workers", "1"}, &seql, &stderr); code != 0 {
 		t.Fatalf("seq exit %d: %s", code, stderr.String())
 	}
 	if code := run([]string{"-fig", "1,5", "-workers", "2"}, &par, &stderr); code != 0 {

@@ -43,7 +43,7 @@ type Aggregate struct {
 }
 
 // NewAggregate builds an empty cross-world accumulator. The config plays
-// the same role as in Analyze/Streaming and must match the config of
+// the same role as in AnalyzeTrace/Streaming and must match the config of
 // every absorbed analyzer (Absorb enforces the bin layout).
 func NewAggregate(cfg Config) *Aggregate {
 	g := &Aggregate{}

@@ -26,7 +26,7 @@ type Config struct {
 	// MaxInterval is the plotted range in RTT units (default 2.0).
 	MaxInterval float64
 	// KSReservoir bounds how many intervals a Streaming analyzer retains
-	// for the KS test (default DefaultKSReservoir). Batch Analyze ignores
+	// for the KS test (default DefaultKSReservoir). AnalyzeTrace ignores
 	// it — the batch path holds every interval anyway.
 	KSReservoir int
 }
@@ -98,22 +98,21 @@ func (r *Report) Clone() *Report {
 	return &c
 }
 
-// Analyze computes the burstiness report for loss timestamps normalized by
-// rtt. times must be nondecreasing. It returns an error when fewer than
-// two losses exist (no intervals to analyze).
-func Analyze(times []sim.Time, rtt sim.Duration, cfg Config) (*Report, error) {
-	return analyze(len(times), func(i int) sim.Time { return times[i] }, rtt, cfg)
-}
-
-// analyze is Analyze over the n loss times at(0) … at(n-1), read in place.
-// Besides the report it allocates only the window counts of the index of
-// dispersion.
+// analyze computes the burstiness report for the n loss times at(0) …
+// at(n-1), read in place and normalized by rtt. The times must be
+// nondecreasing and start at or after time 0. It returns an error when
+// fewer than two losses exist (no intervals to analyze). Besides the
+// report it allocates only the window counts of the index of dispersion.
 func analyze(n int, at func(i int) sim.Time, rtt sim.Duration, cfg Config) (*Report, error) {
 	if rtt <= 0 {
 		return nil, fmt.Errorf("analysis: RTT must be positive, got %v", rtt)
 	}
 	if n < 2 {
 		return nil, fmt.Errorf("analysis: need ≥2 losses, got %d", n)
+	}
+	// The window counts index from time 0; a loss before it has no window.
+	if first := at(0); first < 0 {
+		return nil, fmt.Errorf("analysis: first loss at %v is before time 0", first)
 	}
 	cfg.fillDefaults()
 
@@ -143,9 +142,9 @@ func analyze(n int, at func(i int) sim.Time, rtt sim.Duration, cfg Config) (*Rep
 
 // fillFromIntervals sets every report field that is a function of
 // r.Intervals alone: the histogram, the matched Poisson reference, the
-// headline fractions, CoV, the KS distance and the verdict. Analyze and
+// headline fractions, CoV, the KS distance and the verdict. analyze and
 // Merge share it; the index of dispersion needs loss times, not
-// intervals, so Analyze computes it itself.
+// intervals, so analyze computes it itself.
 func (r *Report) fillFromIntervals(cfg Config) {
 	nbins := int(cfg.MaxInterval/cfg.BinWidth + 0.5)
 	r.Hist = stats.NewHistogram(cfg.BinWidth, nbins)
@@ -203,7 +202,8 @@ func cov(xs []float64, mean float64) float64 {
 	return math.Sqrt(ss/float64(len(xs)-1)) / mean
 }
 
-// AnalyzeTrace is Analyze applied to a trace recorder. A recorder that
+// AnalyzeTrace computes the burstiness report of a recorded loss trace,
+// normalized by rtt (see analyze for what it checks). A recorder that
 // discarded events in sink mode holds only a prefix of what it counted;
 // analyzing that prefix as the trace is an error.
 func AnalyzeTrace(rec *trace.Recorder, rtt sim.Duration, cfg Config) (*Report, error) {

@@ -11,6 +11,12 @@ import (
 	"repro/internal/trace"
 )
 
+// analyzeTimes runs the batch analysis over a slice of loss times, the
+// form these tests build their traces in.
+func analyzeTimes(times []sim.Time, rtt sim.Duration, cfg Config) (*Report, error) {
+	return analyze(len(times), func(i int) sim.Time { return times[i] }, rtt, cfg)
+}
+
 func TestAnalyzeBurstyTrace(t *testing.T) {
 	// 10 bursts of 10 losses 0.1 ms apart, bursts 1 s apart; RTT = 100 ms.
 	rtt := 100 * sim.Millisecond
@@ -21,7 +27,7 @@ func TestAnalyzeBurstyTrace(t *testing.T) {
 			times = append(times, base.Add(sim.Duration(i)*100*sim.Microsecond))
 		}
 	}
-	r, err := Analyze(times, rtt, Config{})
+	r, err := analyzeTimes(times, rtt, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +61,7 @@ func TestAnalyzePoissonTraceMatchesReference(t *testing.T) {
 		cur = cur.Add(sim.Exponential(rng, 50*sim.Millisecond)) // λ = 2/RTT
 		times = append(times, cur)
 	}
-	r, err := Analyze(times, rtt, Config{})
+	r, err := analyzeTimes(times, rtt, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,14 +78,21 @@ func TestAnalyzePoissonTraceMatchesReference(t *testing.T) {
 }
 
 func TestAnalyzeErrors(t *testing.T) {
-	if _, err := Analyze([]sim.Time{1}, sim.Duration(1), Config{}); err == nil {
+	if _, err := analyzeTimes([]sim.Time{1}, sim.Duration(1), Config{}); err == nil {
 		t.Fatal("single loss accepted")
 	}
-	if _, err := Analyze([]sim.Time{1, 2}, 0, Config{}); err == nil {
+	if _, err := analyzeTimes([]sim.Time{1, 2}, 0, Config{}); err == nil {
 		t.Fatal("zero RTT accepted")
 	}
-	if _, err := Analyze([]sim.Time{5, 3}, sim.Duration(1), Config{}); err == nil {
+	if _, err := analyzeTimes([]sim.Time{5, 3}, sim.Duration(1), Config{}); err == nil {
 		t.Fatal("unsorted times accepted")
+	}
+	// The dispersion windows count from time 0: a loss before it is an
+	// error, not a negative window index.
+	neg := []sim.Time{-300 * sim.Time(sim.Millisecond), 0, 100}
+	if _, err := analyzeTimes(neg, 100*sim.Millisecond, Config{}); err == nil ||
+		!strings.Contains(err.Error(), "before time 0") {
+		t.Fatalf("negative first loss: err = %v, want it named as before time 0", err)
 	}
 }
 
@@ -103,7 +116,7 @@ func TestMergeAggregatesPaths(t *testing.T) {
 		for i := 0; i < n; i++ {
 			times = append(times, sim.Time(int64(i)*int64(gap)))
 		}
-		r, err := Analyze(times, rtt, Config{})
+		r, err := analyzeTimes(times, rtt, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +195,7 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	// 100 bins as in the paper.
 	times := []sim.Time{0, 1000, 2000}
-	r, _ := Analyze(times, sim.Duration(1000), Config{})
+	r, _ := analyzeTimes(times, sim.Duration(1000), Config{})
 	if r.Hist.NumBins() != 100 {
 		t.Fatalf("bins = %d", r.Hist.NumBins())
 	}

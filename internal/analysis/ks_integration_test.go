@@ -15,7 +15,7 @@ func TestReportKSRejectsBurstyAcceptsPoisson(t *testing.T) {
 			bursty = append(bursty, base.Add(sim.Duration(i)*100*sim.Microsecond))
 		}
 	}
-	rb, err := Analyze(bursty, 100*sim.Millisecond, Config{})
+	rb, err := analyzeTimes(bursty, 100*sim.Millisecond, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestReportKSRejectsBurstyAcceptsPoisson(t *testing.T) {
 		cur = cur.Add(sim.Exponential(rng, 100*sim.Millisecond))
 		poisson = append(poisson, cur)
 	}
-	rp, err := Analyze(poisson, 100*sim.Millisecond, Config{})
+	rp, err := analyzeTimes(poisson, 100*sim.Millisecond, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

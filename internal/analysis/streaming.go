@@ -16,16 +16,17 @@ import (
 // analyzer switches to a deterministic reservoir sample (see Streaming).
 const DefaultKSReservoir = 1 << 17
 
-// Streaming is the online form of Analyze: it is fed one loss event at a
-// time — typically straight from a netsim.Port.OnDrop callback through a
-// sink-mode trace.Recorder — and maintains every statistic of a Report
-// incrementally, so a sweep analyzes its loss process while the world
-// runs instead of retaining the trace and batch-processing it afterwards.
+// Streaming is the online form of AnalyzeTrace: it is fed one loss event
+// at a time — typically straight from a netsim.Port.OnDrop callback
+// through a sink-mode trace.Recorder — and maintains every statistic of a
+// Report incrementally, so a sweep analyzes its loss process while the
+// world runs instead of retaining the trace and batch-processing it
+// afterwards.
 //
 // What it maintains, and how it relates to the batch path:
 //
 //   - the inter-loss histogram and the clustering fractions: exact, the
-//     same counts Analyze produces;
+//     same counts AnalyzeTrace produces;
 //   - the interval mean (and so Lambda and the Poisson reference):
 //     bit-identical, accumulated in arrival order like stats.Mean;
 //   - the coefficient of variation via Welford's online moments and the
@@ -110,7 +111,7 @@ func (t *tally) finalize() *Report {
 }
 
 // NewStreaming builds an online analyzer for losses on a path with the
-// given RTT. The config defaults match Analyze's.
+// given RTT. The config defaults match AnalyzeTrace's.
 func NewStreaming(rtt sim.Duration, cfg Config) (*Streaming, error) {
 	s := &Streaming{}
 	if err := s.Reset(rtt, cfg); err != nil {
@@ -178,7 +179,7 @@ func (s *Streaming) ObserveTime(t sim.Time) {
 // Finalize computes the report for everything observed so far. The
 // returned Report and its slices (Intervals, Hist, PoissonPMF) are owned
 // by the analyzer and recycled by the next Reset; callers that retain a
-// report across runs must Clone it. Like Analyze, it errors when fewer
+// report across runs must Clone it. Like AnalyzeTrace, it errors when fewer
 // than two losses were observed.
 func (s *Streaming) Finalize() (*Report, error) {
 	if s.n < 2 {

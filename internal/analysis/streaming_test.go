@@ -54,7 +54,7 @@ func TestStreamingMatchesBatchRandom(t *testing.T) {
 		n := 2 + rng.Intn(2000)
 		times := randomLossTimes(rng, n, rtt)
 
-		batch, err := Analyze(times, rtt, Config{})
+		batch, err := analyzeTimes(times, rtt, Config{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -151,7 +151,7 @@ func TestStreamingReservoirOverflow(t *testing.T) {
 	}
 	a, b := run(), run()
 
-	batch, err := Analyze(times, rtt, Config{})
+	batch, err := analyzeTimes(times, rtt, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

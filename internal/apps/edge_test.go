@@ -30,21 +30,6 @@ func TestParallelZeroFlowsDefaults(t *testing.T) {
 	}
 }
 
-// TestShuffleZeroHostsDefaults: the same zero-value contract for the
-// shuffle — Mappers/Reducers: 0 mean the default 8×8 grid.
-func TestShuffleZeroHostsDefaults(t *testing.T) {
-	r := RunShuffle(ShuffleConfig{
-		BytesPerPartition: 64 << 10,
-		RTT:               5 * sim.Millisecond,
-	})
-	if !r.Finished {
-		t.Fatal("defaulted shuffle did not finish")
-	}
-	if len(r.PerReducer) != 8 {
-		t.Fatalf("per-reducer entries = %d, want the default 8", len(r.PerReducer))
-	}
-}
-
 // TestParallelMixedTimeoutArenaReuse interleaves finished and
 // timeout-clamped transfers on one arena: a run that halts early via the
 // completion closure, a run the timeout aborts with every flow still

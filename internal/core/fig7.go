@@ -60,11 +60,6 @@ type Fig7Result struct {
 	Events uint64
 }
 
-// RunFigure7 executes the competition experiment on a fresh arena.
-func RunFigure7(cfg Fig7Config) (*Fig7Result, error) {
-	return runFigure7(cfg, nil)
-}
-
 // runFigure7 builds and runs one competition world on the arena (nil: a
 // fresh one): NewReno on the first FlowsPerClass pairs, pacing on the
 // rest. The 1 s throughput series stay per-run: they are retained in the

@@ -284,6 +284,13 @@ func TestRunFigure4CampaignShape(t *testing.T) {
 	}
 }
 
+// RunFigure7 runs one competition world on a fresh arena. Binaries reach
+// the competition only through SweepFigure7; the tests here and the
+// Figure 7 pin drive single worlds.
+func RunFigure7(cfg Fig7Config) (*Fig7Result, error) {
+	return runFigure7(cfg, nil)
+}
+
 func TestRunFigure7PacingLoses(t *testing.T) {
 	t.Parallel()
 	res, err := RunFigure7(Fig7Config{

@@ -100,7 +100,7 @@ func (a *Arena) Recorder() *trace.Recorder {
 // Analyzer returns the arena's streaming analyzer, reset for a run with
 // the given RTT and config. An arena without one draws a recycled analyzer
 // from analyzerPool, or makes one when the pool is empty. The error
-// mirrors analysis.Analyze's RTT validation.
+// mirrors analysis.AnalyzeTrace's RTT validation.
 func (a *Arena) Analyzer(rtt sim.Duration, cfg analysis.Config) (*analysis.Streaming, error) {
 	if a.an == nil {
 		if an, ok := analyzerPool.Get().(*analysis.Streaming); ok {

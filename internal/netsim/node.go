@@ -22,8 +22,8 @@ type Node struct {
 	catch  Handler   // fallback local handler
 }
 
-// binding is one local delivery entry. Hosts bind one flow (mapreduce
-// nodes a handful), so a scan beats any keyed structure.
+// binding is one local delivery entry. A host binds few flows, so a scan
+// beats any keyed structure.
 type binding struct {
 	flow int
 	h    Handler

@@ -171,7 +171,7 @@ func (n *Network) FlowReceiver(i int) *netsim.Node { return n.nodes[n.spec.Flows
 func (n *Network) FlowRTT(i int) sim.Duration { return n.rtts[i] }
 
 // MeanFlowRTT is the average base RTT over all declared flows, the
-// normalization constant scenario analyses hand to analysis.Analyze.
+// constant scenario analyses normalize their loss intervals by.
 func (n *Network) MeanFlowRTT() sim.Duration {
 	if len(n.rtts) == 0 {
 		return 0

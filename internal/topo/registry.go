@@ -113,10 +113,10 @@ type Scenario struct {
 	// Topology summarizes the path structure (nodes/links/bottlenecks).
 	Topology string
 	// Headline is the measured headline burstiness (convention: a 12 s
-	// seed-1 run, `go run ./examples/topologies`) rendered into the
-	// generated EXPERIMENTS.md scenario catalog by
-	// `docscheck -write-catalog`. Optional; the generator prints "—" when
-	// empty.
+	// seed-1 run with a 2 s warm-up on a fresh arena, which
+	// TestScenarioHeadlines re-measures) rendered into the generated
+	// EXPERIMENTS.md scenario catalog by `docscheck -write-catalog`.
+	// Optional; the generator prints "—" when empty.
 	Headline string
 	// RunIn executes one world with the given config on the arena — a
 	// sweep or fleet worker's, or nil for a fresh one, which additionally

@@ -4,7 +4,7 @@
 //
 //   - a Go package has no package doc comment on any of its files
 //     (test-only packages are exempt),
-//   - a markdown file at the repo root or in examples/ contains an
+//   - a markdown file at the repo root or in .github/ contains an
 //     intra-repository link to a file that does not exist,
 //   - a tracked markdown file cites a Test, Benchmark, Fuzz or Example
 //     function that no _test.go file defines (CHANGES.md, ROADMAP.md and
@@ -214,10 +214,10 @@ func checkPackageDocs(root string) []string {
 var mdLink = regexp.MustCompile(`\]\(([^)#\s]+)[^)]*\)`)
 
 // checkMarkdownLinks verifies that relative links in the root and
-// examples/ markdown files point at files that exist.
+// .github/ markdown files point at files that exist.
 func checkMarkdownLinks(root string) []string {
 	var files []string
-	for _, glob := range []string{"*.md", "examples/*.md", ".github/*.md"} {
+	for _, glob := range []string{"*.md", ".github/*.md"} {
 		m, _ := filepath.Glob(filepath.Join(root, glob))
 		files = append(files, m...)
 	}
